@@ -59,7 +59,7 @@ from .pure_protocol import (
     probe_state_c2,
     reconstruct_pure,
 )
-from .sampling import OutcomeDistribution, available_backends, sample_counts
+from .sampling import OutcomeDistribution, sample_counts
 from .states import (
     ConjugateState,
     DensityMatrix,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 
@@ -114,13 +115,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    # JSON admits Infinity and NaN, which no sweep parameter can take
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _number_list(value, key: str, minimum=None, maximum=None) -> tuple:
     _require(isinstance(value, (list, tuple)) and len(value) > 0,
              f"{key} must be a nonempty list")
     out = []
     for item in value:
-        _require(isinstance(item, (int, float)) and not isinstance(item, bool),
-                 f"{key} entries must be numbers")
+        _require(_is_number(item), f"{key} entries must be finite numbers")
         _require(minimum is None or item >= minimum, f"{key} entries must be >= {minimum}")
         _require(maximum is None or item <= maximum, f"{key} entries must be <= {maximum}")
         out.append(float(item))
@@ -205,8 +211,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     def grab_float(key, default, minimum=0.0, maximum=None):
         raw = doc.get(key, default)
-        _require(isinstance(raw, (int, float)) and not isinstance(raw, bool),
-                 f"{key} must be a number")
+        _require(_is_number(raw), f"{key} must be a finite number")
         _require(raw >= minimum, f"{key} must be >= {minimum}")
         if maximum is not None:
             _require(raw <= maximum, f"{key} must be <= {maximum}")
@@ -224,8 +229,8 @@ def parse_config(text: str) -> ExperimentConfig:
         low, high, points = grid
         _require(_is_int(points) and points >= 2,
                  "norm_grid points must be an integer >= 2")
-        _require(isinstance(low, (int, float)) and isinstance(high, (int, float))
-                 and 0 < low < high, "norm_grid needs 0 < low < high")
+        _require(_is_number(low) and _is_number(high) and 0 < low < high,
+                 "norm_grid needs finite 0 < low < high")
         values["norm_grid"] = (float(low), float(high), points)
         bins = doc.get("histogram_bins", 40)
         _require(_is_int(bins) and bins >= 1,

@@ -13,6 +13,7 @@ constant, which the final physicalization step removes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,17 +109,27 @@ def probe_conditional_c2(rho: DensityMatrix, inter: ConjugateState,
     )
 
 
+def pauli_from_conditionals(m00, m01, m11) -> np.ndarray:
+    """P_j = Tr(|j><j| Lambda'') for the six Pauli eigenstates, elementwise.
+
+    Takes the entries of one probe matrix or whole tables of them and
+    returns (p0, p1, p+, p-, pL, pR) along a new last axis.
+    """
+    m01 = np.asarray(m01)
+    half_trace = 0.5 * (m00 + m11)
+    return np.stack([
+        np.asarray(m00, dtype=np.float64),
+        np.asarray(m11, dtype=np.float64),
+        half_trace + m01.real,
+        half_trace - m01.real,
+        half_trace - m01.imag,
+        half_trace + m01.imag,
+    ], axis=-1)
+
+
 def conditional_probabilities(lam: ProbeConditional) -> PauliProbabilities:
     """P_j = Tr(|j><j| Lambda'') for the six Pauli eigenstates."""
-    half_trace = 0.5 * (lam.m00 + lam.m11)
-    return PauliProbabilities(
-        p0=lam.m00,
-        p1=lam.m11,
-        p_plus=half_trace + lam.m01.real,
-        p_minus=half_trace - lam.m01.real,
-        p_l=half_trace - lam.m01.imag,
-        p_r=half_trace + lam.m01.imag,
-    )
+    return PauliProbabilities(*pauli_from_conditionals(lam.m00, lam.m01, lam.m11))
 
 
 @dataclass(frozen=True)
@@ -133,35 +144,49 @@ class LambdaEstimate:
     diag11: float
 
 
+def lambda_tables(pauli, config: str):
+    """Probe-matrix entries from Pauli readout probabilities, elementwise.
+
+    ``pauli`` holds (p0, p1, p+, p-, pL, pR) along its last axis; returns
+    the off-diagonal entry (as in LambdaEstimate) and Lambda''_11 as arrays
+    over the leading axes.
+    """
+    _check_config(config)
+    pauli = np.asarray(pauli, dtype=np.float64)
+    delta_y = pauli[..., 4] - pauli[..., 5]
+    rotated = np.empty(pauli.shape[:-1], dtype=np.complex128)
+    rotated.real = pauli[..., 2] - pauli[..., 3]
+    rotated.imag = delta_y if config == "C1" else -delta_y
+    return 0.5 * rotated, pauli[..., 1]
+
+
 def lambda_from_pauli(probs: PauliProbabilities, config: str) -> LambdaEstimate:
     """Recover the probe-matrix entries from Pauli readout probabilities."""
-    _check_config(config)
-    delta_x = probs.p_plus - probs.p_minus
-    delta_y = probs.p_l - probs.p_r
-    if config == "C1":
-        off = 0.5 * complex(delta_x, delta_y)
-    else:
-        off = 0.5 * complex(delta_x, -delta_y)
-    return LambdaEstimate(off_diag=off, diag11=probs.p1)
+    off, diag = lambda_tables(list(probs.as_dict().values()), config)
+    return LambdaEstimate(off_diag=complex(off), diag11=float(diag))
 
 
 def conditional_tables(rho: DensityMatrix, family, config: str):
     """All probe-conditional entries over (n, k) in one vectorized pass.
 
-    Returns (m00, m01, m11) arrays indexed [n, k]; cell (n, k) equals the
-    matching probe_conditional_* entries. The Monte Carlo engine uses this
-    to build one table per repetition instead of d^2 per-cell calls for
-    each measurement setting.
+    ``family`` is the conjugate family: d ConjugateStates, or their d x d
+    coefficient array from conjugate_coefficients. Returns (m00, m01, m11)
+    arrays indexed [n, k]; cell (n, k) equals the matching
+    probe_conditional_* entries.
     """
     _check_config(config)
     d = rho.dim
     if len(family) != d:
         raise ParameterError("need one conjugate state per index k")
-    coeff_rows = np.array([state.coeffs for state in family])      # [k, n]
+    if isinstance(family, np.ndarray):
+        coeff_rows = family                                        # [k, n]
+    else:
+        coeff_rows = np.array([state.coeffs for state in family])
     rho_v = rho.elems @ coeff_rows.T                               # (rho v_k)[n]
     v_rho = coeff_rows.conj() @ rho.elems                          # (v_k^dag rho)[n]
     overlaps = np.einsum("kn,nk->k", coeff_rows.conj(), rho_v).real
-    weights = family[0].magnitudes ** 2                            # |v_k[n]|^2, k-free
+    # |v_k[n]|^2 is k-free; row 0 carries no phase, so its real part is c_n
+    weights = coeff_rows[0].real ** 2
     diag = np.diag(rho.elems).real
     if config == "C1":
         m11 = 0.5 * np.outer(diag * weights, np.ones(d))
@@ -207,6 +232,23 @@ def _check_tables(off_diag, diag11):
     return off_diag, diag11, d
 
 
+@lru_cache(maxsize=None)
+def _inverse_fourier_phases(d: int) -> tuple:
+    """phases[n][m] = e^(i 2 pi (n - m) k / d) over k, as read-only rows."""
+    ks = np.arange(d)
+    phases = np.array([[np.exp(2j * np.pi * (n - m) * ks / d) for m in range(d)]
+                       for n in range(d)])
+    phases.setflags(write=False)
+    return tuple(tuple(row) for row in phases)
+
+
+def _inverse_fourier_sum(table: np.ndarray, d: int) -> np.ndarray:
+    # One dot per entry: a batched product rounds differently, and the
+    # result tables are pinned bit for bit.
+    return np.array([[row.dot(phase) for phase in phases]
+                     for row, phases in zip(table, _inverse_fourier_phases(d))])
+
+
 def reconstruct_mixed_c1(off_diag, diag11, nominal=None) -> RawReconstruction:
     """Inverse Fourier sum over k of Lambda''_10(n, k).
 
@@ -218,17 +260,9 @@ def reconstruct_mixed_c1(off_diag, diag11, nominal=None) -> RawReconstruction:
     if nominal is None:
         nominal = nominal_coefficients(d)
     nominal = np.asarray(nominal, dtype=np.float64)
-    diag_mean = diag11.mean(axis=1)
-    ks = np.arange(d)
-    raw = np.empty((d, d), dtype=np.complex128)
-    for n in range(d):
-        for m in range(d):
-            phases = np.exp(2j * np.pi * (n - m) * ks / d)
-            total = np.dot(off_diag[n], phases)
-            if n == m:
-                total = total + d * diag_mean[n]
-            raw[n, m] = total / (nominal[n] * nominal[m])
-    return RawReconstruction(raw)
+    raw = _inverse_fourier_sum(off_diag, d)
+    raw[np.diag_indices(d)] += d * diag11.mean(axis=1)
+    return RawReconstruction(raw / np.outer(nominal, nominal))
 
 
 def reconstruct_mixed_c2(off_diag, diag11, nominal=None) -> RawReconstruction:
@@ -237,14 +271,8 @@ def reconstruct_mixed_c2(off_diag, diag11, nominal=None) -> RawReconstruction:
     if nominal is None:
         nominal = nominal_coefficients(d)
     nominal = np.asarray(nominal, dtype=np.float64)
-    combined = off_diag + diag11
-    ks = np.arange(d)
-    raw = np.empty((d, d), dtype=np.complex128)
-    for n in range(d):
-        for m in range(d):
-            phases = np.exp(2j * np.pi * (n - m) * ks / d)
-            raw[n, m] = np.dot(combined[n], phases) / (nominal[n] * nominal[m])
-    return RawReconstruction(raw)
+    raw = _inverse_fourier_sum(off_diag + diag11, d)
+    return RawReconstruction(raw / np.outer(nominal, nominal))
 
 
 def physicalize(raw: RawReconstruction) -> DensityMatrix:

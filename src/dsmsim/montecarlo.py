@@ -21,7 +21,7 @@ reductions happen in repetition order.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -30,7 +30,8 @@ from .errors import ParameterError
 from .metrics import trace_distance_mixed, trace_distance_pure
 from .mixed_protocol import (
     conditional_tables,
-    lambda_from_pauli,
+    lambda_tables,
+    pauli_from_conditionals,
     physicalize,
     reconstruct_mixed_c1,
     reconstruct_mixed_c2,
@@ -39,13 +40,17 @@ from .noise import perturb_pure_state, sample_kappas, white_noise_channel
 from .pure_protocol import (
     PauliProbabilities,
     _check_config,
-    pauli_probabilities,
-    probe_state_c1,
-    probe_state_c2,
+    pauli_table,
     reconstruct_pure,
 )
-from .sampling import OutcomeDistribution, sample_counts
-from .states import ConjugateState, DensityMatrix, PureState, conjugate_family, make_conjugate_state
+from .sampling import OutcomeDistribution, outcome_table, sample_count_table
+from .states import (
+    ConjugateState,
+    DensityMatrix,
+    PureState,
+    conjugate_coefficients,
+    make_conjugate_state,
+)
 
 BASES = ("Z", "X", "Y")
 BASIS_OUTCOMES = {"Z": ("0", "1"), "X": ("+", "-"), "Y": ("L", "R")}
@@ -93,21 +98,72 @@ def enumerate_settings(config: str, state_kind: str, d: int) -> list[Setting]:
     ]
 
 
-def allocate_copies(total: int, settings) -> CopyBudget:
-    """Equal split, remainder to the lowest-indexed settings."""
+def _split_copies(total: int, parts: int) -> np.ndarray:
+    """Equal split, remainder to the lowest-indexed parts."""
     if total < 1:
         raise ParameterError("copy budget must be positive")
-    if not settings:
+    if parts < 1:
         raise ParameterError("no settings to allocate to")
-    base, extra = divmod(total, len(settings))
-    per = {s: base + (1 if i < extra else 0) for i, s in enumerate(settings)}
-    return CopyBudget(total=total, per_setting=per)
+    base, extra = divmod(total, parts)
+    copies = np.full(parts, base, dtype=np.int64)
+    copies[:extra] += 1
+    return copies
 
 
-def _distribution(labels, probs) -> OutcomeDistribution:
-    probs = list(probs)
-    fail_prob = 1.0 - sum(probs)
-    return OutcomeDistribution(tuple(labels) + (FAIL,), np.array(probs + [fail_prob]))
+def allocate_copies(total: int, settings) -> CopyBudget:
+    """Equal split, remainder to the lowest-indexed settings."""
+    copies = _split_copies(total, len(settings)).tolist()
+    return CopyBudget(total=total, per_setting=dict(zip(settings, copies)))
+
+
+# One repetition works on two layouts of the same numbers. A Pauli table
+# holds (p0, p1, p+, p-, pL, pR) for every cell (n, k) along its last axis;
+# pure states have a single k. An outcome table has one row per setting, in
+# enumerate_settings order, and one column per outcome of that setting:
+# (branch, probe eigenvalue) pairs, branches running over the index the
+# setting does not fix, then the failed postselection last.
+
+
+def _setting_rows(pauli: np.ndarray, config: str) -> np.ndarray:
+    """Pauli table [n, k, 6] -> rows (fixed index, basis), columns (branch, pair)."""
+    d, branches = pauli.shape[:2]
+    cells = pauli.reshape(d, branches, 3, 2)
+    axes = (0, 2, 1, 3) if config == "C1" else (1, 2, 0, 3)
+    rows = cells.transpose(axes)
+    return rows.reshape(rows.shape[0] * 3, -1)
+
+
+def _pauli_cells(rows: np.ndarray, config: str, d: int) -> np.ndarray:
+    """Inverse of _setting_rows for the postselected columns."""
+    fixed = rows.shape[0] // 3
+    branches = rows.shape[1] // 2
+    cells = rows.reshape(fixed, 3, branches, 2)
+    axes = (0, 2, 1, 3) if config == "C1" else (2, 0, 1, 3)
+    return cells.transpose(axes).reshape(d, -1, 6)
+
+
+def _frequencies(counts: np.ndarray, copies: np.ndarray, config: str, d: int) -> np.ndarray:
+    """Pauli table of estimates count / copies; settings without copies read 0."""
+    freq = np.zeros(counts[:, :-1].shape)
+    copies = np.asarray(copies)[:, None]
+    np.divide(counts[:, :-1], copies, out=freq, where=copies > 0)
+    return _pauli_cells(freq, config, d)
+
+
+def _setting_position(setting: Setting, d: int) -> int:
+    basis = BASES.index(setting.basis)
+    if setting.mode == "pure" and setting.config == "C2":
+        return basis
+    if not 0 <= setting.index < d:
+        raise ParameterError(f"setting index {setting.index} outside [0, {d})")
+    return 3 * setting.index + basis
+
+
+def _outcome_labels(setting: Setting, branches: int) -> tuple:
+    pair = BASIS_OUTCOMES[setting.basis]
+    if setting.mode == "pure" and setting.config == "C1":
+        return pair + (FAIL,)
+    return tuple((branch, j) for branch in range(branches) for j in pair) + (FAIL,)
 
 
 def build_outcome_distribution(setting: Setting, *, psi_prime: PureState = None,
@@ -119,103 +175,50 @@ def build_outcome_distribution(setting: Setting, *, psi_prime: PureState = None,
     Labels are (postselection result, probe eigenvalue) pairs for scan-free
     settings, bare probe eigenvalues for pure C1, plus a trailing failure
     outcome absorbing the remaining probability weight. Mixed settings may
-    pass precomputed ``tables`` from conditional_tables so one repetition
-    shares a single (n, k) table across its settings.
+    pass precomputed ``tables`` from conditional_tables. This is one row of
+    the outcome table a repetition builds for all settings at once.
     """
-    pair = BASIS_OUTCOMES[setting.basis]
     if setting.mode == "pure":
         if psi_prime is None or conj is None:
             raise ParameterError("pure settings need psi_prime and conj")
-        if setting.config == "C1":
-            table = pauli_probabilities(
-                probe_state_c1(psi_prime, conj, setting.index)).as_dict()
-            return _distribution(pair, [table[j] for j in pair])
-        labels, probs = [], []
-        for n in range(psi_prime.dim):
-            table = pauli_probabilities(probe_state_c2(psi_prime, conj, n)).as_dict()
-            for j in pair:
-                labels.append((n, j))
-                probs.append(table[j])
-        return _distribution(labels, probs)
-    if tables is None:
-        if rho_prime is None or family is None:
-            raise ParameterError("mixed settings need rho_prime and the "
-                                 "conjugate family (or precomputed tables)")
-        tables = conditional_tables(rho_prime, family, setting.config)
-    m00, m01, m11 = tables
-    if setting.config == "C1":
-        # interaction index n fixed; branches run over the conjugate index k
-        diag0, off, diag1 = m00[setting.index], m01[setting.index], m11[setting.index]
+        pauli = pauli_table(psi_prime, conj, setting.config)[:, None, :]
     else:
-        diag0, off, diag1 = (m00[:, setting.index], m01[:, setting.index],
-                             m11[:, setting.index])
-    half_trace = 0.5 * (diag0 + diag1)
-    if setting.basis == "Z":
-        upper, lower = diag0, diag1
-    elif setting.basis == "X":
-        upper, lower = half_trace + off.real, half_trace - off.real
-    else:
-        upper, lower = half_trace - off.imag, half_trace + off.imag
-    branches = diag0.shape[0]
-    labels = [(branch, j) for branch in range(branches) for j in pair]
-    probs = np.empty(2 * branches)
-    probs[0::2] = upper
-    probs[1::2] = lower
-    return _distribution(labels, probs)
+        if tables is None:
+            if rho_prime is None or family is None:
+                raise ParameterError("mixed settings need rho_prime and the "
+                                     "conjugate family (or precomputed tables)")
+            tables = conditional_tables(rho_prime, family, setting.config)
+        pauli = pauli_from_conditionals(*tables)
+    rows = _setting_rows(pauli, setting.config)
+    probs = outcome_table(rows[_setting_position(setting, pauli.shape[0])])[0]
+    return OutcomeDistribution(_outcome_labels(setting, rows.shape[1] // 2), probs)
+
+
+def _sample_table(samples: dict, budget: CopyBudget, config: str, kind: str, d: int):
+    """Counts and copies of a {setting: (labels, counts)} map, in setting order.
+
+    Each setting's counts must follow its distribution's label order.
+    """
+    settings = enumerate_settings(config, kind, d)
+    counts = np.array([samples[setting][1] for setting in settings])
+    copies = np.array([budget.per_setting[setting] for setting in settings])
+    return counts, copies
 
 
 def estimate_pure_probabilities(samples: dict, budget: CopyBudget,
                                 d: int) -> list[PauliProbabilities]:
     """Frequency estimates P_j = count / copies, one table row per index n."""
-    probs = {n: {} for n in range(d)}
-    for setting, (labels, counts) in samples.items():
-        copies = budget.per_setting[setting]
-        for label, count in zip(labels, counts):
-            if label == FAIL:
-                continue
-            value = count / copies if copies else 0.0
-            if setting.config == "C1":
-                probs[setting.index][label] = value
-            else:
-                n, j = label
-                probs[n][j] = value
-    return [
-        PauliProbabilities(
-            p0=probs[n].get("0", 0.0), p1=probs[n].get("1", 0.0),
-            p_plus=probs[n].get("+", 0.0), p_minus=probs[n].get("-", 0.0),
-            p_l=probs[n].get("L", 0.0), p_r=probs[n].get("R", 0.0),
-        )
-        for n in range(d)
-    ]
+    config = next(iter(samples)).config
+    counts, copies = _sample_table(samples, budget, config, "pure", d)
+    pauli = _frequencies(counts, copies, config, d)[:, 0, :]
+    return [PauliProbabilities(*row) for row in pauli]
 
 
 def estimate_lambda_tables(samples: dict, budget: CopyBudget, config: str,
                            d: int):
     """Frequency-estimated probe-matrix tables over (n, k)."""
-    six = {(n, k): {} for n in range(d) for k in range(d)}
-    for setting, (labels, counts) in samples.items():
-        copies = budget.per_setting[setting]
-        for label, count in zip(labels, counts):
-            if label == FAIL:
-                continue
-            other, j = label
-            value = count / copies if copies else 0.0
-            cell = (setting.index, other) if config == "C1" else (other, setting.index)
-            six[cell][j] = value
-    off = np.empty((d, d), dtype=np.complex128)
-    diag = np.empty((d, d), dtype=np.float64)
-    for (n, k), table in six.items():
-        est = lambda_from_pauli(
-            PauliProbabilities(
-                p0=table.get("0", 0.0), p1=table.get("1", 0.0),
-                p_plus=table.get("+", 0.0), p_minus=table.get("-", 0.0),
-                p_l=table.get("L", 0.0), p_r=table.get("R", 0.0),
-            ),
-            config,
-        )
-        off[n, k] = est.off_diag
-        diag[n, k] = est.diag11
-    return off, diag
+    counts, copies = _sample_table(samples, budget, config, "mixed", d)
+    return lambda_tables(_frequencies(counts, copies, config, d), config)
 
 
 @dataclass(frozen=True)
@@ -243,7 +246,6 @@ class ExperimentPoint:
 @dataclass(frozen=True)
 class RunResult:
     distances: np.ndarray
-    states: tuple = field(repr=False)
 
     @property
     def mean(self) -> float:
@@ -264,41 +266,39 @@ def _repetition_rng(point: ExperimentPoint, rep: int):
 def run_single_repetition(point: ExperimentPoint, rep: int):
     """One noise draw, one sampled data set, one reconstruction.
 
-    Returns (trace distance to the true state, reconstructed state).
+    Returns (trace distance to the true state, reconstructed state). The
+    whole repetition is one outcome table: every setting's probabilities,
+    counts drawn for all settings, and estimates read back from the counts.
     """
     rng = _repetition_rng(point, rep)
     d = point.state.dim
     if point.mode == "pure":
         psi_prime, _ = perturb_pure_state(point.state, point.sigma_prep, rng)
         conj = make_conjugate_state(d, 0, sample_kappas(d, point.sigma_post, rng))
-        settings = enumerate_settings(point.config, "pure", d)
-        budget = allocate_copies(point.num_copies, settings)
-        samples = {}
-        for setting in settings:
-            dist = build_outcome_distribution(setting, psi_prime=psi_prime, conj=conj)
-            samples[setting] = (dist.labels,
-                                sample_counts(dist, budget.per_setting[setting], rng))
-        table = estimate_pure_probabilities(samples, budget, d)
-        recon = reconstruct_pure(table, config=point.config)
+        pauli = pauli_table(psi_prime, conj, point.config)[:, None, :]
+    else:
+        target = point.state.projector()
+        rho_prime = white_noise_channel(target, point.epsilon)
+        coeffs = conjugate_coefficients(d, sample_kappas(d, point.sigma_post, rng))
+        pauli = pauli_from_conditionals(*conditional_tables(rho_prime, coeffs, point.config))
+    probs = outcome_table(_setting_rows(pauli, point.config))
+    copies = _split_copies(point.num_copies, probs.shape[0])
+    counts = sample_count_table(probs, copies, rng)
+    estimates = _frequencies(counts, copies, point.config, d)
+    if point.mode == "pure":
+        recon = reconstruct_pure(estimates[:, 0, :], config=point.config)
         return trace_distance_pure(point.state, recon), recon
-    target = point.state.projector()
-    rho_prime = white_noise_channel(target, point.epsilon)
-    family = conjugate_family(d, sample_kappas(d, point.sigma_post, rng))
-    tables = conditional_tables(rho_prime, family, point.config)
-    settings = enumerate_settings(point.config, "mixed", d)
-    budget = allocate_copies(point.num_copies, settings)
-    samples = {}
-    for setting in settings:
-        dist = build_outcome_distribution(setting, tables=tables)
-        samples[setting] = (dist.labels,
-                            sample_counts(dist, budget.per_setting[setting], rng))
-    off, diag = estimate_lambda_tables(samples, budget, point.config, d)
+    off, diag = lambda_tables(estimates, point.config)
     if point.config == "C1":
         raw = reconstruct_mixed_c1(off, diag)
     else:
         raw = reconstruct_mixed_c2(off, diag)
     recon = physicalize(raw)
     return trace_distance_mixed(target, recon), recon
+
+
+def _repetition_distance(point: ExperimentPoint, rep: int) -> float:
+    return run_single_repetition(point, rep)[0]
 
 
 def run_repetitions(point: ExperimentPoint, threads: int = 1,
@@ -308,17 +308,16 @@ def run_repetitions(point: ExperimentPoint, threads: int = 1,
     Workers are separate processes (the repetition loop is Python-bound, so
     threads would serialize on the interpreter lock); every repetition owns
     its seed-derived stream, so the worker count never changes the result.
-    Sweeps running many grid points should pass a shared ``executor`` to
-    avoid per-point pool startup.
+    Workers send back only the distance. Sweeps running many grid points
+    should pass a shared ``executor`` to avoid per-point pool startup.
     """
     reps = range(point.repetitions)
-    work = partial(run_single_repetition, point)
+    work = partial(_repetition_distance, point)
     if executor is not None:
-        outcomes = list(executor.map(work, reps))
+        distances = list(executor.map(work, reps))
     elif threads > 1 and point.repetitions > 1:
         with ProcessPoolExecutor(max_workers=min(threads, point.repetitions)) as pool:
-            outcomes = list(pool.map(work, reps))
+            distances = list(pool.map(work, reps))
     else:
-        outcomes = [work(rep) for rep in reps]
-    distances = np.array([dist for dist, _ in outcomes])
-    return RunResult(distances=distances, states=tuple(state for _, state in outcomes))
+        distances = [work(rep) for rep in reps]
+    return RunResult(distances=np.array(distances))

@@ -104,34 +104,58 @@ def _check_pure_inputs(psi_prime: PureState, conj: ConjugateState, n: int):
         raise ParameterError(f"basis index {n} outside [0, {psi_prime.dim})")
 
 
+def _probe_c1(amps, magnitudes, gamma: complex, n: int):
+    cn_psi = magnitudes[n] * amps[n]
+    return (gamma - cn_psi) * _SQRT2_INV, cn_psi * _SQRT2_INV
+
+
+def _probe_c2(amps, magnitudes, gamma: complex, n: int):
+    cn_gamma = magnitudes[n] * gamma
+    return (amps[n] - cn_gamma) * _SQRT2_INV, cn_gamma * _SQRT2_INV
+
+
 def probe_state_c1(psi_prime: PureState, post: ConjugateState, n: int) -> ProbeState:
     """Probe state for interaction index n, postselected onto |c'_0>."""
     _check_pure_inputs(psi_prime, post, n)
     gamma = postselection_overlap(psi_prime, post)
-    cn_psi = post.magnitudes[n] * psi_prime.amps[n]
-    return ProbeState(a0=(gamma - cn_psi) * _SQRT2_INV, a1=cn_psi * _SQRT2_INV)
+    return ProbeState(*_probe_c1(psi_prime.amps, post.magnitudes, gamma, n))
 
 
 def probe_state_c2(psi_prime: PureState, inter: ConjugateState, n: int) -> ProbeState:
     """Probe state for conjugate-projector interaction, postselected onto |n>."""
     _check_pure_inputs(psi_prime, inter, n)
     gamma = postselection_overlap(psi_prime, inter)
-    cn_gamma = inter.magnitudes[n] * gamma
-    return ProbeState(a0=(psi_prime.amps[n] - cn_gamma) * _SQRT2_INV,
-                      a1=cn_gamma * _SQRT2_INV)
+    return ProbeState(*_probe_c2(psi_prime.amps, inter.magnitudes, gamma, n))
+
+
+def _pauli_row(a0, a1) -> tuple:
+    return (
+        abs(a0) ** 2,
+        abs(a1) ** 2,
+        0.5 * abs(a0 + a1) ** 2,
+        0.5 * abs(a0 - a1) ** 2,
+        0.5 * abs(a0 - 1j * a1) ** 2,
+        0.5 * abs(a0 + 1j * a1) ** 2,
+    )
 
 
 def pauli_probabilities(eta: ProbeState) -> PauliProbabilities:
     """P_j = |<j|eta>|^2 for j in {0, 1, +, -, L, R}."""
-    a0, a1 = eta.a0, eta.a1
-    return PauliProbabilities(
-        p0=abs(a0) ** 2,
-        p1=abs(a1) ** 2,
-        p_plus=0.5 * abs(a0 + a1) ** 2,
-        p_minus=0.5 * abs(a0 - a1) ** 2,
-        p_l=0.5 * abs(a0 - 1j * a1) ** 2,
-        p_r=0.5 * abs(a0 + 1j * a1) ** 2,
-    )
+    return PauliProbabilities(*_pauli_row(eta.a0, eta.a1))
+
+
+def pauli_table(psi_prime: PureState, conj: ConjugateState, config: str) -> np.ndarray:
+    """Probe probabilities (p0, p1, p+, p-, pL, pR) as one row per basis index.
+
+    The same scalar arithmetic as pauli_probabilities(probe_state_*(...)),
+    evaluated once per index without building the per-index objects.
+    """
+    probe = _probe_c1 if _check_config(config) == "C1" else _probe_c2
+    _check_pure_inputs(psi_prime, conj, 0)
+    gamma = postselection_overlap(psi_prime, conj)
+    amps, magnitudes = psi_prime.amps, conj.magnitudes
+    return np.array([_pauli_row(*probe(amps, magnitudes, gamma, n))
+                     for n in range(psi_prime.dim)])
 
 
 def exact_pauli_table(psi_prime: PureState, conj: ConjugateState,
@@ -150,10 +174,12 @@ def nominal_coefficients(d: int) -> np.ndarray:
 def reconstruct_pure(prob_table, nominal=None, config: str = "C1") -> PureState:
     """Amplitude estimate from one PauliProbabilities entry per basis index.
 
-    Forms v_n = (P_+ - P_- + 2 P_1) +/- i (P_L - P_R) (sign per
-    configuration), divides by the nominal conjugate coefficients, and drops
-    the unknown overall factor by renormalizing. The global phase is fixed
-    by making the largest-magnitude amplitude real and positive.
+    ``prob_table`` may also be an array with one (p0, p1, p+, p-, pL, pR)
+    row per index, as pauli_table returns. Forms
+    v_n = (P_+ - P_- + 2 P_1) +/- i (P_L - P_R) (sign per configuration),
+    divides by the nominal conjugate coefficients, and drops the unknown
+    overall factor by renormalizing. The global phase is fixed by making the
+    largest-magnitude amplitude real and positive.
     """
     _check_config(config)
     d = len(prob_table)
@@ -164,12 +190,13 @@ def reconstruct_pure(prob_table, nominal=None, config: str = "C1") -> PureState:
     nominal = np.asarray(nominal, dtype=np.float64)
     if nominal.shape != (d,) or np.any(nominal <= 0.0):
         raise ParameterError("nominal coefficients must be positive, one per index")
+    if not isinstance(prob_table, np.ndarray):
+        prob_table = np.array([list(probs.as_dict().values()) for probs in prob_table])
+    p1, p_plus, p_minus, p_l, p_r = prob_table[:, 1:].T
     sign = 1.0 if config == "C1" else -1.0
     vec = np.empty(d, dtype=np.complex128)
-    for n, probs in enumerate(prob_table):
-        real = probs.p_plus - probs.p_minus + 2.0 * probs.p1
-        imag = sign * (probs.p_l - probs.p_r)
-        vec[n] = complex(real, imag)
+    vec.real = p_plus - p_minus + 2.0 * p1
+    vec.imag = sign * (p_l - p_r)
     vec = vec / nominal
     if not np.any(vec):
         raise DegenerateDataError("reconstructed amplitudes are all zero")

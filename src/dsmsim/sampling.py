@@ -1,12 +1,12 @@
 """Finite-copy outcome sampling.
 
-Copies assigned to a measurement setting are simulated one inverse-CDF
-lookup per copy: draw a uniform variate, find the first cumulative
-probability above it. The lookup loop is the hot kernel of the Monte Carlo
-engine, so a compiled extension handles it when available, with a
-vectorized NumPy fallback selected at import time. Both backends perform
-identical comparisons on identical variates and therefore return identical
-counts; benchmarks/bench_sampling.py compares their throughput.
+Every copy is one uniform variate looked up in its setting's cumulative
+distribution: the copy lands on the first outcome whose cumulative edge lies
+above the variate. Counts are taken per edge rather than per copy, so the
+number of copies below each edge is one vectorized comparison, and the
+difference of neighbouring edges gives the outcome counts. The variates are
+drawn in setting order, so a table of settings consumes the same stream as
+drawing each setting's copies in turn.
 """
 
 from __future__ import annotations
@@ -17,22 +17,48 @@ import numpy as np
 
 from .errors import ParameterError, PhysicsError
 
-try:
-    from . import _invcdf
-
-    HAVE_COMPILED = True
-except ImportError:  # pragma: no cover - depends on build environment
-    _invcdf = None
-    HAVE_COMPILED = False
-
-DEFAULT_BACKEND = "compiled" if HAVE_COMPILED else "numpy"
-
 PROB_SUM_ATOL = 1e-12
 PROB_NEG_ATOL = -1e-12
+# Settings with at most this many copies are counted together from one draw.
+# Counting setting by setting costs one NumPy call per edge and setting, which
+# dominates at few copies; counting all settings at once pays for padding
+# every setting to the largest. The two cost the same at about 2,000 copies
+# per setting (17 and 3 outcomes, NumPy 2.4, x86-64).
+BATCH_COPIES = 1024
+# Variates per draw (and copy-edge comparisons per batch). Scratch memory is
+# bounded by this, whatever the copy budget.
+CHUNK = 1 << 16
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("compiled", "numpy") if HAVE_COMPILED else ("numpy",)
+def check_outcome_table(probs) -> np.ndarray:
+    """Validate rows of outcome probabilities; returns them clamped at zero.
+
+    Every entry must be finite and no lower than -1e-12 (rounding-scale
+    negatives are clamped to zero), and every row must sum to one.
+    """
+    probs = np.array(probs, dtype=np.float64, ndmin=2)
+    if not np.all(np.isfinite(probs)):
+        raise PhysicsError("outcome probabilities must be finite")
+    low = float(probs.min())
+    if low < PROB_NEG_ATOL:
+        raise PhysicsError(f"negative outcome probability: {low!r}")
+    np.clip(probs, 0.0, None, out=probs)
+    totals = probs.sum(axis=1)
+    worst = int(np.argmax(np.abs(totals - 1.0)))
+    if abs(totals[worst] - 1.0) > PROB_SUM_ATOL:
+        raise PhysicsError(f"outcome probabilities sum to {float(totals[worst])!r}, not 1")
+    return probs
+
+
+def outcome_table(success) -> np.ndarray:
+    """Append the failure outcome to rows of postselected probabilities.
+
+    The failure column is 1 minus the row's sequential sum; the table is
+    validated by check_outcome_table.
+    """
+    success = np.asarray(success, dtype=np.float64)
+    fail = 1.0 - np.cumsum(success, axis=-1)[..., -1:]
+    return check_outcome_table(np.concatenate((success, fail), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -48,13 +74,7 @@ class OutcomeDistribution:
             raise ParameterError("labels and probabilities must align")
         if probs.shape[0] == 0:
             raise ParameterError("distribution needs at least one outcome")
-        low = float(probs.min())
-        if low < PROB_NEG_ATOL:
-            raise PhysicsError(f"negative outcome probability: {low!r}")
-        probs = np.clip(probs, 0.0, None)
-        total = float(probs.sum())
-        if abs(total - 1.0) > PROB_SUM_ATOL:
-            raise PhysicsError(f"outcome probabilities sum to {total!r}, not 1")
+        probs = check_outcome_table(probs)[0]
         probs.setflags(write=False)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "probs", probs)
@@ -67,30 +87,72 @@ class OutcomeDistribution:
         return edges
 
 
-def _counts_numpy(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cdf, uniforms, side="right")
-    return np.bincount(idx, minlength=cdf.shape[0]).astype(np.int64)
+def _below_batched(edges, copies, rng) -> np.ndarray:
+    """Copies below each edge, for settings with few copies each.
+
+    Consecutive settings share one draw; each setting's variates fill one
+    row of a block padded with +inf, which lies below no edge.
+    """
+    rows, width = copies.shape[0], int(copies.max())
+    per_group = max(1, CHUNK // (width * max(edges.shape[1], 1)))
+    below = np.empty(edges.shape, dtype=np.int64)
+    for start in range(0, rows, per_group):
+        stop = min(start + per_group, rows)
+        group = copies[start:stop]
+        block = np.full((stop - start, 1, width), np.inf)
+        block[np.arange(width) < group[:, None, None]] = rng.random(int(group.sum()))
+        below[start:stop] = np.count_nonzero(block < edges[start:stop, :, None], axis=2)
+    return below
 
 
-def _counts_compiled(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    out = np.zeros(cdf.shape[0], dtype=np.int64)
-    _invcdf.counts_from_uniforms(cdf, uniforms, out)
-    return out
+def _below_chunked(edges, copies, rng) -> np.ndarray:
+    """Copies below each edge, one setting at a time in fixed-size chunks."""
+    below = np.zeros(edges.shape, dtype=np.int64)
+    size = min(CHUNK, int(copies.max()))
+    variates = np.empty(size)
+    mask = np.empty(size, dtype=bool)
+    for row, count in enumerate(copies.tolist()):
+        while count > 0:
+            step = min(count, size)
+            chunk, hits = variates[:step], mask[:step]
+            rng.random(out=chunk)
+            for col, edge in enumerate(edges[row].tolist()):
+                np.less(chunk, edge, out=hits)
+                below[row, col] += np.count_nonzero(hits)
+            count -= step
+    return below
 
 
-def sample_counts(dist: OutcomeDistribution, count: int, rng,
-                  backend: str | None = None) -> np.ndarray:
-    """Multinomial outcome counts for ``count`` copies, one variate per copy."""
-    if count < 0:
+def sample_count_table(probs, copies, rng) -> np.ndarray:
+    """Outcome counts for every row of a validated probability table.
+
+    ``probs`` holds one row per setting, as returned by check_outcome_table,
+    and ``copies`` the copies of each row. Row i draws copies[i] variates
+    after those of the rows before it, and its counts equal the per-copy
+    inverse-CDF lookup of those variates, so any split of the rows into
+    calls gives the same counts from the same stream. Few copies per row are
+    counted from one draw for the whole table; many copies row by row in
+    fixed-size chunks.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    copies = np.asarray(copies, dtype=np.int64)
+    if copies.shape != probs.shape[:1]:
+        raise ParameterError("need one copy count per table row")
+    if np.any(copies < 0):
         raise ParameterError("copy count must be nonnegative")
-    if backend is None:
-        backend = DEFAULT_BACKEND
-    if backend not in available_backends():
-        raise ParameterError(f"unknown or unavailable backend: {backend!r}")
-    if count == 0:
-        return np.zeros(len(dist.labels), dtype=np.int64)
-    uniforms = rng.random(count)
-    cdf = dist.cdf()
-    if backend == "compiled":
-        return _counts_compiled(cdf, uniforms)
-    return _counts_numpy(cdf, uniforms)
+    # the last edge is +inf: every remaining copy lands on the last outcome
+    edges = np.cumsum(probs[:, :-1], axis=1)
+    if not copies.any():
+        below = np.zeros(edges.shape, dtype=np.int64)
+    elif copies.max() <= BATCH_COPIES:
+        below = _below_batched(edges, copies, rng)
+    else:
+        below = _below_chunked(edges, copies, rng)
+    cumulative = np.concatenate(
+        (np.zeros((probs.shape[0], 1), dtype=np.int64), below, copies[:, None]), axis=1)
+    return np.diff(cumulative, axis=1)
+
+
+def sample_counts(dist: OutcomeDistribution, count: int, rng) -> np.ndarray:
+    """Multinomial outcome counts for ``count`` copies, one variate per copy."""
+    return sample_count_table(dist.probs[None, :], [count], rng)[0]

@@ -13,6 +13,7 @@ exact Fourier vectors when all kappa_m vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +106,30 @@ class ConjugateState:
         object.__setattr__(self, "coeffs", _frozen_array(self.coeffs, np.complex128))
 
 
+@lru_cache(maxsize=None)
+def _fourier_phases(d: int) -> np.ndarray:
+    """Row k holds the phases e^(i 2 pi k m / d) of |c'_k>; read-only."""
+    phases = np.array([np.exp(2j * np.pi * k * np.arange(d) / d) for k in range(d)])
+    phases.setflags(write=False)
+    return phases
+
+
+def _port_weights(d: int, kappas) -> tuple[np.ndarray, np.ndarray, float]:
+    """(kappas, magnitudes c_m, norm constant M) for one detector-bias draw."""
+    if d < 2:
+        raise ParameterError("dimension must be at least 2")
+    if kappas is None:
+        kappas = np.zeros(d)
+    kappas = np.asarray(kappas, dtype=np.float64)
+    if kappas.shape != (d,):
+        raise ParameterError("kappas must have one entry per basis state")
+    weights = 1.0 + kappas
+    if np.any(weights <= 0.0):
+        raise DegenerateNoiseError("postselection noise produced 1 + kappa <= 0")
+    norm_const = float(np.sqrt(np.sum(weights**2)))
+    return kappas, weights / norm_const, norm_const
+
+
 def make_conjugate_state(d: int, k: int = 0, kappas=None) -> ConjugateState:
     """Build |c'_k> for detector bias ``kappas`` (zeros give the exact basis).
 
@@ -116,23 +141,13 @@ def make_conjugate_state(d: int, k: int = 0, kappas=None) -> ConjugateState:
         raise ParameterError("dimension must be at least 2")
     if not 0 <= k < d:
         raise ParameterError(f"conjugate index must lie in [0, {d}), got {k}")
-    if kappas is None:
-        kappas = np.zeros(d)
-    kappas = np.asarray(kappas, dtype=np.float64)
-    if kappas.shape != (d,):
-        raise ParameterError("kappas must have one entry per basis state")
-    weights = 1.0 + kappas
-    if np.any(weights <= 0.0):
-        raise DegenerateNoiseError("postselection noise produced 1 + kappa <= 0")
-    norm_const = float(np.sqrt(np.sum(weights**2)))
-    magnitudes = weights / norm_const
-    phases = np.exp(2j * np.pi * k * np.arange(d) / d)
+    kappas, magnitudes, norm_const = _port_weights(d, kappas)
     return ConjugateState(
         dim=d,
         index=k,
         kappas=kappas,
         magnitudes=magnitudes,
-        coeffs=magnitudes * phases,
+        coeffs=magnitudes * _fourier_phases(d)[k],
         norm_const=norm_const,
     )
 
@@ -140,6 +155,15 @@ def make_conjugate_state(d: int, k: int = 0, kappas=None) -> ConjugateState:
 def conjugate_family(d: int, kappas=None) -> tuple[ConjugateState, ...]:
     """All d conjugate states sharing one detector-bias draw."""
     return tuple(make_conjugate_state(d, k, kappas) for k in range(d))
+
+
+def conjugate_coefficients(d: int, kappas=None) -> np.ndarray:
+    """The conjugate family as one d x d array: row k holds the coeffs of |c'_k>.
+
+    Row 0 carries no phase, so its real part is the port weights c_m. Raises
+    DegenerateNoiseError like make_conjugate_state.
+    """
+    return _port_weights(d, kappas)[1] * _fourier_phases(d)
 
 
 def _dicke_amplitudes(num_qubits: int, excitations: int) -> np.ndarray:

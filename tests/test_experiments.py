@@ -62,6 +62,9 @@ def test_sigma_prep_rejected_in_mixed_mode():
     '{"repetitions": true}',
     '{"master_seed": -3}',
     '{"copy_budgets": [true]}',
+    '{"sigma_post": Infinity}',
+    '{"sigma_sweep": [Infinity]}',
+    '{"task": "qfi", "norm_grid": [0.5, Infinity, 10]}',
     'not json',
     '[1, 2]',
 ])

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import reference_repetition
+
 from dsmsim.errors import DegenerateDataError, ParameterError
 from dsmsim.metrics import trace_distance_mixed, trace_distance_pure
 from dsmsim.mixed_protocol import exact_lambda_tables
@@ -208,3 +210,32 @@ def test_experiment_point_validation():
     with pytest.raises(ParameterError):
         ExperimentPoint(mode="pure", config="C1", state=GHZ, num_copies=10,
                         repetitions=0, seed_entropy=(1,))
+
+
+def _outcome(run, point, rep):
+    try:
+        distance, state = run(point, rep)
+    except DegenerateDataError as exc:
+        return type(exc), None
+    return distance, state.amps if point.mode == "pure" else state.elems
+
+
+@pytest.mark.parametrize("num_copies", [5, 1000, 200_000])
+@pytest.mark.parametrize("mode,config", [("pure", "C1"), ("pure", "C2"),
+                                         ("mixed", "C1"), ("mixed", "C2")])
+def test_repetition_matches_per_setting_reference(mode, config, num_copies):
+    """The table engine reproduces the per-setting loop bit for bit.
+
+    5 copies leave most settings empty, 1000 are counted from one draw per
+    repetition, and 200000 in chunks per setting.
+    """
+    noise = (dict(sigma_prep=0.05, sigma_post=0.05) if mode == "pure"
+             else dict(sigma_post=0.05, epsilon=0.3))
+    point = ExperimentPoint(mode=mode, config=config, state=GHZ,
+                            num_copies=num_copies, repetitions=1,
+                            seed_entropy=(31, num_copies), **noise)
+    for rep in range(3):
+        distance, state = _outcome(run_single_repetition, point, rep)
+        ref_distance, ref_state = _outcome(reference_repetition, point, rep)
+        assert distance == ref_distance
+        assert np.array_equal(state, ref_state)
