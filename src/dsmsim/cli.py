@@ -41,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the configuration's master seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for Monte Carlo repetitions")
+                       help="worker processes; each takes contiguous slices "
+                            "of the grid points' Monte Carlo repetitions")
         p.add_argument("--out", type=str, default=None,
                        help="output path (.csv or .json); overrides the "
                             "configuration's output_path")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .metrics import norm_const_samples, qfi_pure
-from .montecarlo import ExperimentPoint, run_repetitions
+from .montecarlo import ExperimentPoint, run_points
 from .states import PureState, standard_state
 
 STATE_KINDS = ("ghz", "w", "dicke", "haar", "custom")
@@ -334,27 +334,33 @@ def run_figure(config: ExperimentConfig, threads: int = 1) -> dict:
         return _run_qfi(config)
     state = config.build_state()
     label = config.state_label()
+    grid = list(enumerate(_grid(config)))
+    # built as consumed, so a serial sweep holds one point's invariants at a time
+    points = (
+        ExperimentPoint(
+            mode=config.mode,
+            config=configuration,
+            state=state,
+            num_copies=copies,
+            repetitions=config.repetitions,
+            seed_entropy=(config.master_seed, index),
+            sigma_prep=s_prep,
+            sigma_post=s_post,
+            epsilon=0.0 if eps is None else eps,
+        )
+        for index, (configuration, s_prep, s_post, eps, copies) in grid
+    )
     rows = []
     pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
-        for index, (configuration, s_prep, s_post, eps, copies) in enumerate(_grid(config)):
-            point = ExperimentPoint(
-                mode=config.mode,
-                config=configuration,
-                state=state,
-                num_copies=copies,
-                repetitions=config.repetitions,
-                seed_entropy=(config.master_seed, index),
-                sigma_prep=s_prep,
-                sigma_post=s_post,
-                epsilon=0.0 if eps is None else eps,
-            )
+        results = run_points(points, threads, executor=pool)
+        for index, (configuration, s_prep, s_post, eps, copies) in grid:
             base = dict(state=label, mode=config.mode, config=configuration,
                         sigma_prep=s_prep, sigma_post=s_post, epsilon=eps,
                         num_copies=copies, repetitions=config.repetitions,
                         seed=config.master_seed)
             try:
-                result = run_repetitions(point, executor=pool)
+                result = next(results)
             except Exception as exc:
                 rows.append(ResultRow(**base, mean_distance=None, std_error=None,
                                       error=f"{type(exc).__name__}: {exc}").to_dict())
@@ -363,7 +369,7 @@ def run_figure(config: ExperimentConfig, threads: int = 1) -> dict:
                                   std_error=result.std_error).to_dict())
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
     return {"results": rows}
 
 

@@ -15,14 +15,15 @@ Settings follow the scan-free structure of each protocol:
 
 Every repetition owns a random stream derived from (seed entropy,
 repetition index), so results are independent of worker count and
-reductions happen in repetition order.
+reductions happen in repetition order. Worker processes take contiguous
+slices of a grid point's repetitions.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 
 import numpy as np
 
@@ -242,6 +243,18 @@ class ExperimentPoint:
         if self.repetitions < 1:
             raise ParameterError("need at least one repetition")
 
+    # Mixed-state invariants of the grid point, built and validated once per
+    # point rather than once per repetition.
+    @cached_property
+    def projector(self) -> DensityMatrix:
+        """Target state |psi><psi|."""
+        return self.state.projector()
+
+    @cached_property
+    def prepared(self) -> DensityMatrix:
+        """Prepared mixed state: the target through the white-noise channel."""
+        return white_noise_channel(self.projector, self.epsilon)
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -277,10 +290,9 @@ def run_single_repetition(point: ExperimentPoint, rep: int):
         conj = make_conjugate_state(d, 0, sample_kappas(d, point.sigma_post, rng))
         pauli = pauli_table(psi_prime, conj, point.config)[:, None, :]
     else:
-        target = point.state.projector()
-        rho_prime = white_noise_channel(target, point.epsilon)
         coeffs = conjugate_coefficients(d, sample_kappas(d, point.sigma_post, rng))
-        pauli = pauli_from_conditionals(*conditional_tables(rho_prime, coeffs, point.config))
+        pauli = pauli_from_conditionals(*conditional_tables(point.prepared, coeffs,
+                                                            point.config))
     probs = outcome_table(_setting_rows(pauli, point.config))
     copies = _split_copies(point.num_copies, probs.shape[0])
     counts = sample_count_table(probs, copies, rng)
@@ -294,30 +306,57 @@ def run_single_repetition(point: ExperimentPoint, rep: int):
     else:
         raw = reconstruct_mixed_c2(off, diag)
     recon = physicalize(raw)
-    return trace_distance_mixed(target, recon), recon
+    return trace_distance_mixed(point.projector, recon), recon
 
 
-def _repetition_distance(point: ExperimentPoint, rep: int) -> float:
-    return run_single_repetition(point, rep)[0]
+def _distances(point: ExperimentPoint, start: int, stop: int) -> list:
+    """Distances of repetitions start..stop-1; the task sent to a worker."""
+    return [run_single_repetition(point, rep)[0] for rep in range(start, stop)]
 
 
-def run_repetitions(point: ExperimentPoint, threads: int = 1,
-                    executor=None) -> RunResult:
+def _slices(point: ExperimentPoint, parts: int) -> list:
+    """(start, stop) bounds of ``parts`` contiguous, near-equal repetition runs."""
+    stops = np.cumsum(_split_copies(point.repetitions, parts)).tolist()
+    return list(zip([0] + stops[:-1], stops))
+
+
+def run_points(points, threads: int = 1, executor=None):
+    """Yield the RunResult of every grid point, in order.
+
+    Without an executor the points run one after another in this process.
+    With one, every point's repetitions are cut into just enough contiguous
+    slices that there are at least ``threads`` tasks (one slice per point
+    when there are at least as many points as workers), and all slices are
+    submitted at once, so workers never wait at a grid-point boundary.
+    Each point is yielded once its own slices are back, and a failing slice
+    raises when its point is reached. Distances are reassembled in
+    repetition order, so the worker count never changes a result.
+    """
+    if executor is None:
+        for point in points:
+            yield RunResult(distances=np.array(_distances(point, 0, point.repetitions)))
+        return
+    points = list(points)
+    parts = -(-threads // max(len(points), 1))
+    pending = [
+        [executor.submit(_distances, point, start, stop)
+         for start, stop in _slices(point, min(parts, point.repetitions))]
+        for point in points
+    ]
+    for futures in pending:
+        distances = [value for future in futures for value in future.result()]
+        yield RunResult(distances=np.array(distances))
+
+
+def run_repetitions(point: ExperimentPoint, threads: int = 1) -> RunResult:
     """All repetitions of one grid point, reduced in repetition order.
 
     Workers are separate processes (the repetition loop is Python-bound, so
-    threads would serialize on the interpreter lock); every repetition owns
-    its seed-derived stream, so the worker count never changes the result.
-    Workers send back only the distance. Sweeps running many grid points
-    should pass a shared ``executor`` to avoid per-point pool startup.
+    threads would serialize on the interpreter lock), each taking a
+    contiguous slice of the repetitions; every repetition owns its
+    seed-derived stream, so the worker count never changes the result.
     """
-    reps = range(point.repetitions)
-    work = partial(_repetition_distance, point)
-    if executor is not None:
-        distances = list(executor.map(work, reps))
-    elif threads > 1 and point.repetitions > 1:
+    if threads > 1 and point.repetitions > 1:
         with ProcessPoolExecutor(max_workers=min(threads, point.repetitions)) as pool:
-            distances = list(pool.map(work, reps))
-    else:
-        distances = [work(rep) for rep in reps]
-    return RunResult(distances=np.array(distances))
+            return next(run_points([point], threads, executor=pool))
+    return next(run_points([point]))

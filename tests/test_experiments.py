@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-import dsmsim.experiments as experiments
+import dsmsim.montecarlo as montecarlo
 from dsmsim.errors import ConfigError
 from dsmsim.experiments import (
     CURVE_FIELDS,
@@ -149,16 +149,14 @@ def test_failed_grid_point_flushes_partial_rows(monkeypatch):
         "num_qubits": 2, "configuration": "C1",
         "copy_budgets": [50, 60, 70], "repetitions": 1,
     }))
-    calls = {"n": 0}
-    real = experiments.run_repetitions
+    real = montecarlo.run_single_repetition
 
-    def flaky(point, threads=1, executor=None):
-        calls["n"] += 1
-        if calls["n"] == 3:
+    def flaky(point, rep):
+        if point.seed_entropy[1] == 2:
             raise RuntimeError("worker exploded")
-        return real(point, threads=threads, executor=executor)
+        return real(point, rep)
 
-    monkeypatch.setattr(experiments, "run_repetitions", flaky)
+    monkeypatch.setattr(montecarlo, "run_single_repetition", flaky)
     with pytest.raises(FigureRunError) as excinfo:
         run_figure(config)
     rows = excinfo.value.rows
@@ -166,6 +164,29 @@ def test_failed_grid_point_flushes_partial_rows(monkeypatch):
     assert rows[0]["error"] == "" and rows[1]["error"] == ""
     assert "worker exploded" in rows[2]["error"]
     assert rows[2]["mean_distance"] is None
+
+
+def test_failure_rows_independent_of_workers():
+    # sigma 2.0 makes 1 + kappa <= 0 detector draws, which fail a later point
+    config = parse_config(json.dumps({
+        "num_qubits": 2, "configuration": "C1",
+        "sigma_sweep": [0.0, 0.05, 2.0, 0.0], "copy_budgets": [50, 60],
+        "repetitions": 3, "master_seed": 5,
+    }))
+    failures = []
+    for threads in (1, 2, 3):
+        with pytest.raises(FigureRunError) as excinfo:
+            run_figure(config, threads=threads)
+        failures.append((str(excinfo.value), excinfo.value.rows))
+    assert failures[0][0].startswith("grid point 4 failed")
+    assert "DegenerateDataError" in failures[0][1][-1]["error"]
+    assert failures[1] == failures[0] and failures[2] == failures[0]
+
+
+def test_fewer_points_than_workers():
+    doc = json.dumps({"num_qubits": 2, "configuration": "C2",
+                      "copy_budgets": [40, 80], "repetitions": 7, "master_seed": 4})
+    assert run_figure(parse_config(doc), threads=5) == run_figure(parse_config(doc))
 
 
 def test_determinism_of_run_figure():

@@ -7,6 +7,7 @@ from oracles import reference_repetition
 from dsmsim.errors import DegenerateDataError, ParameterError
 from dsmsim.metrics import trace_distance_mixed, trace_distance_pure
 from dsmsim.mixed_protocol import exact_lambda_tables
+from dsmsim.noise import white_noise_channel
 from dsmsim.montecarlo import (
     ExperimentPoint,
     Setting,
@@ -171,6 +172,26 @@ def test_determinism_across_runs_and_threads():
                             epsilon=0.4, sigma_post=0.05)
     assert np.array_equal(run_repetitions(mixed, threads=1).distances,
                           run_repetitions(mixed, threads=3).distances)
+
+
+def test_uneven_slices_keep_repetition_order():
+    # 10 repetitions on 3 workers: slices of 4, 3 and 3 repetitions
+    point = ExperimentPoint(mode="mixed", config="C1", state=GHZ, num_copies=600,
+                            repetitions=10, seed_entropy=(31, 2),
+                            epsilon=0.2, sigma_post=0.03)
+    serial = [run_single_repetition(point, rep)[0] for rep in range(10)]
+    assert run_repetitions(point, threads=3).distances.tolist() == serial
+    assert run_repetitions(point, threads=1).distances.tolist() == serial
+
+
+def test_point_invariants_built_once():
+    point = ExperimentPoint(mode="mixed", config="C2", state=GHZ, num_copies=600,
+                            repetitions=1, seed_entropy=(3,), epsilon=0.3)
+    assert point.prepared is point.prepared
+    assert point.prepared.elems.tobytes() == (
+        white_noise_channel(GHZ.projector(), 0.3).elems.tobytes())
+    _, recon = run_single_repetition(point, 0)
+    assert trace_distance_mixed(point.projector, recon) == run_repetitions(point).mean
 
 
 def test_distinct_seeds_give_distinct_samples():
