@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .metrics import norm_const_samples, qfi_pure
 from .montecarlo import ExperimentPoint, run_points
 from .states import PureState, standard_state
@@ -44,6 +44,10 @@ _TOMOGRAPHY_KEYS = _COMMON_KEYS | {
 }
 _QFI_KEYS = _COMMON_KEYS | {"sigma_prep", "norm_samples", "norm_grid",
                             "histogram_bins"}
+
+
+def _custom_state(pairs) -> PureState:
+    return PureState(np.array([complex(re, im) for re, im in pairs]))
 
 
 @dataclass(frozen=True)
@@ -78,8 +82,7 @@ class ExperimentConfig:
 
     def build_state(self) -> PureState:
         if self.state_kind == "custom":
-            amps = np.array([complex(re, im) for re, im in self.custom_amplitudes])
-            return PureState(amps)
+            return _custom_state(self.custom_amplitudes)
         return standard_state(self.state_kind, self.num_qubits,
                               seed=self.state_seed,
                               excitations=self.dicke_excitations)
@@ -186,10 +189,14 @@ def parse_config(text: str) -> ExperimentConfig:
         pairs = []
         for pair in amps:
             _require(isinstance(pair, list) and len(pair) == 2
-                     and all(isinstance(x, (int, float)) for x in pair),
-                     "custom_amplitudes entries must be [re, im] pairs")
+                     and all(_is_number(x) for x in pair),
+                     "custom_amplitudes entries must be [re, im] pairs of finite numbers")
             pairs.append((float(pair[0]), float(pair[1])))
         values["custom_amplitudes"] = tuple(pairs)
+        try:
+            _custom_state(values["custom_amplitudes"])
+        except ParameterError as exc:
+            raise ConfigError(f"custom_amplitudes: {exc}") from exc
     else:
         _require("custom_amplitudes" not in doc,
                  "custom_amplitudes applies to the custom state only")

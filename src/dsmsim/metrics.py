@@ -37,8 +37,13 @@ def trace_distance_mixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the absolute-eigenvalue sum of the difference."""
     if rho.dim != sigma.dim:
         raise ParameterError("states must share a dimension")
-    eigs = np.linalg.eigvalsh(sigma.elems - rho.elems)
-    return float(0.5 * np.sum(np.abs(eigs)))
+    return float(trace_distances(rho.elems, sigma.elems))
+
+
+def trace_distances(rho, sigmas) -> np.ndarray:
+    """trace_distance_mixed between matrix rho and matrices stacked in sigmas."""
+    eigs = np.linalg.eigvalsh(sigmas - rho)
+    return 0.5 * np.sum(np.abs(eigs), axis=-1)
 
 
 @dataclass(frozen=True)

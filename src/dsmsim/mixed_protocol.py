@@ -48,6 +48,11 @@ class ProbeConditional:
                         dtype=np.complex128)
 
 
+def _check_finite(raw: np.ndarray):
+    if not np.all(np.isfinite(raw)):
+        raise ParameterError("raw reconstruction has non-finite entries")
+
+
 @dataclass(frozen=True)
 class RawReconstruction:
     """Pre-physicalization amplitude table; arbitrary scale, not a state."""
@@ -58,8 +63,7 @@ class RawReconstruction:
         elems = np.asarray(self.elems, dtype=np.complex128)
         if elems.ndim != 2 or elems.shape[0] != elems.shape[1]:
             raise ParameterError("raw reconstruction must be square")
-        if not np.all(np.isfinite(elems)):
-            raise ParameterError("raw reconstruction has non-finite entries")
+        _check_finite(elems)
         object.__setattr__(self, "elems", elems)
 
     @property
@@ -170,33 +174,36 @@ def conditional_tables(rho: DensityMatrix, family, config: str):
     """All probe-conditional entries over (n, k) in one vectorized pass.
 
     ``family`` is the conjugate family: d ConjugateStates, or their d x d
-    coefficient array from conjugate_coefficients. Returns (m00, m01, m11)
-    arrays indexed [n, k]; cell (n, k) equals the matching
-    probe_conditional_* entries.
+    coefficient array from conjugate_coefficients, which may stack several
+    families along leading axes. Returns (m00, m01, m11) arrays indexed
+    [..., n, k]; cell (n, k) equals the matching probe_conditional_* entries.
     """
     _check_config(config)
     d = rho.dim
-    if len(family) != d:
-        raise ParameterError("need one conjugate state per index k")
-    if isinstance(family, np.ndarray):
-        coeff_rows = family                                        # [k, n]
-    else:
+    coeff_rows = family                                            # [..., k, n]
+    if not isinstance(coeff_rows, np.ndarray):
+        if len(family) != d:
+            raise ParameterError("need one conjugate state per index k")
         coeff_rows = np.array([state.coeffs for state in family])
-    rho_v = rho.elems @ coeff_rows.T                               # (rho v_k)[n]
+    if coeff_rows.shape[-2:] != (d, d):
+        raise ParameterError("need one conjugate state per index k")
+    coeff_cols = np.swapaxes(coeff_rows, -1, -2)                   # [..., n, k]
+    rho_v = rho.elems @ coeff_cols                                 # (rho v_k)[n]
     v_rho = coeff_rows.conj() @ rho.elems                          # (v_k^dag rho)[n]
-    overlaps = np.einsum("kn,nk->k", coeff_rows.conj(), rho_v).real
+    overlaps = np.einsum("...kn,...nk->...k", coeff_rows.conj(), rho_v).real
     # |v_k[n]|^2 is k-free; row 0 carries no phase, so its real part is c_n
-    weights = coeff_rows[0].real ** 2
+    weights = coeff_rows[..., 0, :].real ** 2
     diag = np.diag(rho.elems).real
     if config == "C1":
-        m11 = 0.5 * np.outer(diag * weights, np.ones(d))
-        m01 = 0.5 * (v_rho.T * coeff_rows.T - 2.0 * m11)
-        m00 = 0.5 * (overlaps[None, :]
-                     - 2.0 * (coeff_rows.T.conj() * rho_v).real
-                     + (diag * weights)[:, None])
+        diag_weights = (diag * weights)[..., :, None]
+        m11 = 0.5 * (diag_weights * np.ones(d))
+        m01 = 0.5 * (np.swapaxes(v_rho, -1, -2) * coeff_cols - 2.0 * m11)
+        m00 = 0.5 * (overlaps[..., None, :]
+                     - 2.0 * (coeff_cols.conj() * rho_v).real
+                     + diag_weights)
     else:
-        cross = rho_v * coeff_rows.T.conj()
-        mixer = np.outer(weights, overlaps)
+        cross = rho_v * coeff_cols.conj()
+        mixer = weights[..., :, None] * overlaps[..., None, :]
         m11 = 0.5 * mixer
         m01 = 0.5 * (cross - mixer)
         m00 = 0.5 * (diag[:, None] - 2.0 * cross.real + mixer)
@@ -226,27 +233,46 @@ def exact_lambda_tables(rho: DensityMatrix, family, config: str):
 def _check_tables(off_diag, diag11):
     off_diag = np.asarray(off_diag, dtype=np.complex128)
     diag11 = np.asarray(diag11, dtype=np.float64)
-    d = off_diag.shape[0]
-    if off_diag.shape != (d, d) or diag11.shape != (d, d):
+    d = off_diag.shape[-1]
+    if off_diag.shape[-2:] != (d, d) or diag11.shape != off_diag.shape:
         raise ParameterError("lambda tables must both be d x d over (n, k)")
     return off_diag, diag11, d
 
 
 @lru_cache(maxsize=None)
-def _inverse_fourier_phases(d: int) -> tuple:
-    """phases[n][m] = e^(i 2 pi (n - m) k / d) over k, as read-only rows."""
+def _inverse_fourier_phases(d: int) -> np.ndarray:
+    """phases[n, m] = e^(i 2 pi (n - m) k / d) over k, as a read-only column."""
     ks = np.arange(d)
     phases = np.array([[np.exp(2j * np.pi * (n - m) * ks / d) for m in range(d)]
-                       for n in range(d)])
+                       for n in range(d)])[..., None]
     phases.setflags(write=False)
-    return tuple(tuple(row) for row in phases)
+    return phases
 
 
 def _inverse_fourier_sum(table: np.ndarray, d: int) -> np.ndarray:
-    # One dot per entry: a batched product rounds differently, and the
-    # result tables are pinned bit for bit.
-    return np.array([[row.dot(phase) for phase in phases]
-                     for row, phases in zip(table, _inverse_fourier_phases(d))])
+    # Entry (n, m) is row n of the table, a (1, d) matrix, times the (d, 1)
+    # phase column of (n, m). NumPy evaluates that product with the dot
+    # kernel of two vectors, so every entry rounds as one dot product
+    # whatever the leading axes; a (d, d) @ (d, d) product rounds otherwise,
+    # and the result tables are pinned bit for bit.
+    return (table[..., :, None, None, :] @ _inverse_fourier_phases(d))[..., 0, 0]
+
+
+def raw_reconstruction(off_diag, diag11, config: str, nominal=None) -> np.ndarray:
+    """Raw tables of reconstruct_mixed_c1/c2 for tables [..., n, k]."""
+    _check_config(config)
+    off_diag, diag11, d = _check_tables(off_diag, diag11)
+    if nominal is None:
+        nominal = nominal_coefficients(d)
+    nominal = np.asarray(nominal, dtype=np.float64)
+    if config == "C1":
+        raw = _inverse_fourier_sum(off_diag, d)
+        raw[..., np.arange(d), np.arange(d)] += d * diag11.mean(axis=-1)
+    else:
+        raw = _inverse_fourier_sum(off_diag + diag11, d)
+    raw = raw / np.outer(nominal, nominal)
+    _check_finite(raw)
+    return raw
 
 
 def reconstruct_mixed_c1(off_diag, diag11, nominal=None) -> RawReconstruction:
@@ -256,23 +282,25 @@ def reconstruct_mixed_c1(off_diag, diag11, nominal=None) -> RawReconstruction:
     entry is k-independent, so averaging the sampled estimates reduces
     variance without bias.
     """
-    off_diag, diag11, d = _check_tables(off_diag, diag11)
-    if nominal is None:
-        nominal = nominal_coefficients(d)
-    nominal = np.asarray(nominal, dtype=np.float64)
-    raw = _inverse_fourier_sum(off_diag, d)
-    raw[np.diag_indices(d)] += d * diag11.mean(axis=1)
-    return RawReconstruction(raw / np.outer(nominal, nominal))
+    return RawReconstruction(raw_reconstruction(off_diag, diag11, "C1", nominal))
 
 
 def reconstruct_mixed_c2(off_diag, diag11, nominal=None) -> RawReconstruction:
     """Inverse Fourier sum over k of Lambda''_01(n, k) + Lambda''_11(n, k)."""
-    off_diag, diag11, d = _check_tables(off_diag, diag11)
-    if nominal is None:
-        nominal = nominal_coefficients(d)
-    nominal = np.asarray(nominal, dtype=np.float64)
-    raw = _inverse_fourier_sum(off_diag + diag11, d)
-    return RawReconstruction(raw / np.outer(nominal, nominal))
+    return RawReconstruction(raw_reconstruction(off_diag, diag11, "C2", nominal))
+
+
+def physicalize_tables(raw) -> np.ndarray:
+    """physicalize for raw tables stacked along leading axes; not validated.
+
+    Returns raw^dag raw / Tr(raw^dag raw) per table; the caller checks the
+    result with check_density_matrices.
+    """
+    gram = np.swapaxes(raw.conj(), -1, -2) @ raw
+    traces = np.trace(gram, axis1=-2, axis2=-1).real
+    if not np.all(np.isfinite(traces)) or np.any(traces <= 0.0):
+        raise DegenerateDataError("raw reconstruction is zero; nothing to normalize")
+    return gram / traces[..., None, None]
 
 
 def physicalize(raw: RawReconstruction) -> DensityMatrix:
@@ -282,8 +310,4 @@ def physicalize(raw: RawReconstruction) -> DensityMatrix:
     squaring: a raw table proportional to a non-projector state does not map
     back to that state.
     """
-    gram = raw.elems.conj().T @ raw.elems
-    trace = float(np.trace(gram).real)
-    if not np.isfinite(trace) or trace <= 0.0:
-        raise DegenerateDataError("raw reconstruction is zero; nothing to normalize")
-    return DensityMatrix(gram / trace)
+    return DensityMatrix(physicalize_tables(raw.elems))

@@ -17,6 +17,14 @@ Every repetition owns a random stream derived from (seed entropy,
 repetition index), so results are independent of worker count and
 reductions happen in repetition order. Worker processes take contiguous
 slices of a grid point's repetitions.
+
+A slice runs in batches of repetitions. Each repetition draws its noise and
+its uniforms from its own stream, in the order of a lone repetition; every
+other stage runs once per batch on arrays with a leading repetition axis,
+in forms that round each repetition exactly as a lone one does, so no
+distance depends on how repetitions are batched. A batch that raises is
+replayed one repetition at a time, so the error is the one a lone
+repetition loop meets first.
 """
 
 from __future__ import annotations
@@ -28,14 +36,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError
-from .metrics import trace_distance_mixed, trace_distance_pure
+from .metrics import trace_distance_pure, trace_distances
 from .mixed_protocol import (
     conditional_tables,
     lambda_tables,
     pauli_from_conditionals,
-    physicalize,
-    reconstruct_mixed_c1,
-    reconstruct_mixed_c2,
+    physicalize_tables,
+    raw_reconstruction,
 )
 from .noise import perturb_pure_state, sample_kappas, white_noise_channel
 from .pure_protocol import (
@@ -44,11 +51,12 @@ from .pure_protocol import (
     pauli_table,
     reconstruct_pure,
 )
-from .sampling import OutcomeDistribution, outcome_table, sample_count_table
+from .sampling import OutcomeDistribution, outcome_table, sample_count_tables
 from .states import (
     ConjugateState,
     DensityMatrix,
     PureState,
+    check_density_matrices,
     conjugate_coefficients,
     make_conjugate_state,
 )
@@ -58,6 +66,10 @@ BASIS_OUTCOMES = {"Z": ("0", "1"), "X": ("+", "-"), "Y": ("L", "R")}
 FAIL = "fail"
 
 STATE_KINDS = ("pure", "mixed")
+# A batch of repetitions holds at most this many outcome probabilities (and
+# as many entries of each per-cell table), so its arrays stay within a few MB
+# whatever the dimension.
+BATCH_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -122,32 +134,37 @@ def allocate_copies(total: int, settings) -> CopyBudget:
 # pure states have a single k. An outcome table has one row per setting, in
 # enumerate_settings order, and one column per outcome of that setting:
 # (branch, probe eigenvalue) pairs, branches running over the index the
-# setting does not fix, then the failed postselection last.
+# setting does not fix, then the failed postselection last. Both may stack
+# repetitions along leading axes.
+
+
+def _transpose_cells(cells: np.ndarray, axes: tuple) -> np.ndarray:
+    """Permute the last four axes of ``cells``; leading axes stay in front."""
+    lead = cells.ndim - 4
+    return cells.transpose(tuple(range(lead)) + tuple(lead + axis for axis in axes))
 
 
 def _setting_rows(pauli: np.ndarray, config: str) -> np.ndarray:
     """Pauli table [n, k, 6] -> rows (fixed index, basis), columns (branch, pair)."""
-    d, branches = pauli.shape[:2]
-    cells = pauli.reshape(d, branches, 3, 2)
-    axes = (0, 2, 1, 3) if config == "C1" else (1, 2, 0, 3)
-    rows = cells.transpose(axes)
-    return rows.reshape(rows.shape[0] * 3, -1)
+    *lead, d, branches, _ = pauli.shape
+    cells = pauli.reshape(*lead, d, branches, 3, 2)
+    rows = _transpose_cells(cells, (0, 2, 1, 3) if config == "C1" else (1, 2, 0, 3))
+    return rows.reshape(*lead, rows.shape[-4] * 3, -1)
 
 
 def _pauli_cells(rows: np.ndarray, config: str, d: int) -> np.ndarray:
     """Inverse of _setting_rows for the postselected columns."""
-    fixed = rows.shape[0] // 3
-    branches = rows.shape[1] // 2
-    cells = rows.reshape(fixed, 3, branches, 2)
-    axes = (0, 2, 1, 3) if config == "C1" else (2, 0, 1, 3)
-    return cells.transpose(axes).reshape(d, -1, 6)
+    *lead, settings, columns = rows.shape
+    cells = rows.reshape(*lead, settings // 3, 3, columns // 2, 2)
+    cells = _transpose_cells(cells, (0, 2, 1, 3) if config == "C1" else (2, 0, 1, 3))
+    return cells.reshape(*lead, d, -1, 6)
 
 
 def _frequencies(counts: np.ndarray, copies: np.ndarray, config: str, d: int) -> np.ndarray:
     """Pauli table of estimates count / copies; settings without copies read 0."""
-    freq = np.zeros(counts[:, :-1].shape)
+    freq = np.zeros(counts[..., :-1].shape)
     copies = np.asarray(copies)[:, None]
-    np.divide(counts[:, :-1], copies, out=freq, where=copies > 0)
+    np.divide(counts[..., :-1], copies, out=freq, where=copies > 0)
     return _pauli_cells(freq, config, d)
 
 
@@ -276,42 +293,76 @@ def _repetition_rng(point: ExperimentPoint, rep: int):
     return np.random.default_rng(seq)
 
 
-def run_single_repetition(point: ExperimentPoint, rep: int):
-    """One noise draw, one sampled data set, one reconstruction.
+def _batch(point: ExperimentPoint, start: int, stop: int):
+    """Repetitions start..stop-1 as one batch: (distances, reconstructions).
 
-    Returns (trace distance to the true state, reconstructed state). The
-    whole repetition is one outcome table: every setting's probabilities,
+    Every repetition is one outcome table: every setting's probabilities,
     counts drawn for all settings, and estimates read back from the counts.
+    The tables of the batch are stacked and go through each stage together.
+    The pure path builds its tables and reconstructions one repetition at a
+    time: its scalar probe arithmetic and its norms and inner products have
+    no array form that rounds the same. Reconstructions come back as
+    amplitude vectors (pure) or density matrices (mixed), all validated.
     """
-    rng = _repetition_rng(point, rep)
     d = point.state.dim
+    rngs, tables, kappas = [], [], []
+    for rep in range(start, stop):
+        rng = _repetition_rng(point, rep)
+        rngs.append(rng)
+        if point.mode == "pure":
+            psi_prime, _ = perturb_pure_state(point.state, point.sigma_prep, rng)
+            conj = make_conjugate_state(d, 0, sample_kappas(d, point.sigma_post, rng))
+            tables.append(pauli_table(psi_prime, conj, point.config)[:, None, :])
+        else:
+            kappas.append(sample_kappas(d, point.sigma_post, rng))
     if point.mode == "pure":
-        psi_prime, _ = perturb_pure_state(point.state, point.sigma_prep, rng)
-        conj = make_conjugate_state(d, 0, sample_kappas(d, point.sigma_post, rng))
-        pauli = pauli_table(psi_prime, conj, point.config)[:, None, :]
+        pauli = np.array(tables)
     else:
-        coeffs = conjugate_coefficients(d, sample_kappas(d, point.sigma_post, rng))
+        coeffs = conjugate_coefficients(d, np.array(kappas))
         pauli = pauli_from_conditionals(*conditional_tables(point.prepared, coeffs,
                                                             point.config))
     probs = outcome_table(_setting_rows(pauli, point.config))
-    copies = _split_copies(point.num_copies, probs.shape[0])
-    counts = sample_count_table(probs, copies, rng)
+    copies = _split_copies(point.num_copies, probs.shape[1])
+    counts = sample_count_tables(probs, copies, rngs)
     estimates = _frequencies(counts, copies, point.config, d)
     if point.mode == "pure":
-        recon = reconstruct_pure(estimates[:, 0, :], config=point.config)
-        return trace_distance_pure(point.state, recon), recon
+        recons = [reconstruct_pure(table[:, 0, :], config=point.config)
+                  for table in estimates]
+        distances = [trace_distance_pure(point.state, recon) for recon in recons]
+        return np.array(distances), np.array([recon.amps for recon in recons])
     off, diag = lambda_tables(estimates, point.config)
-    if point.config == "C1":
-        raw = reconstruct_mixed_c1(off, diag)
-    else:
-        raw = reconstruct_mixed_c2(off, diag)
-    recon = physicalize(raw)
-    return trace_distance_mixed(point.projector, recon), recon
+    recons = physicalize_tables(raw_reconstruction(off, diag, point.config))
+    check_density_matrices(recons)
+    return trace_distances(point.projector.elems, recons), recons
+
+
+def run_single_repetition(point: ExperimentPoint, rep: int):
+    """One noise draw, one sampled data set, one reconstruction.
+
+    Returns (trace distance to the true state, reconstructed state): a batch
+    of one repetition.
+    """
+    distances, recons = _batch(point, rep, rep + 1)
+    state = PureState if point.mode == "pure" else DensityMatrix
+    return float(distances[0]), state(recons[0])
 
 
 def _distances(point: ExperimentPoint, start: int, stop: int) -> list:
     """Distances of repetitions start..stop-1; the task sent to a worker."""
-    return [run_single_repetition(point, rep)[0] for rep in range(start, stop)]
+    distances = []
+    d = point.state.dim
+    # the largest outcome table: 3d settings of 2d + 1 outcomes (mixed)
+    size = max(1, BATCH_CELLS // (3 * d * (2 * d + 1)))
+    for first in range(start, stop, size):
+        last = min(first + size, stop)
+        try:
+            distances += _batch(point, first, last)[0].tolist()
+        except Exception:
+            # Any failure, whatever its type: replaying the batch one
+            # repetition at a time raises what a lone loop would raise first.
+            for rep in range(first, last):
+                distances += _batch(point, rep, rep + 1)[0].tolist()
+    return distances
 
 
 def _slices(point: ExperimentPoint, parts: int) -> list:

@@ -6,7 +6,8 @@ above the variate. Counts are taken per edge rather than per copy, so the
 number of copies below each edge is one vectorized comparison, and the
 difference of neighbouring edges gives the outcome counts. The variates are
 drawn in setting order, so a table of settings consumes the same stream as
-drawing each setting's copies in turn.
+drawing each setting's copies in turn. Tables may be stacked, one random
+stream each, and counted together.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ def check_outcome_table(probs) -> np.ndarray:
     """Validate rows of outcome probabilities; returns them clamped at zero.
 
     Every entry must be finite and no lower than -1e-12 (rounding-scale
-    negatives are clamped to zero), and every row must sum to one.
+    negatives are clamped to zero), and every row must sum to one. Tables
+    may be stacked along leading axes.
     """
     probs = np.array(probs, dtype=np.float64, ndmin=2)
     if not np.all(np.isfinite(probs)):
@@ -43,7 +45,7 @@ def check_outcome_table(probs) -> np.ndarray:
     if low < PROB_NEG_ATOL:
         raise PhysicsError(f"negative outcome probability: {low!r}")
     np.clip(probs, 0.0, None, out=probs)
-    totals = probs.sum(axis=1)
+    totals = probs.sum(axis=-1).ravel()
     worst = int(np.argmax(np.abs(totals - 1.0)))
     if abs(totals[worst] - 1.0) > PROB_SUM_ATOL:
         raise PhysicsError(f"outcome probabilities sum to {float(totals[worst])!r}, not 1")
@@ -87,22 +89,31 @@ class OutcomeDistribution:
         return edges
 
 
-def _below_batched(edges, copies, rng) -> np.ndarray:
-    """Copies below each edge, for settings with few copies each.
+def _below_batched(edges, copies, rngs) -> np.ndarray:
+    """Copies below each edge of stacked tables, for settings with few copies each.
 
-    Consecutive settings share one draw; each setting's variates fill one
-    row of a block padded with +inf, which lies below no edge.
+    The rows of all tables, one after another, are counted in groups: each
+    setting's variates fill one row of a block padded with +inf, which lies
+    below no edge, and each table's rows of a group take one draw from that
+    table's stream.
     """
+    tables, settings = edges.shape[:2]
+    edges = edges.reshape(tables * settings, -1)
+    copies = np.tile(copies, tables)
     rows, width = copies.shape[0], int(copies.max())
     per_group = max(1, CHUNK // (width * max(edges.shape[1], 1)))
     below = np.empty(edges.shape, dtype=np.int64)
     for start in range(0, rows, per_group):
         stop = min(start + per_group, rows)
         group = copies[start:stop]
+        # the group's rows split where one table ends and the next begins
+        cuts = [start, *range(start - start % settings + settings, stop, settings), stop]
+        variates = [rngs[lo // settings].random(int(copies[lo:hi].sum()))
+                    for lo, hi in zip(cuts, cuts[1:])]
         block = np.full((stop - start, 1, width), np.inf)
-        block[np.arange(width) < group[:, None, None]] = rng.random(int(group.sum()))
+        block[np.arange(width) < group[:, None, None]] = np.concatenate(variates)
         below[start:stop] = np.count_nonzero(block < edges[start:stop, :, None], axis=2)
-    return below
+    return below.reshape(tables, settings, -1)
 
 
 def _below_chunked(edges, copies, rng) -> np.ndarray:
@@ -123,34 +134,44 @@ def _below_chunked(edges, copies, rng) -> np.ndarray:
     return below
 
 
-def sample_count_table(probs, copies, rng) -> np.ndarray:
-    """Outcome counts for every row of a validated probability table.
+def sample_count_tables(probs, copies, rngs) -> np.ndarray:
+    """Outcome counts for every row of stacked, validated probability tables.
 
-    ``probs`` holds one row per setting, as returned by check_outcome_table,
-    and ``copies`` the copies of each row. Row i draws copies[i] variates
-    after those of the rows before it, and its counts equal the per-copy
-    inverse-CDF lookup of those variates, so any split of the rows into
-    calls gives the same counts from the same stream. Few copies per row are
-    counted from one draw for the whole table; many copies row by row in
-    fixed-size chunks.
+    ``probs`` holds tables [table, setting, outcome] as returned by
+    check_outcome_table, ``copies`` the copies of each setting, the same in
+    every table, and ``rngs`` one random stream per table. Row i of a table
+    draws copies[i] variates from the table's stream after those of the rows
+    before it, and its counts equal the per-copy inverse-CDF lookup of those
+    variates, so any split of the rows or tables into calls gives the same
+    counts from the same streams. Few copies per row are counted from shared
+    draws for all tables; many copies row by row in fixed-size chunks.
     """
     probs = np.asarray(probs, dtype=np.float64)
     copies = np.asarray(copies, dtype=np.int64)
-    if copies.shape != probs.shape[:1]:
+    if probs.ndim != 3 or copies.shape != probs.shape[1:2]:
         raise ParameterError("need one copy count per table row")
+    if len(rngs) != probs.shape[0]:
+        raise ParameterError("need one random stream per table")
     if np.any(copies < 0):
         raise ParameterError("copy count must be nonnegative")
     # the last edge is +inf: every remaining copy lands on the last outcome
-    edges = np.cumsum(probs[:, :-1], axis=1)
+    edges = np.cumsum(probs[..., :-1], axis=-1)
     if not copies.any():
         below = np.zeros(edges.shape, dtype=np.int64)
     elif copies.max() <= BATCH_COPIES:
-        below = _below_batched(edges, copies, rng)
+        below = _below_batched(edges, copies, rngs)
     else:
-        below = _below_chunked(edges, copies, rng)
-    cumulative = np.concatenate(
-        (np.zeros((probs.shape[0], 1), dtype=np.int64), below, copies[:, None]), axis=1)
-    return np.diff(cumulative, axis=1)
+        below = np.array([_below_chunked(table, copies, rng)
+                          for table, rng in zip(edges, rngs)])
+    cumulative = np.zeros(probs.shape[:2] + (probs.shape[2] + 1,), dtype=np.int64)
+    cumulative[..., 1:-1] = below
+    cumulative[..., -1] = copies
+    return np.diff(cumulative, axis=-1)
+
+
+def sample_count_table(probs, copies, rng) -> np.ndarray:
+    """sample_count_tables for one table [setting, outcome] and its stream."""
+    return sample_count_tables(np.asarray(probs)[None], copies, [rng])[0]
 
 
 def sample_counts(dist: OutcomeDistribution, count: int, rng) -> np.ndarray:

@@ -59,6 +59,29 @@ class PureState:
         return DensityMatrix(np.outer(self.amps, self.amps.conj()))
 
 
+def check_density_matrices(elems) -> None:
+    """Validate density matrices stacked along leading axes.
+
+    Each d x d matrix must be Hermitian, have trace one and no eigenvalue
+    below -1e-10. Raises ParameterError naming the first check any matrix
+    fails.
+    """
+    elems = np.asarray(elems, dtype=np.complex128)
+    if elems.ndim < 2 or elems.shape[-1] != elems.shape[-2]:
+        raise ParameterError("density matrix must be square")
+    if elems.shape[-1] < 2:
+        raise ParameterError("dimension must be at least 2")
+    if np.max(np.abs(elems - np.swapaxes(elems.conj(), -1, -2))) > ATOL:
+        raise ParameterError("density matrix is not Hermitian")
+    traces = np.trace(elems, axis1=-2, axis2=-1)
+    worst = np.unravel_index(np.argmax(np.abs(traces - 1.0)), traces.shape)
+    trace = complex(traces[worst])
+    if abs(trace - 1.0) > ATOL:
+        raise ParameterError(f"trace must be 1, got {trace!r}")
+    if float(np.linalg.eigvalsh(elems)[..., 0].min()) < -PSD_ATOL:
+        raise ParameterError("density matrix has a negative eigenvalue")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, trace-one matrix."""
@@ -67,17 +90,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         elems = np.asarray(self.elems, dtype=np.complex128)
-        if elems.ndim != 2 or elems.shape[0] != elems.shape[1]:
+        if elems.ndim != 2:
             raise ParameterError("density matrix must be square")
-        if elems.shape[0] < 2:
-            raise ParameterError("dimension must be at least 2")
-        if np.max(np.abs(elems - elems.conj().T)) > ATOL:
-            raise ParameterError("density matrix is not Hermitian")
-        trace = complex(np.trace(elems))
-        if abs(trace - 1.0) > ATOL:
-            raise ParameterError(f"trace must be 1, got {trace!r}")
-        if float(np.linalg.eigvalsh(elems)[0]) < -PSD_ATOL:
-            raise ParameterError("density matrix has a negative eigenvalue")
+        check_density_matrices(elems)
         object.__setattr__(self, "elems", _frozen_array(elems, np.complex128))
 
     @property
@@ -114,19 +129,23 @@ def _fourier_phases(d: int) -> np.ndarray:
     return phases
 
 
-def _port_weights(d: int, kappas) -> tuple[np.ndarray, np.ndarray, float]:
-    """(kappas, magnitudes c_m, norm constant M) for one detector-bias draw."""
+def _port_weights(d: int, kappas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(kappas, magnitudes c_m, norm constant M) for detector-bias draws.
+
+    ``kappas`` holds one draw along its last axis; M keeps that axis with
+    length one.
+    """
     if d < 2:
         raise ParameterError("dimension must be at least 2")
     if kappas is None:
         kappas = np.zeros(d)
     kappas = np.asarray(kappas, dtype=np.float64)
-    if kappas.shape != (d,):
+    if kappas.shape[-1:] != (d,):
         raise ParameterError("kappas must have one entry per basis state")
     weights = 1.0 + kappas
     if np.any(weights <= 0.0):
         raise DegenerateNoiseError("postselection noise produced 1 + kappa <= 0")
-    norm_const = float(np.sqrt(np.sum(weights**2)))
+    norm_const = np.sqrt(np.sum(weights**2, axis=-1, keepdims=True))
     return kappas, weights / norm_const, norm_const
 
 
@@ -141,6 +160,8 @@ def make_conjugate_state(d: int, k: int = 0, kappas=None) -> ConjugateState:
         raise ParameterError("dimension must be at least 2")
     if not 0 <= k < d:
         raise ParameterError(f"conjugate index must lie in [0, {d}), got {k}")
+    if np.ndim(kappas) > 1:
+        raise ParameterError("kappas must have one entry per basis state")
     kappas, magnitudes, norm_const = _port_weights(d, kappas)
     return ConjugateState(
         dim=d,
@@ -148,7 +169,7 @@ def make_conjugate_state(d: int, k: int = 0, kappas=None) -> ConjugateState:
         kappas=kappas,
         magnitudes=magnitudes,
         coeffs=magnitudes * _fourier_phases(d)[k],
-        norm_const=norm_const,
+        norm_const=norm_const.item(),
     )
 
 
@@ -160,10 +181,11 @@ def conjugate_family(d: int, kappas=None) -> tuple[ConjugateState, ...]:
 def conjugate_coefficients(d: int, kappas=None) -> np.ndarray:
     """The conjugate family as one d x d array: row k holds the coeffs of |c'_k>.
 
-    Row 0 carries no phase, so its real part is the port weights c_m. Raises
-    DegenerateNoiseError like make_conjugate_state.
+    Row 0 carries no phase, so its real part is the port weights c_m.
+    ``kappas`` may stack several draws along leading axes, which the result
+    keeps. Raises DegenerateNoiseError like make_conjugate_state.
     """
-    return _port_weights(d, kappas)[1] * _fourier_phases(d)
+    return _port_weights(d, kappas)[1][..., None, :] * _fourier_phases(d)
 
 
 def _dicke_amplitudes(num_qubits: int, excitations: int) -> np.ndarray:

@@ -256,7 +256,7 @@ def test_criterion_08_noisy_circuit():
            worst < 1e-12, f"worst deviation {worst:.2e}")
 
 
-@pytest.mark.parametrize("preset", ["fig2", "fig5", "fig6"])
+@pytest.mark.parametrize("preset", ["fig2", "fig4", "fig5", "fig6"])
 def test_criterion_09_preset_determinism(preset, tmp_path):
     outputs = {}
     for threads in (1, 4):

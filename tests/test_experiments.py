@@ -65,6 +65,10 @@ def test_sigma_prep_rejected_in_mixed_mode():
     '{"sigma_post": Infinity}',
     '{"sigma_sweep": [Infinity]}',
     '{"task": "qfi", "norm_grid": [0.5, Infinity, 10]}',
+    '{"state_kind": "custom", "num_qubits": 1, "custom_amplitudes": [[true, 0], [0, 0]]}',
+    '{"state_kind": "custom", "num_qubits": 1, "custom_amplitudes": [[Infinity, 0], [0, 0]]}',
+    '{"state_kind": "custom", "num_qubits": 1, "custom_amplitudes": [[NaN, 0], [1, 0]]}',
+    '{"state_kind": "custom", "num_qubits": 1, "custom_amplitudes": [[1, 0], [1, 0]]}',
     'not json',
     '[1, 2]',
 ])
@@ -149,14 +153,14 @@ def test_failed_grid_point_flushes_partial_rows(monkeypatch):
         "num_qubits": 2, "configuration": "C1",
         "copy_budgets": [50, 60, 70], "repetitions": 1,
     }))
-    real = montecarlo.run_single_repetition
+    real = montecarlo._batch
 
-    def flaky(point, rep):
+    def flaky(point, start, stop):
         if point.seed_entropy[1] == 2:
             raise RuntimeError("worker exploded")
-        return real(point, rep)
+        return real(point, start, stop)
 
-    monkeypatch.setattr(montecarlo, "run_single_repetition", flaky)
+    monkeypatch.setattr(montecarlo, "_batch", flaky)
     with pytest.raises(FigureRunError) as excinfo:
         run_figure(config)
     rows = excinfo.value.rows

@@ -4,13 +4,14 @@ from numpy.testing import assert_allclose
 
 from oracles import reference_repetition
 
-from dsmsim.errors import DegenerateDataError, ParameterError
+from dsmsim.errors import DegenerateDataError, DegenerateNoiseError, ParameterError
 from dsmsim.metrics import trace_distance_mixed, trace_distance_pure
 from dsmsim.mixed_protocol import exact_lambda_tables
 from dsmsim.noise import white_noise_channel
 from dsmsim.montecarlo import (
     ExperimentPoint,
     Setting,
+    _distances,
     allocate_copies,
     build_outcome_distribution,
     enumerate_settings,
@@ -241,6 +242,13 @@ def _outcome(run, point, rep):
     return distance, state.amps if point.mode == "pure" else state.elems
 
 
+def _slice_outcome(point, start, stop):
+    try:
+        return _distances(point, start, stop)
+    except DegenerateDataError as exc:
+        return type(exc)
+
+
 @pytest.mark.parametrize("num_copies", [5, 1000, 200_000])
 @pytest.mark.parametrize("mode,config", [("pure", "C1"), ("pure", "C2"),
                                          ("mixed", "C1"), ("mixed", "C2")])
@@ -248,15 +256,57 @@ def test_repetition_matches_per_setting_reference(mode, config, num_copies):
     """The table engine reproduces the per-setting loop bit for bit.
 
     5 copies leave most settings empty, 1000 are counted from one draw per
-    repetition, and 200000 in chunks per setting.
+    repetition, and 200000 in chunks per setting. A slice of repetitions is
+    one batch, and splitting it changes no distance.
     """
     noise = (dict(sigma_prep=0.05, sigma_post=0.05) if mode == "pure"
              else dict(sigma_post=0.05, epsilon=0.3))
     point = ExperimentPoint(mode=mode, config=config, state=GHZ,
                             num_copies=num_copies, repetitions=1,
                             seed_entropy=(31, num_copies), **noise)
+    references = []
     for rep in range(3):
         distance, state = _outcome(run_single_repetition, point, rep)
         ref_distance, ref_state = _outcome(reference_repetition, point, rep)
         assert distance == ref_distance
         assert np.array_equal(state, ref_state)
+        references.append(ref_distance)
+
+    def serial(start, stop):
+        # a repetition loop stops at the first repetition that raises
+        failed = [value for value in references[start:stop]
+                  if value is DegenerateDataError]
+        return failed[0] if failed else references[start:stop]
+
+    for start, stop in ((0, 3), (0, 1), (1, 3)):
+        assert _slice_outcome(point, start, stop) == serial(start, stop)
+    whole = _slice_outcome(point, 0, 3)
+    if whole is not DegenerateDataError:
+        assert whole == _distances(point, 0, 1) + _distances(point, 1, 3)
+
+
+@pytest.mark.parametrize("mode,num_copies", [("pure", 8), ("mixed", 1)])
+def test_batch_raises_first_error_of_repetition_loop(mode, num_copies):
+    """sigma_post 2.0 on d = 4 fails most detector draws; some seeds fail an
+    earlier repetition later in its pipeline, which a batch reaches after the
+    detector draws of the repetitions behind it."""
+    noise = (dict(sigma_prep=0.3, sigma_post=2.0) if mode == "pure"
+             else dict(sigma_post=2.0, epsilon=0.3))
+    kinds = set()
+    for seed in range(16):
+        point = ExperimentPoint(mode=mode, config="C1", state=standard_state("ghz", 2),
+                                num_copies=num_copies, repetitions=6,
+                                seed_entropy=(seed,), **noise)
+        expected = None
+        for rep in range(point.repetitions):
+            try:
+                run_single_repetition(point, rep)
+            except (DegenerateDataError, DegenerateNoiseError) as exc:
+                expected = (type(exc), str(exc))
+                break
+        assert expected is not None
+        kinds.add(expected[0])
+        with pytest.raises((DegenerateDataError, DegenerateNoiseError)) as excinfo:
+            _distances(point, 0, point.repetitions)
+        assert (excinfo.type, str(excinfo.value)) == expected
+    assert kinds == {DegenerateDataError, DegenerateNoiseError}
