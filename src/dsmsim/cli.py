@@ -41,8 +41,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the configuration's master seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker processes; each takes contiguous slices "
-                            "of the grid points' Monte Carlo repetitions")
+                       help="worker processes (at least 1); each takes "
+                            "batches of Monte Carlo repetitions, which span "
+                            "consecutive grid points with the same copy "
+                            "budget")
         p.add_argument("--out", type=str, default=None,
                        help="output path (.csv or .json); overrides the "
                             "configuration's output_path")
@@ -125,6 +127,8 @@ def main(argv=None) -> int:
             config = load_preset(args.name, full_scale=args.full_scale)
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed must be nonnegative")
+        if args.threads < 1:
+            raise ConfigError("--threads must be positive")
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -337,6 +337,8 @@ def _grid(config: ExperimentConfig):
 
 def run_figure(config: ExperimentConfig, threads: int = 1) -> dict:
     """Execute the configured sweep; returns named tables of row dicts."""
+    if threads < 1:
+        raise ParameterError("threads must be positive")
     if config.task == "qfi":
         return _run_qfi(config)
     state = config.build_state()
@@ -358,9 +360,12 @@ def run_figure(config: ExperimentConfig, threads: int = 1) -> dict:
         for index, (configuration, s_prep, s_post, eps, copies) in grid
     )
     rows = []
-    pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else None
+    # no more workers than repetitions: under fork, all of them start at the
+    # first task
+    workers = min(threads, len(grid) * config.repetitions)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        results = run_points(points, threads, executor=pool)
+        results = run_points(points, workers, executor=pool)
         for index, (configuration, s_prep, s_post, eps, copies) in grid:
             base = dict(state=label, mode=config.mode, config=configuration,
                         sigma_prep=s_prep, sigma_post=s_post, epsilon=eps,

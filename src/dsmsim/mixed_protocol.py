@@ -170,16 +170,19 @@ def lambda_from_pauli(probs: PauliProbabilities, config: str) -> LambdaEstimate:
     return LambdaEstimate(off_diag=complex(off), diag11=float(diag))
 
 
-def conditional_tables(rho: DensityMatrix, family, config: str):
+def conditional_tables(rho, family, config: str):
     """All probe-conditional entries over (n, k) in one vectorized pass.
 
-    ``family`` is the conjugate family: d ConjugateStates, or their d x d
-    coefficient array from conjugate_coefficients, which may stack several
-    families along leading axes. Returns (m00, m01, m11) arrays indexed
-    [..., n, k]; cell (n, k) equals the matching probe_conditional_* entries.
+    ``rho`` is a DensityMatrix or an array of density-matrix entries, which
+    may stack matrices along leading axes. ``family`` is the conjugate
+    family: d ConjugateStates, or their d x d coefficient array from
+    conjugate_coefficients, which may stack several families along leading
+    axes. Returns (m00, m01, m11) arrays indexed [..., n, k]; cell (n, k)
+    equals the matching probe_conditional_* entries.
     """
     _check_config(config)
-    d = rho.dim
+    rho = rho.elems if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    d = rho.shape[-1]
     coeff_rows = family                                            # [..., k, n]
     if not isinstance(coeff_rows, np.ndarray):
         if len(family) != d:
@@ -188,12 +191,12 @@ def conditional_tables(rho: DensityMatrix, family, config: str):
     if coeff_rows.shape[-2:] != (d, d):
         raise ParameterError("need one conjugate state per index k")
     coeff_cols = np.swapaxes(coeff_rows, -1, -2)                   # [..., n, k]
-    rho_v = rho.elems @ coeff_cols                                 # (rho v_k)[n]
-    v_rho = coeff_rows.conj() @ rho.elems                          # (v_k^dag rho)[n]
+    rho_v = rho @ coeff_cols                                       # (rho v_k)[n]
+    v_rho = coeff_rows.conj() @ rho                                # (v_k^dag rho)[n]
     overlaps = np.einsum("...kn,...nk->...k", coeff_rows.conj(), rho_v).real
     # |v_k[n]|^2 is k-free; row 0 carries no phase, so its real part is c_n
     weights = coeff_rows[..., 0, :].real ** 2
-    diag = np.diag(rho.elems).real
+    diag = np.diagonal(rho, axis1=-2, axis2=-1).real
     if config == "C1":
         diag_weights = (diag * weights)[..., :, None]
         m11 = 0.5 * (diag_weights * np.ones(d))
@@ -206,7 +209,7 @@ def conditional_tables(rho: DensityMatrix, family, config: str):
         mixer = weights[..., :, None] * overlaps[..., None, :]
         m11 = 0.5 * mixer
         m01 = 0.5 * (cross - mixer)
-        m00 = 0.5 * (diag[:, None] - 2.0 * cross.real + mixer)
+        m00 = 0.5 * (diag[..., :, None] - 2.0 * cross.real + mixer)
     return m00.real, m01, m11.real
 
 

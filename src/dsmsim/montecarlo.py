@@ -15,16 +15,20 @@ Settings follow the scan-free structure of each protocol:
 
 Every repetition owns a random stream derived from (seed entropy,
 repetition index), so results are independent of worker count and
-reductions happen in repetition order. Worker processes take contiguous
-slices of a grid point's repetitions.
+reductions happen in repetition order.
 
-A slice runs in batches of repetitions. Each repetition draws its noise and
-its uniforms from its own stream, in the order of a lone repetition; every
-other stage runs once per batch on arrays with a leading repetition axis,
-in forms that round each repetition exactly as a lone one does, so no
-distance depends on how repetitions are batched. A batch that raises is
-replayed one repetition at a time, so the error is the one a lone
-repetition loop meets first.
+Repetitions run in batches. Consecutive grid points that share mode,
+configuration, dimension and copy budget pool their repetitions, in order,
+and the pool is cut into batches of a bounded size, so a sweep of many
+points with few repetitions each runs as a few large batches; worker
+processes take whole batches. Each repetition draws its noise and its
+uniforms from its own stream, in the order of a lone repetition, and takes
+its noise levels and states from its own point; every other stage runs
+once per batch on arrays with a leading repetition axis, in forms that
+round each repetition exactly as a lone one does, so no distance depends
+on how repetitions are batched. A batch that raises is replayed one
+repetition at a time, so the error is the one a lone repetition loop meets
+first, and the points before it keep their results.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -67,9 +72,11 @@ FAIL = "fail"
 
 STATE_KINDS = ("pure", "mixed")
 # A batch of repetitions holds at most this many outcome probabilities (and
-# as many entries of each per-cell table), so its arrays stay within a few MB
-# whatever the dimension.
-BATCH_CELLS = 1 << 16
+# as many entries of each per-cell table), whatever the dimension: 80
+# repetitions at d = 8. A batch keeps about four such tables alive at once,
+# 1 MB at this size; twice the size ran the fig4 sweep no faster and took
+# 5% more peak memory than batches of one grid point.
+BATCH_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -293,47 +300,76 @@ def _repetition_rng(point: ExperimentPoint, rep: int):
     return np.random.default_rng(seq)
 
 
-def _batch(point: ExperimentPoint, start: int, stop: int):
-    """Repetitions start..stop-1 as one batch: (distances, reconstructions).
+def _batch_key(point: ExperimentPoint) -> tuple:
+    """Points with equal keys can share a batch: their outcome tables align."""
+    return point.mode, point.config, point.state.dim, point.num_copies
 
-    Every repetition is one outcome table: every setting's probabilities,
-    counts drawn for all settings, and estimates read back from the counts.
-    The tables of the batch are stacked and go through each stage together.
+
+def _owners(batch) -> list:
+    """The point of each repetition of a batch, in order."""
+    return [point for point, start, stop in batch for _ in range(start, stop)]
+
+
+def _per_repetition(batch, values) -> np.ndarray:
+    """Stack one value per slice of a batch into one entry per repetition."""
+    return np.repeat(np.array(values), [stop - start for _, start, stop in batch], axis=0)
+
+
+def _noisy_pauli(batch, rngs) -> np.ndarray:
+    """Pauli tables [rep, n, k, 6] of a batch, one per repetition.
+
+    Each repetition draws its noise from its own stream in ``rngs`` at the
+    noise levels of its own point.
+    """
+    mode, config, d, _ = _batch_key(batch[0][0])
+    if mode == "pure":
+        tables = []
+        for point, rng in zip(_owners(batch), rngs):
+            psi_prime, _ = perturb_pure_state(point.state, point.sigma_prep, rng)
+            conj = make_conjugate_state(d, 0, sample_kappas(d, point.sigma_post, rng))
+            tables.append(pauli_table(psi_prime, conj, config)[:, None, :])
+        return np.array(tables)
+    kappas = [sample_kappas(d, point.sigma_post, rng)
+              for point, rng in zip(_owners(batch), rngs)]
+    coeffs = conjugate_coefficients(d, np.array(kappas))
+    prepared = _per_repetition(batch, [point.prepared.elems for point, _, _ in batch])
+    return pauli_from_conditionals(*conditional_tables(prepared, coeffs, config))
+
+
+def _batch(batch):
+    """The repetitions of a batch together: (distances, reconstructions).
+
+    ``batch`` lists (point, start, stop) slices, repetitions start..stop-1
+    of each point, all points sharing one _batch_key. Every repetition is
+    one outcome table: every setting's probabilities, counts drawn for all
+    settings, and estimates read back from the counts. The tables of the
+    batch are stacked and go through each stage together; each repetition
+    takes its noise levels, prepared state and target from its own point.
     The pure path builds its tables and reconstructions one repetition at a
     time: its scalar probe arithmetic and its norms and inner products have
     no array form that rounds the same. Reconstructions come back as
     amplitude vectors (pure) or density matrices (mixed), all validated.
     """
-    d = point.state.dim
-    rngs, tables, kappas = [], [], []
-    for rep in range(start, stop):
-        rng = _repetition_rng(point, rep)
-        rngs.append(rng)
-        if point.mode == "pure":
-            psi_prime, _ = perturb_pure_state(point.state, point.sigma_prep, rng)
-            conj = make_conjugate_state(d, 0, sample_kappas(d, point.sigma_post, rng))
-            tables.append(pauli_table(psi_prime, conj, point.config)[:, None, :])
-        else:
-            kappas.append(sample_kappas(d, point.sigma_post, rng))
-    if point.mode == "pure":
-        pauli = np.array(tables)
-    else:
-        coeffs = conjugate_coefficients(d, np.array(kappas))
-        pauli = pauli_from_conditionals(*conditional_tables(point.prepared, coeffs,
-                                                            point.config))
-    probs = outcome_table(_setting_rows(pauli, point.config))
-    copies = _split_copies(point.num_copies, probs.shape[1])
+    mode, config, d, num_copies = _batch_key(batch[0][0])
+    rngs = [_repetition_rng(point, rep)
+            for point, start, stop in batch for rep in range(start, stop)]
+    # Each stage's stacked tables are dropped once the next stage has read
+    # them, which bounds the memory a batch holds at once.
+    probs = outcome_table(_setting_rows(_noisy_pauli(batch, rngs), config))
+    copies = _split_copies(num_copies, probs.shape[1])
     counts = sample_count_tables(probs, copies, rngs)
-    estimates = _frequencies(counts, copies, point.config, d)
-    if point.mode == "pure":
-        recons = [reconstruct_pure(table[:, 0, :], config=point.config)
-                  for table in estimates]
-        distances = [trace_distance_pure(point.state, recon) for recon in recons]
+    del probs
+    estimates = _frequencies(counts, copies, config, d)
+    del counts
+    if mode == "pure":
+        recons = [reconstruct_pure(table[:, 0, :], config=config) for table in estimates]
+        distances = [trace_distance_pure(point.state, recon)
+                     for point, recon in zip(_owners(batch), recons)]
         return np.array(distances), np.array([recon.amps for recon in recons])
-    off, diag = lambda_tables(estimates, point.config)
-    recons = physicalize_tables(raw_reconstruction(off, diag, point.config))
+    recons = physicalize_tables(raw_reconstruction(*lambda_tables(estimates, config), config))
     check_density_matrices(recons)
-    return trace_distances(point.projector.elems, recons), recons
+    targets = _per_repetition(batch, [point.projector.elems for point, _, _ in batch])
+    return trace_distances(targets, recons), recons
 
 
 def run_single_repetition(point: ExperimentPoint, rep: int):
@@ -342,72 +378,121 @@ def run_single_repetition(point: ExperimentPoint, rep: int):
     Returns (trace distance to the true state, reconstructed state): a batch
     of one repetition.
     """
-    distances, recons = _batch(point, rep, rep + 1)
+    distances, recons = _batch([(point, rep, rep + 1)])
     state = PureState if point.mode == "pure" else DensityMatrix
     return float(distances[0]), state(recons[0])
 
 
-def _distances(point: ExperimentPoint, start: int, stop: int) -> list:
-    """Distances of repetitions start..stop-1; the task sent to a worker."""
-    distances = []
-    d = point.state.dim
-    # the largest outcome table: 3d settings of 2d + 1 outcomes (mixed)
-    size = max(1, BATCH_CELLS // (3 * d * (2 * d + 1)))
-    for first in range(start, stop, size):
-        last = min(first + size, stop)
-        try:
-            distances += _batch(point, first, last)[0].tolist()
-        except Exception:
-            # Any failure, whatever its type: replaying the batch one
-            # repetition at a time raises what a lone loop would raise first.
-            for rep in range(first, last):
-                distances += _batch(point, rep, rep + 1)[0].tolist()
-    return distances
+def _distances(batch) -> tuple:
+    """Distances of a batch's repetitions; the task sent to a worker.
+
+    Returns (distances, None), or, when a repetition raises, the distances
+    of the repetitions before it and its exception: returning the error
+    keeps the results of the points that precede it in the batch.
+    """
+    try:
+        return _batch(batch)[0].tolist(), None
+    except Exception:
+        # Any failure, whatever its type: replaying the batch one repetition
+        # at a time finds the error a lone repetition loop meets first.
+        distances = []
+        for point, start, stop in batch:
+            for rep in range(start, stop):
+                try:
+                    distances += _batch([(point, rep, rep + 1)])[0].tolist()
+                except Exception as exc:
+                    return distances, exc
+        return distances, None
 
 
-def _slices(point: ExperimentPoint, parts: int) -> list:
-    """(start, stop) bounds of ``parts`` contiguous, near-equal repetition runs."""
-    stops = np.cumsum(_split_copies(point.repetitions, parts)).tolist()
-    return list(zip([0] + stops[:-1], stops))
+def _fill(slices, sizes):
+    """Regroup (point, start, stop) slices, in order, into batches.
+
+    Batch i holds the next ``sizes[i]`` repetitions; ``sizes`` is an
+    iterator that covers every repetition. Each batch is yielded as soon as
+    it is full, so the slices are read no further ahead than that.
+    """
+    batch, room = [], next(sizes)
+    for point, start, stop in slices:
+        while start < stop:
+            end = min(stop, start + room)
+            batch.append((point, start, end))
+            room -= end - start
+            start = end
+            if room == 0:
+                yield batch
+                batch, room = [], next(sizes, 0)
+    if batch:
+        yield batch
+
+
+def _batches(points):
+    """Batches of the points' repetitions, reading the points lazily.
+
+    Consecutive points with one _batch_key form one run of repetitions, in
+    order, cut into batches of at most BATCH_CELLS outcome probabilities;
+    a point may span batches. The points are read at most one batch ahead.
+    """
+    for (_, _, d, _), run in groupby(points, key=_batch_key):
+        # the largest outcome table: 3d settings of 2d + 1 outcomes (mixed)
+        size = max(1, BATCH_CELLS // (3 * d * (2 * d + 1)))
+        yield from _fill(((point, 0, point.repetitions) for point in run), repeat(size))
+
+
+def _cut(batch, parts: int) -> list:
+    """Split a batch into ``parts`` contiguous, near-equal batches."""
+    total = sum(stop - start for _, start, stop in batch)
+    return list(_fill(batch, iter(_split_copies(total, min(parts, total)).tolist())))
 
 
 def run_points(points, threads: int = 1, executor=None):
     """Yield the RunResult of every grid point, in order.
 
-    Without an executor the points run one after another in this process.
-    With one, every point's repetitions are cut into just enough contiguous
-    slices that there are at least ``threads`` tasks (one slice per point
-    when there are at least as many points as workers), and all slices are
-    submitted at once, so workers never wait at a grid-point boundary.
-    Each point is yielded once its own slices are back, and a failing slice
-    raises when its point is reached. Distances are reassembled in
-    repetition order, so the worker count never changes a result.
+    Consecutive points with the same mode, configuration, dimension and
+    copy budget share batches (_batches), so a sweep of points with few
+    repetitions each runs as few large array passes. Without an executor
+    the batches run one after another in this process, reading the points
+    one batch ahead. With one, all batches are submitted at once, cut
+    further when there are fewer batches than ``threads``, so workers never
+    wait at a grid-point boundary. Each point is yielded once its own
+    repetitions are back, and a failing repetition raises when its point is
+    reached. Distances are reassembled in repetition order, so neither the
+    worker count nor the batching changes a result.
     """
+    if threads < 1:
+        raise ParameterError("threads must be positive")
     if executor is None:
-        for point in points:
-            yield RunResult(distances=np.array(_distances(point, 0, point.repetitions)))
-        return
-    points = list(points)
-    parts = -(-threads // max(len(points), 1))
-    pending = [
-        [executor.submit(_distances, point, start, stop)
-         for start, stop in _slices(point, min(parts, point.repetitions))]
-        for point in points
-    ]
-    for futures in pending:
-        distances = [value for future in futures for value in future.result()]
-        yield RunResult(distances=np.array(distances))
+        done = ((batch, _distances(batch)) for batch in _batches(points))
+    else:
+        batches = list(_batches(points))
+        if 0 < len(batches) < threads:
+            parts = -(-threads // len(batches))
+            batches = [run for batch in batches for run in _cut(batch, parts)]
+        futures = [executor.submit(_distances, batch) for batch in batches]
+        done = ((batch, future.result()) for batch, future in zip(batches, futures))
+    distances = []                          # of the point being assembled
+    for batch, (values, error) in done:
+        position = 0
+        for point, start, stop in batch:
+            taken = values[position:position + stop - start]
+            position += stop - start
+            distances += taken
+            if len(taken) < stop - start:
+                raise error
+            if stop == point.repetitions:
+                yield RunResult(distances=np.array(distances))
+                distances = []
 
 
 def run_repetitions(point: ExperimentPoint, threads: int = 1) -> RunResult:
     """All repetitions of one grid point, reduced in repetition order.
 
     Workers are separate processes (the repetition loop is Python-bound, so
-    threads would serialize on the interpreter lock), each taking a
-    contiguous slice of the repetitions; every repetition owns its
+    threads would serialize on the interpreter lock), each taking
+    contiguous batches of the repetitions; every repetition owns its
     seed-derived stream, so the worker count never changes the result.
     """
     if threads > 1 and point.repetitions > 1:
         with ProcessPoolExecutor(max_workers=min(threads, point.repetitions)) as pool:
             return next(run_points([point], threads, executor=pool))
-    return next(run_points([point]))
+    return next(run_points([point], threads))

@@ -154,19 +154,25 @@ def sample_count_tables(probs, copies, rngs) -> np.ndarray:
         raise ParameterError("need one random stream per table")
     if np.any(copies < 0):
         raise ParameterError("copy count must be nonnegative")
+    below = _copies_below(probs, copies, rngs)
+    # outcome j holds the copies below edge j and not below edge j - 1
+    counts = np.empty(probs.shape, dtype=np.int64)
+    counts[..., :-1] = below
+    counts[..., -1] = copies
+    counts[..., 1:] -= below
+    return counts
+
+
+def _copies_below(probs, copies, rngs) -> np.ndarray:
+    """Copies below each cumulative edge but the last, [table, setting, edge]."""
     # the last edge is +inf: every remaining copy lands on the last outcome
     edges = np.cumsum(probs[..., :-1], axis=-1)
     if not copies.any():
-        below = np.zeros(edges.shape, dtype=np.int64)
-    elif copies.max() <= BATCH_COPIES:
-        below = _below_batched(edges, copies, rngs)
-    else:
-        below = np.array([_below_chunked(table, copies, rng)
-                          for table, rng in zip(edges, rngs)])
-    cumulative = np.zeros(probs.shape[:2] + (probs.shape[2] + 1,), dtype=np.int64)
-    cumulative[..., 1:-1] = below
-    cumulative[..., -1] = copies
-    return np.diff(cumulative, axis=-1)
+        return np.zeros(edges.shape, dtype=np.int64)
+    if copies.max() <= BATCH_COPIES:
+        return _below_batched(edges, copies, rngs)
+    return np.array([_below_chunked(table, copies, rng)
+                     for table, rng in zip(edges, rngs)])
 
 
 def sample_count_table(probs, copies, rng) -> np.ndarray:

@@ -68,6 +68,14 @@ def test_negative_seed_is_validation_error(tiny_config, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_nonpositive_threads_is_validation_error(tiny_config, tmp_path, capsys, threads):
+    out = tmp_path / "threads.csv"
+    assert main(["run", str(tiny_config), "--threads", threads, "--out", str(out)]) == 1
+    assert "error: --threads must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_override_changes_results(tiny_config, tmp_path):
     base, other, repeat = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
     main(["run", str(tiny_config), "--out", str(base)])

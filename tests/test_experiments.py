@@ -1,9 +1,12 @@
 import json
+from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
+import dsmsim.experiments as experiments
 import dsmsim.montecarlo as montecarlo
-from dsmsim.errors import ConfigError
+from dsmsim.errors import ConfigError, ParameterError
 from dsmsim.experiments import (
     CURVE_FIELDS,
     RESULT_FIELDS,
@@ -155,10 +158,10 @@ def test_failed_grid_point_flushes_partial_rows(monkeypatch):
     }))
     real = montecarlo._batch
 
-    def flaky(point, start, stop):
-        if point.seed_entropy[1] == 2:
+    def flaky(batch):
+        if any(point.seed_entropy[1] == 2 for point, _, _ in batch):
             raise RuntimeError("worker exploded")
-        return real(point, start, stop)
+        return real(batch)
 
     monkeypatch.setattr(montecarlo, "_batch", flaky)
     with pytest.raises(FigureRunError) as excinfo:
@@ -172,19 +175,118 @@ def test_failed_grid_point_flushes_partial_rows(monkeypatch):
 
 def test_failure_rows_independent_of_workers():
     # sigma 2.0 makes 1 + kappa <= 0 detector draws, which fail a later point
-    config = parse_config(json.dumps({
-        "num_qubits": 2, "configuration": "C1",
-        "sigma_sweep": [0.0, 0.05, 2.0, 0.0], "copy_budgets": [50, 60],
-        "repetitions": 3, "master_seed": 5,
-    }))
-    failures = []
-    for threads in (1, 2, 3):
-        with pytest.raises(FigureRunError) as excinfo:
+    cases = [
+        ({"num_qubits": 2, "configuration": "C1",
+          "sigma_sweep": [0.0, 0.05, 2.0, 0.0], "copy_budgets": [50, 60],
+          "repetitions": 3, "master_seed": 5},
+         "grid point 4 failed", "DegenerateDataError"),
+        # one copy budget: the failing point shares a batch with the points
+        # before it (all four on 1 worker, grid point 1's tail on 3)
+        ({"mode": "mixed", "num_qubits": 2, "configuration": "C1",
+          "sigma_sweep": [0.0, 2.0], "epsilon_sweep": [0.1, 0.3],
+          "copy_budgets": [50], "repetitions": 3, "master_seed": 5},
+         "grid point 2 failed", "DegenerateNoiseError"),
+    ]
+    for doc, message, error in cases:
+        config = parse_config(json.dumps(doc))
+        failures = []
+        for threads in (1, 2, 3):
+            with pytest.raises(FigureRunError) as excinfo:
+                run_figure(config, threads=threads)
+            failures.append((str(excinfo.value), excinfo.value.rows))
+        assert failures[0][0].startswith(message)
+        assert error in failures[0][1][-1]["error"]
+        assert failures[1] == failures[0] and failures[2] == failures[0]
+
+
+def _per_repetition_results(config, rows) -> list:
+    """(mean, std_error) of every row from lone repetitions of its grid point."""
+    state = config.build_state()
+    results = []
+    for index, row in enumerate(rows):
+        point = montecarlo.ExperimentPoint(
+            mode=config.mode, config=row["config"], state=state,
+            num_copies=row["num_copies"], repetitions=config.repetitions,
+            seed_entropy=(config.master_seed, index), sigma_prep=row["sigma_prep"],
+            sigma_post=row["sigma_post"], epsilon=row["epsilon"] or 0.0)
+        distances = [montecarlo.run_single_repetition(point, rep)[0]
+                     for rep in range(config.repetitions)]
+        result = montecarlo.RunResult(distances=np.array(distances))
+        results.append((result.mean, result.std_error))
+    return results
+
+
+@pytest.mark.parametrize("mode", ["pure", "mixed"])
+def test_batches_across_points_match_lone_repetitions(mode, monkeypatch):
+    doc = {"mode": mode, "num_qubits": 2, "configuration": "both",
+           "sigma_sweep": [0.0, 0.02, 0.05], "copy_budgets": [300],
+           "repetitions": 3, "master_seed": 11}
+    if mode == "mixed":
+        doc["epsilon_sweep"] = [0.0, 0.5]
+    config = parse_config(json.dumps(doc))
+    points_per_config = 6 if mode == "mixed" else 3
+    batches = []
+    real = montecarlo._batch
+
+    def spy(batch):
+        batches.append([(start, stop) for _, start, stop in batch])
+        return real(batch)
+
+    monkeypatch.setattr(montecarlo, "_batch", spy)
+    # d = 4: a batch of b repetitions holds b * 3d(2d + 1) = 108 b cells
+    split, whole = 2 * 108, 1 << 20
+    for cells in (split, whole):
+        monkeypatch.setattr(montecarlo, "BATCH_CELLS", cells)
+        batches.clear()
+        serial = run_figure(config)["results"]
+        if cells == split:
+            # batches of 2 repetitions split every 3-repetition point, and
+            # some hold the tail of one point and the head of the next
+            assert max(sum(stop - start for start, stop in batch)
+                       for batch in batches) == 2
+            assert any(len(batch) == 2 for batch in batches)
+        else:
+            # one batch per configuration spans all of its points
+            assert [len(batch) for batch in batches] == [points_per_config] * 2
+        expected = _per_repetition_results(config, serial)
+        assert [(row["mean_distance"], row["std_error"]) for row in serial] == expected
+        assert run_figure(config, threads=3)["results"] == serial
+
+
+def test_pool_capped_at_repetition_count(monkeypatch):
+    pools, tasks = [], []
+
+    class RecordingPool:
+        """Runs each task in this process; starts no worker."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def submit(self, fn, *args):
+            tasks.append(args)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    doc = json.dumps({"num_qubits": 2, "configuration": "C2",
+                      "copy_budgets": [40, 80], "repetitions": 3})
+    assert run_figure(parse_config(doc), threads=32) == run_figure(parse_config(doc))
+    assert pools == [6]
+    assert len(tasks) == 6
+
+
+def test_nonpositive_threads_rejected():
+    config = parse_config(json.dumps({"num_qubits": 1, "copy_budgets": [20],
+                                      "repetitions": 1}))
+    for threads in (0, -2):
+        with pytest.raises(ParameterError, match="threads must be positive"):
             run_figure(config, threads=threads)
-        failures.append((str(excinfo.value), excinfo.value.rows))
-    assert failures[0][0].startswith("grid point 4 failed")
-    assert "DegenerateDataError" in failures[0][1][-1]["error"]
-    assert failures[1] == failures[0] and failures[2] == failures[0]
+        with pytest.raises(ParameterError, match="threads must be positive"):
+            next(montecarlo.run_points([], threads))
 
 
 def test_fewer_points_than_workers():

@@ -11,12 +11,14 @@ from dsmsim.noise import white_noise_channel
 from dsmsim.montecarlo import (
     ExperimentPoint,
     Setting,
+    _batches,
     _distances,
     allocate_copies,
     build_outcome_distribution,
     enumerate_settings,
     estimate_lambda_tables,
     estimate_pure_probabilities,
+    run_points,
     run_repetitions,
     run_single_repetition,
 )
@@ -242,9 +244,17 @@ def _outcome(run, point, rep):
     return distance, state.amps if point.mode == "pure" else state.elems
 
 
+def _run_slice(point, start, stop):
+    """Repetitions start..stop-1 of one point as one batch; raises its error."""
+    distances, error = _distances([(point, start, stop)])
+    if error is not None:
+        raise error
+    return distances
+
+
 def _slice_outcome(point, start, stop):
     try:
-        return _distances(point, start, stop)
+        return _run_slice(point, start, stop)
     except DegenerateDataError as exc:
         return type(exc)
 
@@ -282,7 +292,26 @@ def test_repetition_matches_per_setting_reference(mode, config, num_copies):
         assert _slice_outcome(point, start, stop) == serial(start, stop)
     whole = _slice_outcome(point, 0, 3)
     if whole is not DegenerateDataError:
-        assert whole == _distances(point, 0, 1) + _distances(point, 1, 3)
+        assert whole == _run_slice(point, 0, 1) + _run_slice(point, 1, 3)
+
+
+@pytest.mark.parametrize("mode", ["pure", "mixed"])
+def test_batch_takes_state_and_noise_from_each_point(mode):
+    """Points of one batch key share a batch but keep their own target state,
+    noise levels and seeds."""
+    states = [standard_state("ghz", 3), standard_state("w", 3),
+              standard_state("haar", 3, seed=4)]
+    points = []
+    for index, state in enumerate(states):
+        noise = (dict(sigma_prep=0.03 * index) if mode == "pure"
+                 else dict(epsilon=0.2 * index))
+        points.append(ExperimentPoint(mode=mode, config="C2", state=state, num_copies=400,
+                                      repetitions=2, seed_entropy=(9, index),
+                                      sigma_post=0.02 * index, **noise))
+    assert len(list(_batches(points))) == 1
+    results = [result.distances.tolist() for result in run_points(points)]
+    assert results == [[run_single_repetition(point, rep)[0] for rep in range(2)]
+                       for point in points]
 
 
 @pytest.mark.parametrize("mode,num_copies", [("pure", 8), ("mixed", 1)])
@@ -307,6 +336,6 @@ def test_batch_raises_first_error_of_repetition_loop(mode, num_copies):
         assert expected is not None
         kinds.add(expected[0])
         with pytest.raises((DegenerateDataError, DegenerateNoiseError)) as excinfo:
-            _distances(point, 0, point.repetitions)
+            _run_slice(point, 0, point.repetitions)
         assert (excinfo.type, str(excinfo.value)) == expected
     assert kinds == {DegenerateDataError, DegenerateNoiseError}
