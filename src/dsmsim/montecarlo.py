@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from itertools import groupby, repeat
 
 import numpy as np
@@ -77,6 +77,9 @@ STATE_KINDS = ("pure", "mixed")
 # 1 MB at this size; twice the size ran the fig4 sweep no faster and took
 # 5% more peak memory than batches of one grid point.
 BATCH_CELLS = 1 << 15
+# Distinct targets and prepared states kept per process; a sweep needs one
+# per state and epsilon value.
+INVARIANTS = 64
 
 
 @dataclass(frozen=True)
@@ -267,17 +270,31 @@ class ExperimentPoint:
         if self.repetitions < 1:
             raise ParameterError("need at least one repetition")
 
-    # Mixed-state invariants of the grid point, built and validated once per
-    # point rather than once per repetition.
-    @cached_property
+    # Mixed-state invariants of the grid point. They depend only on the
+    # state and epsilon, so they are built and validated once per process
+    # for each distinct value (_target, _prepared), not once per point.
+    @property
     def projector(self) -> DensityMatrix:
         """Target state |psi><psi|."""
-        return self.state.projector()
+        return _target(self.state.amps.tobytes())
 
-    @cached_property
+    @property
     def prepared(self) -> DensityMatrix:
         """Prepared mixed state: the target through the white-noise channel."""
-        return white_noise_channel(self.projector, self.epsilon)
+        return _prepared(self.state.amps.tobytes(), float(self.epsilon).hex())
+
+
+# Keyed on values, not on objects: points unpickled in a worker carry fresh
+# states, and an id may be reused once its object is gone. Epsilon is keyed
+# by its bits, as 0.0 and -0.0 compare equal.
+@lru_cache(maxsize=INVARIANTS)
+def _target(amps: bytes) -> DensityMatrix:
+    return PureState(np.frombuffer(amps, dtype=np.complex128)).projector()
+
+
+@lru_cache(maxsize=INVARIANTS)
+def _prepared(amps: bytes, epsilon: str) -> DensityMatrix:
+    return white_noise_channel(_target(amps), float.fromhex(epsilon))
 
 
 @dataclass(frozen=True)

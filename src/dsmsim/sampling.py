@@ -8,6 +8,15 @@ difference of neighbouring edges gives the outcome counts. The variates are
 drawn in setting order, so a table of settings consumes the same stream as
 drawing each setting's copies in turn. Tables may be stacked, one random
 stream each, and counted together.
+
+Three layouts count the same copies, chosen from the shape of the stack
+alone. Settings with many copies are counted one at a time in fixed-size
+chunks. Settings with few copies are counted for all tables together:
+either one pass per copy slot, comparing the slot's variate of every row
+with all edges of the group at once, or in blocks that pad every setting
+to the widest one. The slot pass makes few NumPy calls over long arrays
+when there are many rows and edges per slot (the fig4 sweep); the padded
+blocks win when a few rows carry many copies each.
 """
 
 from __future__ import annotations
@@ -23,12 +32,20 @@ PROB_NEG_ATOL = -1e-12
 # Settings with at most this many copies are counted together from one draw.
 # Counting setting by setting costs one NumPy call per edge and setting, which
 # dominates at few copies; counting all settings at once pays for padding
-# every setting to the largest. The two cost the same at about 2,000 copies
-# per setting (17 and 3 outcomes, NumPy 2.4, x86-64).
+# every setting to the largest, the layout chosen near this width. The two
+# cost the same at about 1,000-1,300 copies per setting (3, 9, 17 and 33
+# outcomes, 4 and 50 tables, NumPy 2.4, x86-64).
 BATCH_COPIES = 1024
 # Variates per draw (and copy-edge comparisons per batch). Scratch memory is
 # bounded by this, whatever the copy budget.
 CHUNK = 1 << 16
+# Small budgets are counted one copy slot at a time when a group's rows x
+# edges reach this many times the slot width, and in padded blocks below
+# it. A slot costs three NumPy calls per group, so the slot pass pays only
+# when each call compares enough numbers. Over d = 2-16, 1-1092 tables and
+# widths 1-1000 the rule picked the faster layout or, near the crossover,
+# one at most 1.4x slower (NumPy 2.4, x86-64).
+SLOT_RATIO = 48
 
 
 def check_outcome_table(probs) -> np.ndarray:
@@ -89,7 +106,7 @@ class OutcomeDistribution:
         return edges
 
 
-def _below_batched(edges, copies, rngs) -> np.ndarray:
+def _below_padded(edges, copies, rngs) -> np.ndarray:
     """Copies below each edge of stacked tables, for settings with few copies each.
 
     The rows of all tables, one after another, are counted in groups: each
@@ -114,6 +131,44 @@ def _below_batched(edges, copies, rngs) -> np.ndarray:
         block[np.arange(width) < group[:, None, None]] = np.concatenate(variates)
         below[start:stop] = np.count_nonzero(block < edges[start:stop, :, None], axis=2)
     return below.reshape(tables, settings, -1)
+
+
+def _below_slots(edges, copies, rngs, size: int) -> np.ndarray:
+    """Copies below each edge of stacked tables, one pass per copy slot.
+
+    Groups of ``size`` tables are counted together. Each table draws all
+    its copies from its stream in one call; slot j then gathers the j-th
+    variate of every row of the group (+inf for rows with fewer copies)
+    and is compared with every edge of the group at once, so the inner
+    loops run over rows x edges contiguous numbers.
+    """
+    tables, settings, count = edges.shape
+    width, total = int(copies.max()), int(copies.sum())
+    # slot j of setting s reads draw starts[s] + j of its table, or the +inf
+    # past the table's draws
+    slots = np.arange(width)[:, None]
+    starts = np.cumsum(copies) - copies
+    columns = np.where(slots < copies, starts + slots, total)
+    draws = np.empty((size, total + 1))
+    draws[:, total] = np.inf
+    # no count exceeds the width, so the narrowest type that holds it will do
+    tally = np.min_scalar_type(width)
+    below = np.empty(edges.shape, dtype=np.int64)
+    for start in range(0, tables, size):
+        stop = min(start + size, tables)
+        drawn = draws[:stop - start]
+        for row, rng in zip(drawn, rngs[start:stop]):
+            rng.random(out=row[:total])
+        group = edges[start:stop].reshape(-1, count).T.copy()
+        hits = np.empty(group.shape, dtype=bool)
+        counted = np.zeros(group.shape, dtype=tally)
+        slot = np.empty((stop - start, settings))
+        for cols in columns:
+            np.take(drawn, cols, axis=1, out=slot)
+            np.less(slot.ravel(), group, out=hits)
+            counted += hits.view(np.uint8)
+        below[start:stop] = counted.T.reshape(stop - start, settings, count)
+    return below
 
 
 def _below_chunked(edges, copies, rng) -> np.ndarray:
@@ -143,8 +198,9 @@ def sample_count_tables(probs, copies, rngs) -> np.ndarray:
     draws copies[i] variates from the table's stream after those of the rows
     before it, and its counts equal the per-copy inverse-CDF lookup of those
     variates, so any split of the rows or tables into calls gives the same
-    counts from the same streams. Few copies per row are counted from shared
-    draws for all tables; many copies row by row in fixed-size chunks.
+    counts from the same streams. Few copies per row are counted for all
+    tables together, by copy slot or in padded blocks; many copies row by
+    row in fixed-size chunks.
     """
     probs = np.asarray(probs, dtype=np.float64)
     copies = np.asarray(copies, dtype=np.int64)
@@ -169,10 +225,16 @@ def _copies_below(probs, copies, rngs) -> np.ndarray:
     edges = np.cumsum(probs[..., :-1], axis=-1)
     if not copies.any():
         return np.zeros(edges.shape, dtype=np.int64)
-    if copies.max() <= BATCH_COPIES:
-        return _below_batched(edges, copies, rngs)
-    return np.array([_below_chunked(table, copies, rng)
-                     for table, rng in zip(edges, rngs)])
+    tables, settings, count = edges.shape
+    width = int(copies.max())
+    if width > BATCH_COPIES:
+        return np.array([_below_chunked(table, copies, rng)
+                         for table, rng in zip(edges, rngs)])
+    # a slot group holds its draws and its edges in about CHUNK numbers
+    size = min(tables, max(1, CHUNK // (settings * (width + count))))
+    if size * settings * count >= SLOT_RATIO * width:
+        return _below_slots(edges, copies, rngs, size)
+    return _below_padded(edges, copies, rngs)
 
 
 def sample_count_table(probs, copies, rng) -> np.ndarray:

@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from oracles import reference_repetition
 
+from dsmsim import montecarlo
 from dsmsim.errors import DegenerateDataError, DegenerateNoiseError, ParameterError
+from dsmsim.experiments import parse_config, run_figure
 from dsmsim.metrics import trace_distance_mixed, trace_distance_pure
 from dsmsim.mixed_protocol import exact_lambda_tables
 from dsmsim.noise import white_noise_channel
@@ -187,7 +191,7 @@ def test_uneven_slices_keep_repetition_order():
     assert run_repetitions(point, threads=1).distances.tolist() == serial
 
 
-def test_point_invariants_built_once():
+def test_point_invariants_built_once(monkeypatch):
     point = ExperimentPoint(mode="mixed", config="C2", state=GHZ, num_copies=600,
                             repetitions=1, seed_entropy=(3,), epsilon=0.3)
     assert point.prepared is point.prepared
@@ -195,6 +199,29 @@ def test_point_invariants_built_once():
         white_noise_channel(GHZ.projector(), 0.3).elems.tobytes())
     _, recon = run_single_repetition(point, 0)
     assert trace_distance_mixed(point.projector, recon) == run_repetitions(point).mean
+    # a mixed sweep builds one target and one prepared state per epsilon,
+    # whatever the number of grid points and repetitions
+    montecarlo._target.cache_clear()
+    montecarlo._prepared.cache_clear()
+    channels, projectors = [], []
+    channel, projector = montecarlo.white_noise_channel, PureState.projector
+    monkeypatch.setattr(montecarlo, "white_noise_channel",
+                        lambda rho, eps: channels.append(eps) or channel(rho, eps))
+    monkeypatch.setattr(PureState, "projector",
+                        lambda state: projectors.append(state) or projector(state))
+    epsilons = [0.1, 0.5, 0.9]
+    config = parse_config(json.dumps({
+        "mode": "mixed", "configuration": "both", "sigma_sweep": [0.0, 0.02, 0.05],
+        "epsilon_sweep": epsilons, "copy_budgets": [300], "repetitions": 2}))
+    rows = run_figure(config)["results"]
+    assert len(rows) == 18 and not any(row["error"] for row in rows)
+    assert sorted(channels) == epsilons and len(projectors) == 1
+    monkeypatch.undo()
+    for eps in epsilons:
+        point = ExperimentPoint(mode="mixed", config="C1", state=GHZ, num_copies=300,
+                                repetitions=2, seed_entropy=(0,), epsilon=eps)
+        assert point.prepared.elems.tobytes() == (
+            white_noise_channel(GHZ.projector(), eps).elems.tobytes())
 
 
 def test_distinct_seeds_give_distinct_samples():
