@@ -68,8 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def load_preset(name: str, full_scale: bool = False) -> ExperimentConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESETS}")
+    if full_scale and name != "fig2":
+        raise ConfigError("--full-scale applies to the fig2 preset only")
     text = resources.files("dsmsim").joinpath(f"presets/{name}.json").read_text("utf-8")
-    if full_scale and name == "fig2":
+    if full_scale:
         doc = json.loads(text)
         if FULL_SCALE_BUDGET not in doc["copy_budgets"]:
             doc["copy_budgets"].append(FULL_SCALE_BUDGET)

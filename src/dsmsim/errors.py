@@ -9,10 +9,6 @@ class ConfigError(ValueError):
     """An experiment configuration failed validation."""
 
 
-class ChannelError(ValueError):
-    """A Kraus operator set violates the completeness relation."""
-
-
 class DegenerateNoiseError(RuntimeError):
     """A noise draw produced an unusable object (e.g. 1 + kappa <= 0)."""
 

@@ -12,105 +12,12 @@ constant, which the final physicalization step removes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateDataError, ParameterError, PhysicsError
-from .pure_protocol import PauliProbabilities, _check_config, nominal_coefficients
-from .states import ConjugateState, DensityMatrix
-
-
-@dataclass(frozen=True)
-class ProbeConditional:
-    """Unnormalized probe matrix Lambda''(n, k); trace = postselection weight."""
-
-    m00: float
-    m01: complex
-    m11: float
-
-    def __post_init__(self):
-        if self.m00 < -1e-12 or self.m11 < -1e-12:
-            raise PhysicsError("probe matrix diagonal must be nonnegative")
-        if self.m00 + self.m11 > 1.0 + 1e-12:
-            raise PhysicsError("probe matrix trace exceeds 1")
-        object.__setattr__(self, "m00", max(self.m00, 0.0))
-        object.__setattr__(self, "m11", max(self.m11, 0.0))
-
-    @property
-    def m10(self) -> complex:
-        return self.m01.conjugate()
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.m00, self.m01], [self.m10, self.m11]],
-                        dtype=np.complex128)
-
-
-def _check_finite(raw: np.ndarray):
-    if not np.all(np.isfinite(raw)):
-        raise ParameterError("raw reconstruction has non-finite entries")
-
-
-@dataclass(frozen=True)
-class RawReconstruction:
-    """Pre-physicalization amplitude table; arbitrary scale, not a state."""
-
-    elems: np.ndarray
-
-    def __post_init__(self):
-        elems = np.asarray(self.elems, dtype=np.complex128)
-        if elems.ndim != 2 or elems.shape[0] != elems.shape[1]:
-            raise ParameterError("raw reconstruction must be square")
-        _check_finite(elems)
-        object.__setattr__(self, "elems", elems)
-
-    @property
-    def dim(self) -> int:
-        return self.elems.shape[0]
-
-
-def _check_mixed_inputs(rho: DensityMatrix, conj: ConjugateState, n: int):
-    if conj.dim != rho.dim:
-        raise ParameterError("state and conjugate-state dimensions differ")
-    if not 0 <= n < rho.dim:
-        raise ParameterError(f"basis index {n} outside [0, {rho.dim})")
-
-
-def probe_conditional_c1(rho: DensityMatrix, n: int,
-                         post: ConjugateState) -> ProbeConditional:
-    """Probe matrix for interaction index n, postselected onto |c'_k>."""
-    _check_mixed_inputs(rho, post, n)
-    v = post.coeffs
-    rv = rho.elems @ v
-    overlap = float(np.vdot(v, rv).real)          # <c'_k| rho |c'_k>
-    row = v[n].conjugate() * rv[n]                # <c'_k|n><n| rho |c'_k>
-    col = complex(np.vdot(v, rho.elems[:, n]) * v[n])
-    rnn = float(rho.elems[n, n].real)
-    weight = float(abs(v[n]) ** 2)
-    return ProbeConditional(
-        m00=0.5 * (overlap - 2.0 * row.real + rnn * weight),
-        m01=0.5 * (col - rnn * weight),
-        m11=0.5 * rnn * weight,
-    )
-
-
-def probe_conditional_c2(rho: DensityMatrix, inter: ConjugateState,
-                         n: int) -> ProbeConditional:
-    """Probe matrix for conjugate-projector interaction, postselected onto |n>."""
-    _check_mixed_inputs(rho, inter, n)
-    v = inter.coeffs
-    rv = rho.elems @ v
-    overlap = float(np.vdot(v, rv).real)
-    cross = complex(rv[n] * v[n].conjugate())     # <n| rho |c'_k><c'_k|n>
-    rnn = float(rho.elems[n, n].real)
-    weight = float(abs(v[n]) ** 2)
-    return ProbeConditional(
-        m00=0.5 * (rnn - 2.0 * cross.real + weight * overlap),
-        m01=0.5 * (cross - weight * overlap),
-        m11=0.5 * weight * overlap,
-    )
+from .errors import DegenerateDataError, ParameterError
+from .pure_protocol import _check_config, nominal_coefficients
 
 
 def pauli_from_conditionals(m00, m01, m11) -> np.ndarray:
@@ -131,29 +38,12 @@ def pauli_from_conditionals(m00, m01, m11) -> np.ndarray:
     ], axis=-1)
 
 
-def conditional_probabilities(lam: ProbeConditional) -> PauliProbabilities:
-    """P_j = Tr(|j><j| Lambda'') for the six Pauli eigenstates."""
-    return PauliProbabilities(*pauli_from_conditionals(lam.m00, lam.m01, lam.m11))
-
-
-@dataclass(frozen=True)
-class LambdaEstimate:
-    """The measurable probe-matrix entries for one (n, k) cell.
-
-    ``off_diag`` is Lambda''_10 in C1 and Lambda''_01 in C2; ``diag11`` is
-    Lambda''_11 in both.
-    """
-
-    off_diag: complex
-    diag11: float
-
-
 def lambda_tables(pauli, config: str):
     """Probe-matrix entries from Pauli readout probabilities, elementwise.
 
     ``pauli`` holds (p0, p1, p+, p-, pL, pR) along its last axis; returns
-    the off-diagonal entry (as in LambdaEstimate) and Lambda''_11 as arrays
-    over the leading axes.
+    the measurable entries as arrays over the leading axes: the off-diagonal
+    entry, Lambda''_10 in C1 and Lambda''_01 in C2, and Lambda''_11.
     """
     _check_config(config)
     pauli = np.asarray(pauli, dtype=np.float64)
@@ -164,30 +54,19 @@ def lambda_tables(pauli, config: str):
     return 0.5 * rotated, pauli[..., 1]
 
 
-def lambda_from_pauli(probs: PauliProbabilities, config: str) -> LambdaEstimate:
-    """Recover the probe-matrix entries from Pauli readout probabilities."""
-    off, diag = lambda_tables(list(probs.as_dict().values()), config)
-    return LambdaEstimate(off_diag=complex(off), diag11=float(diag))
-
-
-def conditional_tables(rho, family, config: str):
+def conditional_tables(rho, coeff_rows, config: str):
     """All probe-conditional entries over (n, k) in one vectorized pass.
 
-    ``rho`` is a DensityMatrix or an array of density-matrix entries, which
-    may stack matrices along leading axes. ``family`` is the conjugate
-    family: d ConjugateStates, or their d x d coefficient array from
-    conjugate_coefficients, which may stack several families along leading
-    axes. Returns (m00, m01, m11) arrays indexed [..., n, k]; cell (n, k)
-    equals the matching probe_conditional_* entries.
+    ``rho`` holds density-matrix entries and ``coeff_rows`` the conjugate
+    family as the d x d coefficient array of conjugate_coefficients (row k
+    holds |c'_k>); either may stack along leading axes. Returns (m00, m01, m11) arrays indexed
+    [..., n, k]: the unnormalized 2 x 2 probe matrix Lambda''(n, k), whose
+    trace is the postselection weight, for interaction index n postselected
+    onto |c'_k> (C1) or interaction |c'_k> postselected onto |n> (C2).
     """
     _check_config(config)
-    rho = rho.elems if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    rho = np.asarray(rho)
     d = rho.shape[-1]
-    coeff_rows = family                                            # [..., k, n]
-    if not isinstance(coeff_rows, np.ndarray):
-        if len(family) != d:
-            raise ParameterError("need one conjugate state per index k")
-        coeff_rows = np.array([state.coeffs for state in family])
     if coeff_rows.shape[-2:] != (d, d):
         raise ParameterError("need one conjugate state per index k")
     coeff_cols = np.swapaxes(coeff_rows, -1, -2)                   # [..., n, k]
@@ -211,26 +90,6 @@ def conditional_tables(rho, family, config: str):
         m01 = 0.5 * (cross - mixer)
         m00 = 0.5 * (diag[..., :, None] - 2.0 * cross.real + mixer)
     return m00.real, m01, m11.real
-
-
-def exact_lambda_tables(rho: DensityMatrix, family, config: str):
-    """Noise-free (n, k) tables of off-diagonal and diagonal probe entries."""
-    _check_config(config)
-    d = rho.dim
-    if len(family) != d:
-        raise ParameterError("need one conjugate state per index k")
-    off = np.empty((d, d), dtype=np.complex128)
-    diag = np.empty((d, d), dtype=np.float64)
-    for n in range(d):
-        for k in range(d):
-            if config == "C1":
-                cell = probe_conditional_c1(rho, n, family[k])
-                off[n, k] = cell.m10
-            else:
-                cell = probe_conditional_c2(rho, family[k], n)
-                off[n, k] = cell.m01
-            diag[n, k] = cell.m11
-    return off, diag
 
 
 def _check_tables(off_diag, diag11):
@@ -262,7 +121,14 @@ def _inverse_fourier_sum(table: np.ndarray, d: int) -> np.ndarray:
 
 
 def raw_reconstruction(off_diag, diag11, config: str, nominal=None) -> np.ndarray:
-    """Raw tables of reconstruct_mixed_c1/c2 for tables [..., n, k]."""
+    """Inverse Fourier sum over k of lambda tables [..., n, k]; arbitrary scale.
+
+    C1 sums Lambda''_10(n, k); its diagonal uses the k-average of
+    Lambda''_11(n, k), which is exactly k-independent, so averaging the
+    sampled estimates reduces variance without bias. C2 sums
+    Lambda''_01(n, k) + Lambda''_11(n, k). Raises ParameterError on
+    non-finite entries.
+    """
     _check_config(config)
     off_diag, diag11, d = _check_tables(off_diag, diag11)
     if nominal is None:
@@ -274,30 +140,19 @@ def raw_reconstruction(off_diag, diag11, config: str, nominal=None) -> np.ndarra
     else:
         raw = _inverse_fourier_sum(off_diag + diag11, d)
     raw = raw / np.outer(nominal, nominal)
-    _check_finite(raw)
+    if not np.all(np.isfinite(raw)):
+        raise ParameterError("raw reconstruction has non-finite entries")
     return raw
 
 
-def reconstruct_mixed_c1(off_diag, diag11, nominal=None) -> RawReconstruction:
-    """Inverse Fourier sum over k of Lambda''_10(n, k).
-
-    The diagonal term uses the k-average of Lambda''_11(n, k): the exact
-    entry is k-independent, so averaging the sampled estimates reduces
-    variance without bias.
-    """
-    return RawReconstruction(raw_reconstruction(off_diag, diag11, "C1", nominal))
-
-
-def reconstruct_mixed_c2(off_diag, diag11, nominal=None) -> RawReconstruction:
-    """Inverse Fourier sum over k of Lambda''_01(n, k) + Lambda''_11(n, k)."""
-    return RawReconstruction(raw_reconstruction(off_diag, diag11, "C2", nominal))
-
-
 def physicalize_tables(raw) -> np.ndarray:
-    """physicalize for raw tables stacked along leading axes; not validated.
+    """Map raw tables, stacked along leading axes, to legal states.
 
-    Returns raw^dag raw / Tr(raw^dag raw) per table; the caller checks the
-    result with check_density_matrices.
+    Returns rho~ = raw^dag raw / Tr(raw^dag raw) per table: Hermitian, PSD
+    and trace-one by construction, but note the eigenvalue squaring: a raw
+    table proportional to a non-projector state does not map back to that
+    state. Not validated; the caller checks the result with
+    check_density_matrices.
     """
     gram = np.swapaxes(raw.conj(), -1, -2) @ raw
     traces = np.trace(gram, axis1=-2, axis2=-1).real
@@ -305,12 +160,3 @@ def physicalize_tables(raw) -> np.ndarray:
         raise DegenerateDataError("raw reconstruction is zero; nothing to normalize")
     return gram / traces[..., None, None]
 
-
-def physicalize(raw: RawReconstruction) -> DensityMatrix:
-    """Map a raw table to a legal state: rho~ = raw^dag raw / Tr(raw^dag raw).
-
-    Hermitian, PSD, and trace-one by construction, but note the eigenvalue
-    squaring: a raw table proportional to a non-projector state does not map
-    back to that state.
-    """
-    return DensityMatrix(physicalize_tables(raw.elems))

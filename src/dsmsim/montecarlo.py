@@ -50,25 +50,15 @@ from .mixed_protocol import (
     raw_reconstruction,
 )
 from .noise import perturb_pure_state, sample_kappas, white_noise_channel
-from .pure_protocol import (
-    PauliProbabilities,
-    _check_config,
-    pauli_table,
-    reconstruct_pure,
-)
-from .sampling import OutcomeDistribution, outcome_table, sample_count_tables
+from .pure_protocol import _check_config, pauli_table, reconstruct_pure
+from .sampling import outcome_table, sample_count_tables
 from .states import (
-    ConjugateState,
     DensityMatrix,
     PureState,
     check_density_matrices,
     conjugate_coefficients,
     make_conjugate_state,
 )
-
-BASES = ("Z", "X", "Y")
-BASIS_OUTCOMES = {"Z": ("0", "1"), "X": ("+", "-"), "Y": ("L", "R")}
-FAIL = "fail"
 
 STATE_KINDS = ("pure", "mixed")
 # A batch of repetitions holds at most this many outcome probabilities (and
@@ -80,45 +70,6 @@ BATCH_CELLS = 1 << 15
 # Distinct targets and prepared states kept per process; a sweep needs one
 # per state and epsilon value.
 INVARIANTS = 64
-
-
-@dataclass(frozen=True)
-class Setting:
-    """One measurement setting: a probe basis plus a fixed interaction index.
-
-    ``index`` is the interaction's basis index n (C1) or conjugate index k
-    (mixed C2); pure C2 has a single interaction, so index is None.
-    """
-
-    mode: str
-    config: str
-    basis: str
-    index: int | None = None
-
-
-@dataclass(frozen=True)
-class CopyBudget:
-    total: int
-    per_setting: dict
-
-    def __post_init__(self):
-        counts = list(self.per_setting.values())
-        if any(c < 0 for c in counts) or sum(counts) != self.total:
-            raise ParameterError("per-setting copies must be nonnegative and sum to the total")
-
-
-def enumerate_settings(config: str, state_kind: str, d: int) -> list[Setting]:
-    """Deterministically ordered settings for one protocol."""
-    _check_config(config)
-    if state_kind not in STATE_KINDS:
-        raise ParameterError(f"state kind must be one of {STATE_KINDS}")
-    if state_kind == "pure" and config == "C2":
-        return [Setting("pure", "C2", basis) for basis in BASES]
-    return [
-        Setting(state_kind, config, basis, index)
-        for index in range(d)
-        for basis in BASES
-    ]
 
 
 def _split_copies(total: int, parts: int) -> np.ndarray:
@@ -133,16 +84,11 @@ def _split_copies(total: int, parts: int) -> np.ndarray:
     return copies
 
 
-def allocate_copies(total: int, settings) -> CopyBudget:
-    """Equal split, remainder to the lowest-indexed settings."""
-    copies = _split_copies(total, len(settings)).tolist()
-    return CopyBudget(total=total, per_setting=dict(zip(settings, copies)))
-
-
 # One repetition works on two layouts of the same numbers. A Pauli table
 # holds (p0, p1, p+, p-, pL, pR) for every cell (n, k) along its last axis;
-# pure states have a single k. An outcome table has one row per setting, in
-# enumerate_settings order, and one column per outcome of that setting:
+# pure states have a single k. An outcome table has one row per setting,
+# ordered by the index the setting fixes (n in C1, k in C2) and then by
+# probe basis Z, X, Y, and one column per outcome of that setting:
 # (branch, probe eigenvalue) pairs, branches running over the index the
 # setting does not fix, then the failed postselection last. Both may stack
 # repetitions along leading axes.
@@ -178,77 +124,6 @@ def _frequencies(counts: np.ndarray, copies: np.ndarray, config: str, d: int) ->
     return _pauli_cells(freq, config, d)
 
 
-def _setting_position(setting: Setting, d: int) -> int:
-    basis = BASES.index(setting.basis)
-    if setting.mode == "pure" and setting.config == "C2":
-        return basis
-    if not 0 <= setting.index < d:
-        raise ParameterError(f"setting index {setting.index} outside [0, {d})")
-    return 3 * setting.index + basis
-
-
-def _outcome_labels(setting: Setting, branches: int) -> tuple:
-    pair = BASIS_OUTCOMES[setting.basis]
-    if setting.mode == "pure" and setting.config == "C1":
-        return pair + (FAIL,)
-    return tuple((branch, j) for branch in range(branches) for j in pair) + (FAIL,)
-
-
-def build_outcome_distribution(setting: Setting, *, psi_prime: PureState = None,
-                               conj: ConjugateState = None,
-                               rho_prime: DensityMatrix = None,
-                               family=None, tables=None) -> OutcomeDistribution:
-    """Joint outcome distribution for every copy assigned to a setting.
-
-    Labels are (postselection result, probe eigenvalue) pairs for scan-free
-    settings, bare probe eigenvalues for pure C1, plus a trailing failure
-    outcome absorbing the remaining probability weight. Mixed settings may
-    pass precomputed ``tables`` from conditional_tables. This is one row of
-    the outcome table a repetition builds for all settings at once.
-    """
-    if setting.mode == "pure":
-        if psi_prime is None or conj is None:
-            raise ParameterError("pure settings need psi_prime and conj")
-        pauli = pauli_table(psi_prime, conj, setting.config)[:, None, :]
-    else:
-        if tables is None:
-            if rho_prime is None or family is None:
-                raise ParameterError("mixed settings need rho_prime and the "
-                                     "conjugate family (or precomputed tables)")
-            tables = conditional_tables(rho_prime, family, setting.config)
-        pauli = pauli_from_conditionals(*tables)
-    rows = _setting_rows(pauli, setting.config)
-    probs = outcome_table(rows[_setting_position(setting, pauli.shape[0])])[0]
-    return OutcomeDistribution(_outcome_labels(setting, rows.shape[1] // 2), probs)
-
-
-def _sample_table(samples: dict, budget: CopyBudget, config: str, kind: str, d: int):
-    """Counts and copies of a {setting: (labels, counts)} map, in setting order.
-
-    Each setting's counts must follow its distribution's label order.
-    """
-    settings = enumerate_settings(config, kind, d)
-    counts = np.array([samples[setting][1] for setting in settings])
-    copies = np.array([budget.per_setting[setting] for setting in settings])
-    return counts, copies
-
-
-def estimate_pure_probabilities(samples: dict, budget: CopyBudget,
-                                d: int) -> list[PauliProbabilities]:
-    """Frequency estimates P_j = count / copies, one table row per index n."""
-    config = next(iter(samples)).config
-    counts, copies = _sample_table(samples, budget, config, "pure", d)
-    pauli = _frequencies(counts, copies, config, d)[:, 0, :]
-    return [PauliProbabilities(*row) for row in pauli]
-
-
-def estimate_lambda_tables(samples: dict, budget: CopyBudget, config: str,
-                           d: int):
-    """Frequency-estimated probe-matrix tables over (n, k)."""
-    counts, copies = _sample_table(samples, budget, config, "mixed", d)
-    return lambda_tables(_frequencies(counts, copies, config, d), config)
-
-
 @dataclass(frozen=True)
 class ExperimentPoint:
     """One grid point of a sweep: fixed state, noise, budget, and seed."""
@@ -269,6 +144,18 @@ class ExperimentPoint:
         _check_config(self.config)
         if self.repetitions < 1:
             raise ParameterError("need at least one repetition")
+        if self.num_copies < 1:
+            raise ParameterError("copy budget must be positive")
+        if not (self.sigma_prep >= 0.0 and self.sigma_post >= 0.0):
+            raise ParameterError("sigma must be nonnegative")
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ParameterError("epsilon must lie in [0, 1]")
+        # each mode has one preparation noise; the other one would be ignored
+        if self.mode == "mixed" and self.sigma_prep != 0.0:
+            raise ParameterError("mixed-mode preparation noise is epsilon; "
+                                 "sigma_prep applies to pure mode only")
+        if self.mode == "pure" and self.epsilon != 0.0:
+            raise ParameterError("epsilon applies to mixed mode only")
 
     # Mixed-state invariants of the grid point. They depend only on the
     # state and epsilon, so they are built and validated once per process

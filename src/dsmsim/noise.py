@@ -3,21 +3,17 @@
 State-preparation noise perturbs each amplitude by an independent complex
 Gaussian and renormalizes; postselection noise biases the conjugate-basis
 detector ports (see states.make_conjugate_state). Mixed-state preparation
-noise is a channel acting on the density matrix, with the white-noise
-(depolarizing) channel as the standard example. A gate-level imperfect
-Hadamard circuit illustrates where preparation noise comes from.
+noise is the white-noise (depolarizing) channel acting on the density
+matrix. A gate-level imperfect Hadamard circuit illustrates where
+preparation noise comes from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ChannelError, DegenerateNoiseError, ParameterError
+from .errors import DegenerateNoiseError, ParameterError
 from .states import DensityMatrix, PureState
-
-COMPLETENESS_ATOL = 1e-10
 
 
 def perturb_pure_state(psi: PureState, sigma: float, rng) -> tuple[PureState, float]:
@@ -56,60 +52,6 @@ def white_noise_channel(rho: DensityMatrix, epsilon: float) -> DensityMatrix:
         raise ParameterError("epsilon must lie in [0, 1]")
     d = rho.dim
     return DensityMatrix((1.0 - epsilon) * rho.elems + (epsilon / d) * np.eye(d))
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """A completely positive trace-preserving map given by operators E_k."""
-
-    ops: tuple
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(op, dtype=np.complex128) for op in self.ops)
-        if not ops:
-            raise ChannelError("channel needs at least one Kraus operator")
-        d = ops[0].shape[0]
-        if any(op.shape != (d, d) for op in ops):
-            raise ChannelError("all Kraus operators must be d x d")
-        total = sum(op.conj().T @ op for op in ops)
-        if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_ATOL:
-            raise ChannelError("Kraus operators violate sum E_k^dag E_k = I")
-        object.__setattr__(self, "ops", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.ops[0].shape[0]
-
-
-def apply_kraus_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
-    """Evaluate sum_k E_k rho E_k^dag."""
-    if channel.dim != rho.dim:
-        raise ParameterError("channel and state dimensions differ")
-    out = np.zeros_like(rho.elems)
-    for op in channel.ops:
-        out = out + op @ rho.elems @ op.conj().T
-    return DensityMatrix(out)
-
-
-def depolarizing_kraus(d: int, epsilon: float) -> KrausChannel:
-    """Kraus decomposition of the white-noise channel.
-
-    Uses the shift/clock (generalized Pauli) unitaries W_ab = X^a Z^b: their
-    uniform average fully mixes any input, so
-    (1 - eps) rho + eps I/d = (1 - eps + eps/d^2) rho
-                              + eps/d^2 sum_{(a,b) != 0} W_ab rho W_ab^dag.
-    """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ParameterError("epsilon must lie in [0, 1]")
-    shift = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
-    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    ops = []
-    for a in range(d):
-        for b in range(d):
-            w = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
-            weight = 1.0 - epsilon + epsilon / d**2 if a == b == 0 else epsilon / d**2
-            ops.append(np.sqrt(weight) * w)
-    return KrausChannel(tuple(ops))
 
 
 def ry(theta: float) -> np.ndarray:

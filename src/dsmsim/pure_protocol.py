@@ -21,11 +21,9 @@ exact for complex amplitudes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateDataError, ParameterError, PhysicsError
+from .errors import DegenerateDataError, ParameterError
 from .states import ConjugateState, PureState
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -39,69 +37,16 @@ def _check_config(config: str) -> str:
     return config
 
 
-@dataclass(frozen=True)
-class ProbeState:
-    """Unnormalized control-qubit state after postselection.
-
-    The missing norm is the postselection-failure weight, so
-    |a0|^2 + |a1|^2 <= 1.
-    """
-
-    a0: complex
-    a1: complex
-
-    def __post_init__(self):
-        if self.success_probability > 1.0 + 1e-12:
-            raise PhysicsError("probe state norm exceeds 1")
-
-    @property
-    def success_probability(self) -> float:
-        return abs(self.a0) ** 2 + abs(self.a1) ** 2
-
-
-@dataclass(frozen=True)
-class PauliProbabilities:
-    """Probe readout probabilities for the six Pauli eigenstates.
-
-    For exact physics each basis pair sums to the postselection success
-    probability; empirical frequency estimates need not satisfy that.
-    """
-
-    p0: float
-    p1: float
-    p_plus: float
-    p_minus: float
-    p_l: float
-    p_r: float
-
-    def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if not -1e-12 <= value <= 1.0 + 1e-12:
-                raise PhysicsError(f"probability {name}={value!r} outside [0, 1]")
-
-    def as_dict(self) -> dict:
-        return {
-            "0": self.p0,
-            "1": self.p1,
-            "+": self.p_plus,
-            "-": self.p_minus,
-            "L": self.p_l,
-            "R": self.p_r,
-        }
-
-
 def postselection_overlap(psi_prime: PureState, conj: ConjugateState) -> complex:
     """Gamma = sum_m c_m psi'_m for the k = 0 conjugate state."""
     return complex(np.dot(conj.magnitudes, psi_prime.amps))
 
 
-def _check_pure_inputs(psi_prime: PureState, conj: ConjugateState, n: int):
+def _check_pure_inputs(psi_prime: PureState, conj: ConjugateState):
     if conj.dim != psi_prime.dim:
         raise ParameterError("state and conjugate-state dimensions differ")
     if conj.index != 0:
         raise ParameterError("pure-state protocols use the k = 0 conjugate state")
-    if not 0 <= n < psi_prime.dim:
-        raise ParameterError(f"basis index {n} outside [0, {psi_prime.dim})")
 
 
 def _probe_c1(amps, magnitudes, gamma: complex, n: int):
@@ -112,20 +57,6 @@ def _probe_c1(amps, magnitudes, gamma: complex, n: int):
 def _probe_c2(amps, magnitudes, gamma: complex, n: int):
     cn_gamma = magnitudes[n] * gamma
     return (amps[n] - cn_gamma) * _SQRT2_INV, cn_gamma * _SQRT2_INV
-
-
-def probe_state_c1(psi_prime: PureState, post: ConjugateState, n: int) -> ProbeState:
-    """Probe state for interaction index n, postselected onto |c'_0>."""
-    _check_pure_inputs(psi_prime, post, n)
-    gamma = postselection_overlap(psi_prime, post)
-    return ProbeState(*_probe_c1(psi_prime.amps, post.magnitudes, gamma, n))
-
-
-def probe_state_c2(psi_prime: PureState, inter: ConjugateState, n: int) -> ProbeState:
-    """Probe state for conjugate-projector interaction, postselected onto |n>."""
-    _check_pure_inputs(psi_prime, inter, n)
-    gamma = postselection_overlap(psi_prime, inter)
-    return ProbeState(*_probe_c2(psi_prime.amps, inter.magnitudes, gamma, n))
 
 
 def _pauli_row(a0, a1) -> tuple:
@@ -139,31 +70,19 @@ def _pauli_row(a0, a1) -> tuple:
     )
 
 
-def pauli_probabilities(eta: ProbeState) -> PauliProbabilities:
-    """P_j = |<j|eta>|^2 for j in {0, 1, +, -, L, R}."""
-    return PauliProbabilities(*_pauli_row(eta.a0, eta.a1))
-
-
 def pauli_table(psi_prime: PureState, conj: ConjugateState, config: str) -> np.ndarray:
     """Probe probabilities (p0, p1, p+, p-, pL, pR) as one row per basis index.
 
-    The same scalar arithmetic as pauli_probabilities(probe_state_*(...)),
-    evaluated once per index without building the per-index objects.
+    Row n holds P_j = |<j|eta_n>|^2 for the unnormalized probe state eta_n
+    of index n; each basis pair sums to the postselection success
+    probability |eta_n|^2.
     """
     probe = _probe_c1 if _check_config(config) == "C1" else _probe_c2
-    _check_pure_inputs(psi_prime, conj, 0)
+    _check_pure_inputs(psi_prime, conj)
     gamma = postselection_overlap(psi_prime, conj)
     amps, magnitudes = psi_prime.amps, conj.magnitudes
     return np.array([_pauli_row(*probe(amps, magnitudes, gamma, n))
                      for n in range(psi_prime.dim)])
-
-
-def exact_pauli_table(psi_prime: PureState, conj: ConjugateState,
-                      config: str) -> list[PauliProbabilities]:
-    """Noise-free (unsampled) probe probabilities for every basis index."""
-    probe = probe_state_c1 if _check_config(config) == "C1" else probe_state_c2
-    return [pauli_probabilities(probe(psi_prime, conj, n))
-            for n in range(psi_prime.dim)]
 
 
 def nominal_coefficients(d: int) -> np.ndarray:
@@ -172,10 +91,9 @@ def nominal_coefficients(d: int) -> np.ndarray:
 
 
 def reconstruct_pure(prob_table, nominal=None, config: str = "C1") -> PureState:
-    """Amplitude estimate from one PauliProbabilities entry per basis index.
+    """Amplitude estimate from one (p0, p1, p+, p-, pL, pR) row per basis index.
 
-    ``prob_table`` may also be an array with one (p0, p1, p+, p-, pL, pR)
-    row per index, as pauli_table returns. Forms
+    ``prob_table`` is laid out as pauli_table returns it. Forms
     v_n = (P_+ - P_- + 2 P_1) +/- i (P_L - P_R) (sign per configuration),
     divides by the nominal conjugate coefficients, and drops the unknown
     overall factor by renormalizing. The global phase is fixed by making the
@@ -190,8 +108,6 @@ def reconstruct_pure(prob_table, nominal=None, config: str = "C1") -> PureState:
     nominal = np.asarray(nominal, dtype=np.float64)
     if nominal.shape != (d,) or np.any(nominal <= 0.0):
         raise ParameterError("nominal coefficients must be positive, one per index")
-    if not isinstance(prob_table, np.ndarray):
-        prob_table = np.array([list(probs.as_dict().values()) for probs in prob_table])
     p1, p_plus, p_minus, p_l, p_r = prob_table[:, 1:].T
     sign = 1.0 if config == "C1" else -1.0
     vec = np.empty(d, dtype=np.complex128)

@@ -21,8 +21,6 @@ blocks win when a few rows carry many copies each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError, PhysicsError
@@ -78,32 +76,6 @@ def outcome_table(success) -> np.ndarray:
     success = np.asarray(success, dtype=np.float64)
     fail = 1.0 - np.cumsum(success, axis=-1)[..., -1:]
     return check_outcome_table(np.concatenate((success, fail), axis=-1))
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Outcome labels and probabilities for one measurement setting."""
-
-    labels: tuple
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if len(self.labels) != probs.shape[0]:
-            raise ParameterError("labels and probabilities must align")
-        if probs.shape[0] == 0:
-            raise ParameterError("distribution needs at least one outcome")
-        probs = check_outcome_table(probs)[0]
-        probs.setflags(write=False)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "probs", probs)
-
-    def cdf(self) -> np.ndarray:
-        # An infinite last edge keeps every variate inside the table even
-        # when rounding leaves the cumulative sum marginally below 1.
-        edges = np.cumsum(self.probs)
-        edges[-1] = np.inf
-        return edges
 
 
 def _below_padded(edges, copies, rngs) -> np.ndarray:
@@ -236,12 +208,3 @@ def _copies_below(probs, copies, rngs) -> np.ndarray:
         return _below_slots(edges, copies, rngs, size)
     return _below_padded(edges, copies, rngs)
 
-
-def sample_count_table(probs, copies, rng) -> np.ndarray:
-    """sample_count_tables for one table [setting, outcome] and its stream."""
-    return sample_count_tables(np.asarray(probs)[None], copies, [rng])[0]
-
-
-def sample_counts(dist: OutcomeDistribution, count: int, rng) -> np.ndarray:
-    """Multinomial outcome counts for ``count`` copies, one variate per copy."""
-    return sample_count_table(dist.probs[None, :], [count], rng)[0]

@@ -173,11 +173,6 @@ def make_conjugate_state(d: int, k: int = 0, kappas=None) -> ConjugateState:
     )
 
 
-def conjugate_family(d: int, kappas=None) -> tuple[ConjugateState, ...]:
-    """All d conjugate states sharing one detector-bias draw."""
-    return tuple(make_conjugate_state(d, k, kappas) for k in range(d))
-
-
 def conjugate_coefficients(d: int, kappas=None) -> np.ndarray:
     """The conjugate family as one d x d array: row k holds the coeffs of |c'_k>.
 

@@ -104,6 +104,24 @@ def closed_form_probs_c2(psi_amps, magnitudes, n) -> dict:
     }
 
 
+def shift_clock_kraus(d: int, epsilon: float) -> list:
+    """Kraus operators of the white-noise channel, from shift/clock unitaries.
+
+    The generalized Paulis W_ab = X^a Z^b average any input to I/d, so
+    (1 - eps) rho + eps I/d = (1 - eps + eps/d^2) rho
+                              + eps/d^2 sum_{(a,b) != 0} W_ab rho W_ab^dag.
+    """
+    shift = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    ops = []
+    for a in range(d):
+        for b in range(d):
+            w = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+            weight = 1.0 - epsilon + epsilon / d**2 if a == b == 0 else epsilon / d**2
+            ops.append(np.sqrt(weight) * w)
+    return ops
+
+
 def real_overlap_state(rng, d: int, magnitudes: np.ndarray) -> np.ndarray:
     """Random unit vector rotated so its overlap with the conjugate state is
     real and positive (the global-phase choice the closed forms assume)."""
@@ -246,9 +264,9 @@ def reference_repetition(point, rep):
     """(distance, state) of one repetition, computed setting by setting."""
     from dsmsim.errors import DegenerateDataError
     from dsmsim.metrics import trace_distance_mixed, trace_distance_pure
-    from dsmsim.mixed_protocol import RawReconstruction, physicalize
+    from dsmsim.mixed_protocol import physicalize_tables
     from dsmsim.noise import perturb_pure_state, sample_kappas, white_noise_channel
-    from dsmsim.states import PureState
+    from dsmsim.states import DensityMatrix, PureState
 
     rng = np.random.default_rng(
         np.random.SeedSequence(tuple(point.seed_entropy) + (rep,)))
@@ -304,5 +322,5 @@ def reference_repetition(point, rep):
         else:
             off[n, k] = 0.5 * complex(delta_x, -delta_y)
         diag[n, k] = p["1"]
-    recon = physicalize(RawReconstruction(_reference_raw(off, diag, point.config)))
+    recon = DensityMatrix(physicalize_tables(_reference_raw(off, diag, point.config)))
     return trace_distance_mixed(target, recon), recon

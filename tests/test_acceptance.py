@@ -17,27 +17,26 @@ from dsmsim.metrics import (
     trace_distance_pure,
 )
 from dsmsim.mixed_protocol import (
-    RawReconstruction,
-    exact_lambda_tables,
-    physicalize,
-    probe_conditional_c1,
-    probe_conditional_c2,
-    reconstruct_mixed_c1,
-    reconstruct_mixed_c2,
+    conditional_tables,
+    lambda_tables,
+    pauli_from_conditionals,
+    physicalize_tables,
+    raw_reconstruction,
 )
 from dsmsim.montecarlo import ExperimentPoint, run_repetitions
 from dsmsim.noise import noisy_ghz_circuit, sample_kappas
-from dsmsim.pure_protocol import exact_pauli_table, probe_state_c1, probe_state_c2, reconstruct_pure
+from dsmsim.pure_protocol import pauli_table, reconstruct_pure
 from dsmsim.states import (
     DensityMatrix,
     PureState,
-    conjugate_family,
+    conjugate_coefficients,
     make_conjugate_state,
     random_density_matrix,
     standard_state,
 )
 
 from oracles import (
+    _reference_pauli,
     joint_conditional_c1,
     joint_conditional_c2,
     joint_probe_c1,
@@ -99,24 +98,22 @@ def test_criterion_01_analytic_exactness():
         for _ in range(100):
             psi = standard_state("haar", int(np.log2(d)), seed=int(rng.integers(1 << 31)))
             for config in CONFIGS:
-                recon = reconstruct_pure(exact_pauli_table(psi, conj, config),
-                                         config=config)
+                recon = reconstruct_pure(pauli_table(psi, conj, config), config=config)
                 worst_pure = max(worst_pure, trace_distance_pure(psi, recon))
     worst_mixed = 0.0
     for d in (2, 4, 8):
-        family = conjugate_family(d)
+        coeffs = conjugate_coefficients(d)
         for _ in range(50):
             rho = random_density_matrix(d, rng)
-            for config, reconstruct in (("C1", reconstruct_mixed_c1),
-                                        ("C2", reconstruct_mixed_c2)):
-                off, diag = exact_lambda_tables(rho, family, config)
-                raw = reconstruct(off, diag)
-                linear = DensityMatrix(raw.elems / np.trace(raw.elems).real)
+            for config in CONFIGS:
+                pauli = pauli_from_conditionals(*conditional_tables(rho.elems, coeffs, config))
+                raw = raw_reconstruction(*lambda_tables(pauli, config), config)
+                linear = DensityMatrix(raw / np.trace(raw).real)
                 worst_mixed = max(worst_mixed, trace_distance_mixed(rho, linear))
                 worst_mixed = max(
                     worst_mixed,
-                    trace_distance_mixed(physicalize(raw),
-                                         physicalize(RawReconstruction(rho.elems))))
+                    trace_distance_mixed(DensityMatrix(physicalize_tables(raw)),
+                                         DensityMatrix(physicalize_tables(rho.elems))))
     passed = worst_pure < 1e-10 and worst_mixed < 1e-10
     report(1, "noiseless exact-probability reconstruction below 1e-10", passed,
            f"pure worst {worst_pure:.2e}, mixed worst {worst_mixed:.2e}")
@@ -131,22 +128,22 @@ def test_criterion_02_oracle_equivalence():
             psi = standard_state("haar", qubits, seed=int(rng.integers(1 << 31)))
             rho = random_density_matrix(d, rng)
             kappas = sample_kappas(d, 0.1, rng)
-            family = conjugate_family(d, kappas)
-            conj = family[0]
-            for n in range(d):
-                eta = probe_state_c1(psi, conj, n)
-                ref = joint_probe_c1(psi.amps, conj.coeffs, n)
-                worst = max(worst, abs(eta.a0 - ref[0]), abs(eta.a1 - ref[1]))
-                eta = probe_state_c2(psi, conj, n)
-                ref = joint_probe_c2(psi.amps, conj.coeffs, n)
-                worst = max(worst, abs(eta.a0 - ref[0]), abs(eta.a1 - ref[1]))
-                for k in range(d):
-                    got = probe_conditional_c1(rho, n, family[k]).matrix
+            conj = make_conjugate_state(d, 0, kappas)
+            coeffs = conjugate_coefficients(d, kappas)
+            for config, joint_probe, joint_conditional in (
+                    ("C1", joint_probe_c1, joint_conditional_c1),
+                    ("C2", joint_probe_c2, joint_conditional_c2)):
+                table = pauli_table(psi, conj, config)
+                m00, m01, m11 = conditional_tables(rho.elems, coeffs, config)
+                for n in range(d):
+                    ref = _reference_pauli(*joint_probe(psi.amps, conj.coeffs, n))
                     worst = max(worst, float(np.max(np.abs(
-                        got - joint_conditional_c1(rho.elems, family[k].coeffs, n)))))
-                    got = probe_conditional_c2(rho, family[k], n).matrix
-                    worst = max(worst, float(np.max(np.abs(
-                        got - joint_conditional_c2(rho.elems, family[k].coeffs, n)))))
+                        table[n] - [ref[key] for key in "01+-LR"]))))
+                    for k in range(d):
+                        got = np.array([[m00[n, k], m01[n, k]],
+                                        [np.conj(m01[n, k]), m11[n, k]]])
+                        worst = max(worst, float(np.max(np.abs(
+                            got - joint_conditional(rho.elems, coeffs[k], n)))))
     report(2, "closed forms match full joint evolution within 1e-12",
            worst < 1e-12, f"worst deviation {worst:.2e}")
 

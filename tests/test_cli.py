@@ -110,6 +110,14 @@ def test_fig2_full_scale_extends_budget():
     assert full.copy_budgets[:-1] == desk.copy_budgets
 
 
+@pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6"])
+def test_full_scale_rejected_outside_fig2(name, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["preset", name, "--full-scale", "--out", str(out)]) == 1
+    assert "--full-scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_multi_table_output_paths(tmp_path):
     paths = output_paths(str(tmp_path / "fig6.csv"), ("curves", "histogram"))
     assert paths["curves"].name == "fig6_curves.csv"

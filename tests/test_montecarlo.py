@@ -10,26 +10,24 @@ from dsmsim import montecarlo
 from dsmsim.errors import DegenerateDataError, DegenerateNoiseError, ParameterError
 from dsmsim.experiments import parse_config, run_figure
 from dsmsim.metrics import trace_distance_mixed, trace_distance_pure
-from dsmsim.mixed_protocol import exact_lambda_tables
+from dsmsim.mixed_protocol import conditional_tables, lambda_tables, pauli_from_conditionals
 from dsmsim.noise import white_noise_channel
 from dsmsim.montecarlo import (
     ExperimentPoint,
-    Setting,
     _batches,
     _distances,
-    allocate_copies,
-    build_outcome_distribution,
-    enumerate_settings,
-    estimate_lambda_tables,
-    estimate_pure_probabilities,
+    _frequencies,
+    _setting_rows,
+    _split_copies,
     run_points,
     run_repetitions,
     run_single_repetition,
 )
-from dsmsim.pure_protocol import exact_pauli_table, reconstruct_pure
+from dsmsim.pure_protocol import pauli_table, reconstruct_pure
+from dsmsim.sampling import outcome_table
 from dsmsim.states import (
     PureState,
-    conjugate_family,
+    conjugate_coefficients,
     make_conjugate_state,
     random_density_matrix,
     standard_state,
@@ -38,48 +36,51 @@ from dsmsim.states import (
 GHZ = standard_state("ghz", 3)
 
 
+def pure_outcomes(psi, conj, config):
+    """Outcome table of a pure repetition: one row per setting."""
+    return outcome_table(_setting_rows(pauli_table(psi, conj, config)[:, None, :], config))
+
+
+def mixed_outcomes(rho, coeffs, config):
+    """Outcome table of a mixed repetition: one row per setting."""
+    pauli = pauli_from_conditionals(*conditional_tables(rho.elems, coeffs, config))
+    return outcome_table(_setting_rows(pauli, config))
+
+
 def test_setting_enumeration_counts():
-    assert len(enumerate_settings("C2", "pure", 8)) == 3
-    assert len(enumerate_settings("C1", "pure", 8)) == 24
-    assert len(enumerate_settings("C1", "mixed", 4)) == 12
-    assert len(enumerate_settings("C2", "mixed", 4)) == 12
+    psi = standard_state("haar", 3, seed=1)
+    conj = make_conjugate_state(8, 0)
+    assert pure_outcomes(psi, conj, "C2").shape == (3, 2 * 8 + 1)
+    assert pure_outcomes(psi, conj, "C1").shape == (24, 3)
+    rho = random_density_matrix(4, np.random.default_rng(2))
+    for config in ("C1", "C2"):
+        assert mixed_outcomes(rho, conjugate_coefficients(4), config).shape == (12, 9)
     with pytest.raises(ParameterError):
-        enumerate_settings("C3", "pure", 4)
-    with pytest.raises(ParameterError):
-        enumerate_settings("C1", "thermal", 4)
+        pure_outcomes(psi, conj, "C3")
 
 
 def test_copy_allocation_rules():
-    settings = enumerate_settings("C1", "pure", 8)
-    budget = allocate_copies(24, settings)
-    assert all(count == 1 for count in budget.per_setting.values())
-    budget = allocate_copies(25, settings)
-    assert budget.per_setting[settings[0]] == 2
-    assert sum(budget.per_setting.values()) == 25
-    three = enumerate_settings("C2", "pure", 8)
-    budget = allocate_copies(10**5, three)
-    assert [budget.per_setting[s] for s in three] == [33334, 33333, 33333]
+    assert _split_copies(24, 24).tolist() == [1] * 24
+    copies = _split_copies(25, 24)
+    assert copies[0] == 2 and copies.sum() == 25
+    assert _split_copies(10**5, 3).tolist() == [33334, 33333, 33333]
     with pytest.raises(ParameterError):
-        allocate_copies(0, three)
+        _split_copies(0, 3)
 
 
 def test_pure_c1_hand_distribution():
     psi = PureState(np.array([1.0, 0.0]))
-    conj = make_conjugate_state(2, 0)
-    setting = Setting("pure", "C1", "Z", 0)
-    dist = build_outcome_distribution(setting, psi_prime=psi, conj=conj)
-    assert dist.labels == ("0", "1", "fail")
-    assert_allclose(dist.probs, [0.0, 0.25, 0.75], atol=1e-14)
+    probs = pure_outcomes(psi, make_conjugate_state(2, 0), "C1")
+    # setting (n = 0, Z): outcomes 0, 1, failed postselection
+    assert_allclose(probs[0], [0.0, 0.25, 0.75], atol=1e-14)
 
 
 def test_pure_c2_uniform_state_distribution_is_postselection_uniform():
     d = 8
     psi = PureState(np.full(d, 1 / np.sqrt(d)))
-    conj = make_conjugate_state(d, 0)
-    dist = build_outcome_distribution(Setting("pure", "C2", "X"),
-                                      psi_prime=psi, conj=conj)
-    assert dist.labels[-1] == "fail"
-    joint = dist.probs[:-1].reshape(d, 2)
+    probs = pure_outcomes(psi, make_conjugate_state(d, 0), "C2")
+    # setting X: (n, +), (n, -) pairs over n, failed postselection last
+    joint = probs[1, :-1].reshape(d, 2)
     assert_allclose(joint.sum(axis=1), np.full(d, 1 / (2 * d)), atol=1e-14)
 
 
@@ -87,20 +88,18 @@ def test_pure_c2_uniform_state_distribution_is_postselection_uniform():
                                          ("mixed", "C1"), ("mixed", "C2")])
 def test_distributions_sum_to_one(mode, config, rng):
     d = 4
-    psi = standard_state("haar", 2, seed=8)
-    kwargs = {}
+    kappas = 0.1 * rng.standard_normal(d)
     if mode == "pure":
-        kwargs["psi_prime"] = psi
-        kwargs["conj"] = make_conjugate_state(d, 0, 0.1 * rng.standard_normal(d))
+        psi = standard_state("haar", 2, seed=8)
+        probs = pure_outcomes(psi, make_conjugate_state(d, 0, kappas), config)
     else:
-        kwargs["rho_prime"] = random_density_matrix(d, rng)
-        kwargs["family"] = conjugate_family(d, 0.1 * rng.standard_normal(d))
-    for setting in enumerate_settings(config, mode, d):
-        dist = build_outcome_distribution(setting, **kwargs)
-        assert abs(dist.probs.sum() - 1.0) < 1e-12
-        if mode == "mixed" or config == "C2":
-            # scan-free: every postselection branch appears in the table
-            assert {label[0] for label in dist.labels[:-1]} == set(range(d))
+        probs = mixed_outcomes(random_density_matrix(d, rng),
+                               conjugate_coefficients(d, kappas), config)
+    assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
+    if mode == "mixed" or config == "C2":
+        # scan-free: every postselection branch appears in each setting
+        assert probs.shape[1] == 2 * d + 1
+        assert np.all(probs[:, :-1].reshape(-1, d, 2).sum(axis=2) > 0.0)
 
 
 @pytest.mark.parametrize("config", ["C1", "C2"])
@@ -109,15 +108,11 @@ def test_pure_estimator_consistency_with_expected_counts(config):
     d = 4
     psi = standard_state("haar", 2, seed=21)
     conj = make_conjugate_state(d, 0)
-    settings = enumerate_settings(config, "pure", d)
-    budget = allocate_copies(1200, settings)
-    samples = {}
-    for setting in settings:
-        dist = build_outcome_distribution(setting, psi_prime=psi, conj=conj)
-        samples[setting] = (dist.labels, dist.probs * budget.per_setting[setting])
-    table = estimate_pure_probabilities(samples, budget, d)
+    probs = pure_outcomes(psi, conj, config)
+    copies = _split_copies(1200, probs.shape[0])
+    table = _frequencies(probs * copies[:, None], copies, config, d)[:, 0, :]
     recon = reconstruct_pure(table, config=config)
-    analytic = reconstruct_pure(exact_pauli_table(psi, conj, config), config=config)
+    analytic = reconstruct_pure(pauli_table(psi, conj, config), config=config)
     assert trace_distance_pure(recon, analytic) < 1e-10
 
 
@@ -125,31 +120,22 @@ def test_pure_estimator_consistency_with_expected_counts(config):
 def test_mixed_estimator_consistency_with_expected_counts(config, rng):
     d = 4
     rho = random_density_matrix(d, rng)
-    family = conjugate_family(d)
-    settings = enumerate_settings(config, "mixed", d)
-    budget = allocate_copies(2400, settings)
-    samples = {}
-    for setting in settings:
-        dist = build_outcome_distribution(setting, rho_prime=rho, family=family)
-        samples[setting] = (dist.labels, dist.probs * budget.per_setting[setting])
-    off, diag = estimate_lambda_tables(samples, budget, config, d)
-    off_exact, diag_exact = exact_lambda_tables(rho, family, config)
-    assert np.max(np.abs(off - off_exact)) < 1e-12
-    assert np.max(np.abs(diag - diag_exact)) < 1e-12
+    coeffs = conjugate_coefficients(d)
+    probs = mixed_outcomes(rho, coeffs, config)
+    copies = _split_copies(2400, probs.shape[0])
+    off, diag = lambda_tables(_frequencies(probs * copies[:, None], copies, config, d),
+                              config)
+    m00, m01, m11 = conditional_tables(rho.elems, coeffs, config)
+    assert np.max(np.abs(off - (m01.conj() if config == "C1" else m01))) < 1e-12
+    assert np.max(np.abs(diag - m11)) < 1e-12
 
 
 def test_zero_success_counts_propagate_degenerate_error():
     d = 2
-    settings = enumerate_settings("C1", "pure", d)
-    budget = allocate_copies(6, settings)
-    samples = {}
-    for setting in settings:
-        labels = (*[j for j in ("01" if setting.basis == "Z" else
-                                "+-" if setting.basis == "X" else "LR")], "fail")
-        counts = np.zeros(len(labels), dtype=np.int64)
-        counts[-1] = budget.per_setting[setting]
-        samples[setting] = (labels, counts)
-    table = estimate_pure_probabilities(samples, budget, d)
+    copies = _split_copies(6, 3 * d)
+    counts = np.zeros((3 * d, 3), dtype=np.int64)
+    counts[:, -1] = copies                  # every copy failed postselection
+    table = _frequencies(counts, copies, "C1", d)[:, 0, :]
     with pytest.raises(DegenerateDataError):
         reconstruct_pure(table, config="C1")
 
@@ -261,6 +247,22 @@ def test_experiment_point_validation():
     with pytest.raises(ParameterError):
         ExperimentPoint(mode="pure", config="C1", state=GHZ, num_copies=10,
                         repetitions=0, seed_entropy=(1,))
+    # the other mode's preparation noise, which the engine would ignore,
+    # negative noise, epsilon outside [0, 1] and an empty copy budget
+    invalid = [("mixed", dict(sigma_prep=0.3)), ("pure", dict(epsilon=0.9)),
+                 ("pure", dict(sigma_prep=-0.1)), ("mixed", dict(sigma_post=-0.1)),
+                 ("mixed", dict(epsilon=1.5)), ("mixed", dict(epsilon=-0.1)),
+                 ("pure", dict(num_copies=0))]
+    for mode, fields in invalid:
+        kwargs = dict(mode=mode, config="C1", state=GHZ, num_copies=10,
+                      repetitions=1, seed_entropy=(1,))
+        with pytest.raises(ParameterError):
+            ExperimentPoint(**{**kwargs, **fields})
+    # the noise that belongs to the mode is accepted
+    ExperimentPoint(mode="mixed", config="C1", state=GHZ, num_copies=10, repetitions=1,
+                    seed_entropy=(1,), sigma_post=0.1, epsilon=1.0)
+    ExperimentPoint(mode="pure", config="C1", state=GHZ, num_copies=10, repetitions=1,
+                    seed_entropy=(1,), sigma_prep=0.1, sigma_post=0.1)
 
 
 def _outcome(run, point, rep):

@@ -7,7 +7,7 @@ from dsmsim.states import (
     ConjugateState,
     DensityMatrix,
     PureState,
-    conjugate_family,
+    conjugate_coefficients,
     make_conjugate_state,
     random_density_matrix,
     standard_state,
@@ -111,9 +111,8 @@ def test_conjugate_state_with_bias():
 
 def test_conjugate_basis_is_orthonormal_without_bias():
     for d in (2, 3, 4, 8):
-        family = conjugate_family(d)
-        gram = np.array([[np.vdot(a.coeffs, b.coeffs) for b in family] for a in family])
-        assert np.max(np.abs(gram - np.eye(d))) < 1e-12
+        rows = conjugate_coefficients(d)
+        assert np.max(np.abs(rows.conj() @ rows.T - np.eye(d))) < 1e-12
 
 
 def test_conjugate_state_validation():
@@ -129,10 +128,13 @@ def test_conjugate_state_validation():
 
 def test_conjugate_family_shares_magnitudes(rng):
     kappas = 0.1 * rng.standard_normal(4)
-    family = conjugate_family(4, kappas)
-    for state in family:
+    rows = conjugate_coefficients(4, kappas)
+    for k, row in enumerate(rows):
+        state = make_conjugate_state(4, k, kappas)
         assert isinstance(state, ConjugateState)
-        assert np.array_equal(state.magnitudes, family[0].magnitudes)
+        assert np.array_equal(row, state.coeffs)
+        assert np.max(np.abs(np.abs(row) - state.magnitudes)) < 1e-15
+        assert np.array_equal(state.magnitudes, rows[0].real)
 
 
 def test_random_density_matrix_is_valid(rng):
