@@ -31,10 +31,9 @@ from .noise import (
 )
 from .pure_protocol import reconstruct_pure
 from .states import (
-    ConjugateState,
     DensityMatrix,
     PureState,
-    make_conjugate_state,
+    conjugate_coefficients,
     random_density_matrix,
     standard_state,
 )

@@ -42,6 +42,9 @@ _TOMOGRAPHY_KEYS = _COMMON_KEYS | {
     "mode", "configuration", "sigma_prep", "sigma_post", "sigma_sweep",
     "epsilon", "epsilon_sweep", "copy_budgets", "repetitions",
 }
+# scalar noise key -> the sweep key that replaces it on every grid point
+_SWEPT = {"sigma_prep": "sigma_sweep", "sigma_post": "sigma_sweep",
+          "epsilon": "epsilon_sweep"}
 _QFI_KEYS = _COMMON_KEYS | {"sigma_prep", "norm_samples", "norm_grid",
                             "histogram_bins"}
 
@@ -98,6 +101,9 @@ class ExperimentConfig:
                 if entry.name in ("epsilon", "epsilon_sweep") and self.mode == "pure":
                     continue
                 if entry.name == "sigma_prep" and self.mode == "mixed":
+                    continue
+                # a sweep replaces its scalars, which the parser then rejects
+                if entry.name in _SWEPT and getattr(self, _SWEPT[entry.name]) is not None:
                     continue
             value = getattr(self, entry.name)
             if value is None and entry.name in ("sigma_sweep", "epsilon_sweep",
@@ -161,6 +167,9 @@ def parse_config(text: str) -> ExperimentConfig:
             _require("sigma_prep" not in doc,
                      "mixed-mode preparation noise is the epsilon channel; "
                      "sigma_prep applies to pure mode only")
+        for scalar, sweep in _SWEPT.items():
+            _require(scalar not in doc or sweep not in doc,
+                     f"{sweep} replaces {scalar}; give one of them")
 
     values = {"task": task}
 
@@ -318,7 +327,8 @@ def _grid(config: ExperimentConfig):
     if config.sigma_sweep is not None:
         if config.mode == "pure":
             # pure-state sweeps drive preparation and postselection with one
-            # shared noise level; set sigma_prep/sigma_post for asymmetry
+            # shared noise level; set sigma_prep/sigma_post, with no sweep,
+            # for asymmetry
             sigmas = [(value, value) for value in config.sigma_sweep]
         else:
             sigmas = [(0.0, value) for value in config.sigma_sweep]

@@ -41,7 +41,11 @@ def trace_distance_mixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def trace_distances(rho, sigmas) -> np.ndarray:
-    """trace_distance_mixed between matrix rho and matrices stacked in sigmas."""
+    """trace_distance_mixed between matrices stacked in rho and in sigmas.
+
+    Leading axes broadcast: one target per repetition, as the engine passes
+    them, or a single target against every matrix in ``sigmas``.
+    """
     eigs = np.linalg.eigvalsh(sigmas - rho)
     return 0.5 * np.sum(np.abs(eigs), axis=-1)
 

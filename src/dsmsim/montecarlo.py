@@ -57,7 +57,6 @@ from .states import (
     PureState,
     check_density_matrices,
     conjugate_coefficients,
-    make_conjugate_state,
 )
 
 STATE_KINDS = ("pure", "mixed")
@@ -223,19 +222,19 @@ def _noisy_pauli(batch, rngs) -> np.ndarray:
     """Pauli tables [rep, n, k, 6] of a batch, one per repetition.
 
     Each repetition draws its noise from its own stream in ``rngs`` at the
-    noise levels of its own point.
+    noise levels of its own point: the preparation perturbation (pure mode)
+    and then the detector bias.
     """
     mode, config, d, _ = _batch_key(batch[0][0])
-    if mode == "pure":
-        tables = []
-        for point, rng in zip(_owners(batch), rngs):
-            psi_prime, _ = perturb_pure_state(point.state, point.sigma_prep, rng)
-            conj = make_conjugate_state(d, 0, sample_kappas(d, point.sigma_post, rng))
-            tables.append(pauli_table(psi_prime, conj, config)[:, None, :])
-        return np.array(tables)
-    kappas = [sample_kappas(d, point.sigma_post, rng)
-              for point, rng in zip(_owners(batch), rngs)]
+    perturbed, kappas = [], []
+    for point, rng in zip(_owners(batch), rngs):
+        if mode == "pure":
+            perturbed.append(perturb_pure_state(point.state, point.sigma_prep, rng)[0])
+        kappas.append(sample_kappas(d, point.sigma_post, rng))
     coeffs = conjugate_coefficients(d, np.array(kappas))
+    if mode == "pure":
+        return np.array([pauli_table(psi_prime, rows, config)[:, None, :]
+                         for psi_prime, rows in zip(perturbed, coeffs)])
     prepared = _per_repetition(batch, [point.prepared.elems for point, _, _ in batch])
     return pauli_from_conditionals(*conditional_tables(prepared, coeffs, config))
 
@@ -274,17 +273,6 @@ def _batch(batch):
     check_density_matrices(recons)
     targets = _per_repetition(batch, [point.projector.elems for point, _, _ in batch])
     return trace_distances(targets, recons), recons
-
-
-def run_single_repetition(point: ExperimentPoint, rep: int):
-    """One noise draw, one sampled data set, one reconstruction.
-
-    Returns (trace distance to the true state, reconstructed state): a batch
-    of one repetition.
-    """
-    distances, recons = _batch([(point, rep, rep + 1)])
-    state = PureState if point.mode == "pure" else DensityMatrix
-    return float(distances[0]), state(recons[0])
 
 
 def _distances(batch) -> tuple:

@@ -2,7 +2,7 @@
 
 State-preparation noise perturbs each amplitude by an independent complex
 Gaussian and renormalizes; postselection noise biases the conjugate-basis
-detector ports (see states.make_conjugate_state). Mixed-state preparation
+detector ports (see states.conjugate_coefficients). Mixed-state preparation
 noise is the white-noise (depolarizing) channel acting on the density
 matrix. A gate-level imperfect Hadamard circuit illustrates where
 preparation noise comes from.

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDataError, ParameterError
-from .states import ConjugateState, PureState
+from .states import PureState
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -35,18 +35,6 @@ def _check_config(config: str) -> str:
     if config not in CONFIGURATIONS:
         raise ParameterError(f"configuration must be one of {CONFIGURATIONS}")
     return config
-
-
-def postselection_overlap(psi_prime: PureState, conj: ConjugateState) -> complex:
-    """Gamma = sum_m c_m psi'_m for the k = 0 conjugate state."""
-    return complex(np.dot(conj.magnitudes, psi_prime.amps))
-
-
-def _check_pure_inputs(psi_prime: PureState, conj: ConjugateState):
-    if conj.dim != psi_prime.dim:
-        raise ParameterError("state and conjugate-state dimensions differ")
-    if conj.index != 0:
-        raise ParameterError("pure-state protocols use the k = 0 conjugate state")
 
 
 def _probe_c1(amps, magnitudes, gamma: complex, n: int):
@@ -70,19 +58,22 @@ def _pauli_row(a0, a1) -> tuple:
     )
 
 
-def pauli_table(psi_prime: PureState, conj: ConjugateState, config: str) -> np.ndarray:
+def pauli_table(psi_prime: PureState, coeff_rows, config: str) -> np.ndarray:
     """Probe probabilities (p0, p1, p+, p-, pL, pR) as one row per basis index.
 
-    Row n holds P_j = |<j|eta_n>|^2 for the unnormalized probe state eta_n
-    of index n; each basis pair sums to the postselection success
-    probability |eta_n|^2.
+    ``coeff_rows`` is the d x d conjugate basis of conjugate_coefficients;
+    the probes use its k = 0 state, whose port weights c_m are the real part
+    of row 0. Row n holds P_j = |<j|eta_n>|^2 for the unnormalized probe
+    state eta_n of index n; each basis pair sums to the postselection
+    success probability |eta_n|^2.
     """
     probe = _probe_c1 if _check_config(config) == "C1" else _probe_c2
-    _check_pure_inputs(psi_prime, conj)
-    gamma = postselection_overlap(psi_prime, conj)
-    amps, magnitudes = psi_prime.amps, conj.magnitudes
-    return np.array([_pauli_row(*probe(amps, magnitudes, gamma, n))
-                     for n in range(psi_prime.dim)])
+    d = psi_prime.dim
+    if coeff_rows.shape != (d, d):
+        raise ParameterError("need the d x d conjugate basis of the state's dimension")
+    amps, magnitudes = psi_prime.amps, coeff_rows[0].real
+    gamma = complex(np.dot(magnitudes, amps))             # sum_m c_m psi'_m
+    return np.array([_pauli_row(*probe(amps, magnitudes, gamma, n)) for n in range(d)])
 
 
 def nominal_coefficients(d: int) -> np.ndarray:
@@ -90,7 +81,7 @@ def nominal_coefficients(d: int) -> np.ndarray:
     return np.full(d, 1.0 / np.sqrt(d))
 
 
-def reconstruct_pure(prob_table, nominal=None, config: str = "C1") -> PureState:
+def reconstruct_pure(prob_table, config: str, nominal=None) -> PureState:
     """Amplitude estimate from one (p0, p1, p+, p-, pL, pR) row per basis index.
 
     ``prob_table`` is laid out as pauli_table returns it. Forms

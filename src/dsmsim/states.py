@@ -7,7 +7,9 @@ q0*4 + q1*2 + q2 and the GHZ state occupies indices 0 and d-1.
 The conjugate basis is the discrete-Fourier partner of the computational
 basis. A detector with per-port bias kappa_m resolves the distorted vectors
 |c'_k> = sum_m e^(i 2 pi m k / d) (1 + kappa_m) / M |m>, which reduce to the
-exact Fourier vectors when all kappa_m vanish.
+exact Fourier vectors when all kappa_m vanish. conjugate_coefficients holds
+the whole basis as one d x d array, row k the coefficients of |c'_k>; both
+protocols read their port weights c_m from the real part of row 0.
 """
 
 from __future__ import annotations
@@ -100,27 +102,6 @@ class DensityMatrix:
         return self.elems.shape[0]
 
 
-@dataclass(frozen=True)
-class ConjugateState:
-    """One element |c'_k> of the (possibly detector-biased) conjugate basis.
-
-    ``magnitudes`` holds the real port weights c_m = (1 + kappa_m) / M and
-    ``coeffs`` the full complex amplitudes including the Fourier phases.
-    """
-
-    dim: int
-    index: int
-    kappas: np.ndarray
-    magnitudes: np.ndarray
-    coeffs: np.ndarray
-    norm_const: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "kappas", _frozen_array(self.kappas, np.float64))
-        object.__setattr__(self, "magnitudes", _frozen_array(self.magnitudes, np.float64))
-        object.__setattr__(self, "coeffs", _frozen_array(self.coeffs, np.complex128))
-
-
 @lru_cache(maxsize=None)
 def _fourier_phases(d: int) -> np.ndarray:
     """Row k holds the phases e^(i 2 pi k m / d) of |c'_k>; read-only."""
@@ -129,11 +110,15 @@ def _fourier_phases(d: int) -> np.ndarray:
     return phases
 
 
-def _port_weights(d: int, kappas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(kappas, magnitudes c_m, norm constant M) for detector-bias draws.
+def conjugate_coefficients(d: int, kappas=None) -> np.ndarray:
+    """The conjugate basis as one d x d array: row k holds the coeffs of |c'_k>.
 
-    ``kappas`` holds one draw along its last axis; M keeps that axis with
-    length one.
+    Row 0 carries no phase, so its real part is the port weights
+    c_m = (1 + kappa_m) / M. ``kappas`` (None: the exact basis) may stack
+    several draws along leading axes, which the result keeps. Raises
+    DegenerateNoiseError when any 1 + kappa_m <= 0: such a draw corresponds
+    to a detector port with non-positive response and would silently bias
+    statistics if clamped.
     """
     if d < 2:
         raise ParameterError("dimension must be at least 2")
@@ -146,41 +131,7 @@ def _port_weights(d: int, kappas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if np.any(weights <= 0.0):
         raise DegenerateNoiseError("postselection noise produced 1 + kappa <= 0")
     norm_const = np.sqrt(np.sum(weights**2, axis=-1, keepdims=True))
-    return kappas, weights / norm_const, norm_const
-
-
-def make_conjugate_state(d: int, k: int = 0, kappas=None) -> ConjugateState:
-    """Build |c'_k> for detector bias ``kappas`` (zeros give the exact basis).
-
-    Raises DegenerateNoiseError when any 1 + kappa_m <= 0: such a draw
-    corresponds to a detector port with non-positive response and would
-    silently bias statistics if clamped.
-    """
-    if d < 2:
-        raise ParameterError("dimension must be at least 2")
-    if not 0 <= k < d:
-        raise ParameterError(f"conjugate index must lie in [0, {d}), got {k}")
-    if np.ndim(kappas) > 1:
-        raise ParameterError("kappas must have one entry per basis state")
-    kappas, magnitudes, norm_const = _port_weights(d, kappas)
-    return ConjugateState(
-        dim=d,
-        index=k,
-        kappas=kappas,
-        magnitudes=magnitudes,
-        coeffs=magnitudes * _fourier_phases(d)[k],
-        norm_const=norm_const.item(),
-    )
-
-
-def conjugate_coefficients(d: int, kappas=None) -> np.ndarray:
-    """The conjugate family as one d x d array: row k holds the coeffs of |c'_k>.
-
-    Row 0 carries no phase, so its real part is the port weights c_m.
-    ``kappas`` may stack several draws along leading axes, which the result
-    keeps. Raises DegenerateNoiseError like make_conjugate_state.
-    """
-    return _port_weights(d, kappas)[1][..., None, :] * _fourier_phases(d)
+    return (weights / norm_const)[..., None, :] * _fourier_phases(d)
 
 
 def _dicke_amplitudes(num_qubits: int, excitations: int) -> np.ndarray:

@@ -30,7 +30,6 @@ from dsmsim.states import (
     DensityMatrix,
     PureState,
     conjugate_coefficients,
-    make_conjugate_state,
     random_density_matrix,
     standard_state,
 )
@@ -94,11 +93,11 @@ def test_criterion_01_analytic_exactness():
     rng = np.random.default_rng(SEED)
     worst_pure = 0.0
     for d in (2, 4, 8):
-        conj = make_conjugate_state(d, 0)
+        coeffs = conjugate_coefficients(d)
         for _ in range(100):
             psi = standard_state("haar", int(np.log2(d)), seed=int(rng.integers(1 << 31)))
             for config in CONFIGS:
-                recon = reconstruct_pure(pauli_table(psi, conj, config), config=config)
+                recon = reconstruct_pure(pauli_table(psi, coeffs, config), config=config)
                 worst_pure = max(worst_pure, trace_distance_pure(psi, recon))
     worst_mixed = 0.0
     for d in (2, 4, 8):
@@ -128,15 +127,14 @@ def test_criterion_02_oracle_equivalence():
             psi = standard_state("haar", qubits, seed=int(rng.integers(1 << 31)))
             rho = random_density_matrix(d, rng)
             kappas = sample_kappas(d, 0.1, rng)
-            conj = make_conjugate_state(d, 0, kappas)
             coeffs = conjugate_coefficients(d, kappas)
             for config, joint_probe, joint_conditional in (
                     ("C1", joint_probe_c1, joint_conditional_c1),
                     ("C2", joint_probe_c2, joint_conditional_c2)):
-                table = pauli_table(psi, conj, config)
+                table = pauli_table(psi, coeffs, config)
                 m00, m01, m11 = conditional_tables(rho.elems, coeffs, config)
                 for n in range(d):
-                    ref = _reference_pauli(*joint_probe(psi.amps, conj.coeffs, n))
+                    ref = _reference_pauli(*joint_probe(psi.amps, coeffs[0], n))
                     worst = max(worst, float(np.max(np.abs(
                         table[n] - [ref[key] for key in "01+-LR"]))))
                     for k in range(d):

@@ -74,6 +74,9 @@ def test_sigma_prep_rejected_in_mixed_mode():
     '{"state_kind": "custom", "num_qubits": 1, "custom_amplitudes": [[1, 0], [1, 0]]}',
     'not json',
     '[1, 2]',
+    '{"sigma_prep": 0.3, "sigma_sweep": [0.0]}',
+    '{"sigma_post": 0.2, "sigma_sweep": [0.0]}',
+    '{"mode": "mixed", "epsilon": 0.1, "epsilon_sweep": [0.0]}',
 ])
 def test_invalid_documents_rejected(doc):
     with pytest.raises(ConfigError):
@@ -209,7 +212,7 @@ def _per_repetition_results(config, rows) -> list:
             num_copies=row["num_copies"], repetitions=config.repetitions,
             seed_entropy=(config.master_seed, index), sigma_prep=row["sigma_prep"],
             sigma_post=row["sigma_post"], epsilon=row["epsilon"] or 0.0)
-        distances = [montecarlo.run_single_repetition(point, rep)[0]
+        distances = [montecarlo._batch([(point, rep, rep + 1)])[0][0]
                      for rep in range(config.repetitions)]
         result = montecarlo.RunResult(distances=np.array(distances))
         results.append((result.mean, result.std_error))

@@ -18,7 +18,6 @@ from dsmsim.states import (
     PureState,
     check_density_matrices,
     conjugate_coefficients,
-    make_conjugate_state,
     random_density_matrix,
     standard_state,
 )
@@ -96,12 +95,11 @@ def test_pure_projector_conditional_equals_probe_outer_product(rng):
     d = 8
     psi = standard_state("haar", 3, seed=31)
     kappas = sample_kappas(d, 0.05, rng)
-    conj = make_conjugate_state(d, 0, kappas)
     coeffs = conjugate_coefficients(d, kappas)
     for config in ("C1", "C2"):
         tables = conditional_tables(psi.projector().elems, coeffs, config)
         mixed = pauli_from_conditionals(*tables)[:, 0, :]
-        assert np.max(np.abs(mixed - pauli_table(psi, conj, config))) < 1e-12
+        assert np.max(np.abs(mixed - pauli_table(psi, coeffs, config))) < 1e-12
 
 
 def test_conditionals_are_hermitian_with_real_diagonal(rng):

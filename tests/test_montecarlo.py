@@ -14,6 +14,7 @@ from dsmsim.mixed_protocol import conditional_tables, lambda_tables, pauli_from_
 from dsmsim.noise import white_noise_channel
 from dsmsim.montecarlo import (
     ExperimentPoint,
+    _batch,
     _batches,
     _distances,
     _frequencies,
@@ -21,14 +22,13 @@ from dsmsim.montecarlo import (
     _split_copies,
     run_points,
     run_repetitions,
-    run_single_repetition,
 )
 from dsmsim.pure_protocol import pauli_table, reconstruct_pure
 from dsmsim.sampling import outcome_table
 from dsmsim.states import (
+    DensityMatrix,
     PureState,
     conjugate_coefficients,
-    make_conjugate_state,
     random_density_matrix,
     standard_state,
 )
@@ -36,9 +36,9 @@ from dsmsim.states import (
 GHZ = standard_state("ghz", 3)
 
 
-def pure_outcomes(psi, conj, config):
+def pure_outcomes(psi, coeffs, config):
     """Outcome table of a pure repetition: one row per setting."""
-    return outcome_table(_setting_rows(pauli_table(psi, conj, config)[:, None, :], config))
+    return outcome_table(_setting_rows(pauli_table(psi, coeffs, config)[:, None, :], config))
 
 
 def mixed_outcomes(rho, coeffs, config):
@@ -47,16 +47,26 @@ def mixed_outcomes(rho, coeffs, config):
     return outcome_table(_setting_rows(pauli, config))
 
 
+def lone_repetition(point, rep):
+    """(distance, reconstruction) of repetition ``rep`` run as a batch of one.
+
+    The reconstruction is an amplitude vector (pure) or a density matrix's
+    entries (mixed).
+    """
+    distances, recons = _batch([(point, rep, rep + 1)])
+    return float(distances[0]), recons[0]
+
+
 def test_setting_enumeration_counts():
     psi = standard_state("haar", 3, seed=1)
-    conj = make_conjugate_state(8, 0)
-    assert pure_outcomes(psi, conj, "C2").shape == (3, 2 * 8 + 1)
-    assert pure_outcomes(psi, conj, "C1").shape == (24, 3)
+    coeffs = conjugate_coefficients(8)
+    assert pure_outcomes(psi, coeffs, "C2").shape == (3, 2 * 8 + 1)
+    assert pure_outcomes(psi, coeffs, "C1").shape == (24, 3)
     rho = random_density_matrix(4, np.random.default_rng(2))
     for config in ("C1", "C2"):
         assert mixed_outcomes(rho, conjugate_coefficients(4), config).shape == (12, 9)
     with pytest.raises(ParameterError):
-        pure_outcomes(psi, conj, "C3")
+        pure_outcomes(psi, coeffs, "C3")
 
 
 def test_copy_allocation_rules():
@@ -70,7 +80,7 @@ def test_copy_allocation_rules():
 
 def test_pure_c1_hand_distribution():
     psi = PureState(np.array([1.0, 0.0]))
-    probs = pure_outcomes(psi, make_conjugate_state(2, 0), "C1")
+    probs = pure_outcomes(psi, conjugate_coefficients(2), "C1")
     # setting (n = 0, Z): outcomes 0, 1, failed postselection
     assert_allclose(probs[0], [0.0, 0.25, 0.75], atol=1e-14)
 
@@ -78,7 +88,7 @@ def test_pure_c1_hand_distribution():
 def test_pure_c2_uniform_state_distribution_is_postselection_uniform():
     d = 8
     psi = PureState(np.full(d, 1 / np.sqrt(d)))
-    probs = pure_outcomes(psi, make_conjugate_state(d, 0), "C2")
+    probs = pure_outcomes(psi, conjugate_coefficients(d), "C2")
     # setting X: (n, +), (n, -) pairs over n, failed postselection last
     joint = probs[1, :-1].reshape(d, 2)
     assert_allclose(joint.sum(axis=1), np.full(d, 1 / (2 * d)), atol=1e-14)
@@ -91,7 +101,7 @@ def test_distributions_sum_to_one(mode, config, rng):
     kappas = 0.1 * rng.standard_normal(d)
     if mode == "pure":
         psi = standard_state("haar", 2, seed=8)
-        probs = pure_outcomes(psi, make_conjugate_state(d, 0, kappas), config)
+        probs = pure_outcomes(psi, conjugate_coefficients(d, kappas), config)
     else:
         probs = mixed_outcomes(random_density_matrix(d, rng),
                                conjugate_coefficients(d, kappas), config)
@@ -107,12 +117,12 @@ def test_pure_estimator_consistency_with_expected_counts(config):
     """Feeding exact expected frequencies reproduces the analytic pipeline."""
     d = 4
     psi = standard_state("haar", 2, seed=21)
-    conj = make_conjugate_state(d, 0)
-    probs = pure_outcomes(psi, conj, config)
+    coeffs = conjugate_coefficients(d)
+    probs = pure_outcomes(psi, coeffs, config)
     copies = _split_copies(1200, probs.shape[0])
     table = _frequencies(probs * copies[:, None], copies, config, d)[:, 0, :]
     recon = reconstruct_pure(table, config=config)
-    analytic = reconstruct_pure(pauli_table(psi, conj, config), config=config)
+    analytic = reconstruct_pure(pauli_table(psi, coeffs, config), config=config)
     assert trace_distance_pure(recon, analytic) < 1e-10
 
 
@@ -146,9 +156,9 @@ def test_repetition_listing_and_single_repetition():
     result = run_repetitions(point)
     assert result.distances.shape == (1,)
     assert result.std_error == 0.0
-    distance, recon = run_single_repetition(point, 0)
+    distance, recon = lone_repetition(point, 0)
     assert distance == result.distances[0]
-    assert recon.dim == 8
+    assert recon.shape == (8,)
 
 
 def test_determinism_across_runs_and_threads():
@@ -172,7 +182,7 @@ def test_uneven_slices_keep_repetition_order():
     point = ExperimentPoint(mode="mixed", config="C1", state=GHZ, num_copies=600,
                             repetitions=10, seed_entropy=(31, 2),
                             epsilon=0.2, sigma_post=0.03)
-    serial = [run_single_repetition(point, rep)[0] for rep in range(10)]
+    serial = [lone_repetition(point, rep)[0] for rep in range(10)]
     assert run_repetitions(point, threads=3).distances.tolist() == serial
     assert run_repetitions(point, threads=1).distances.tolist() == serial
 
@@ -183,8 +193,9 @@ def test_point_invariants_built_once(monkeypatch):
     assert point.prepared is point.prepared
     assert point.prepared.elems.tobytes() == (
         white_noise_channel(GHZ.projector(), 0.3).elems.tobytes())
-    _, recon = run_single_repetition(point, 0)
-    assert trace_distance_mixed(point.projector, recon) == run_repetitions(point).mean
+    _, recon = lone_repetition(point, 0)
+    assert (trace_distance_mixed(point.projector, DensityMatrix(recon))
+            == run_repetitions(point).mean)
     # a mixed sweep builds one target and one prepared state per epsilon,
     # whatever the number of grid points and repetitions
     montecarlo._target.cache_clear()
@@ -233,8 +244,8 @@ def test_mixed_repetition_distance_reflects_channel():
                             repetitions=8, seed_entropy=(23,), epsilon=1.0)
     assert run_repetitions(noisy).mean > run_repetitions(clean).mean
     target = GHZ.projector()
-    _, recon = run_single_repetition(noisy, 0)
-    assert trace_distance_mixed(target, recon) > 0.8
+    _, recon = lone_repetition(noisy, 0)
+    assert trace_distance_mixed(target, DensityMatrix(recon)) > 0.8
 
 
 def test_experiment_point_validation():
@@ -265,12 +276,16 @@ def test_experiment_point_validation():
                     seed_entropy=(1,), sigma_prep=0.1, sigma_post=0.1)
 
 
+def _reference_outcome(point, rep):
+    distance, state = reference_repetition(point, rep)
+    return distance, state.amps if point.mode == "pure" else state.elems
+
+
 def _outcome(run, point, rep):
     try:
-        distance, state = run(point, rep)
+        return run(point, rep)
     except DegenerateDataError as exc:
         return type(exc), None
-    return distance, state.amps if point.mode == "pure" else state.elems
 
 
 def _run_slice(point, start, stop):
@@ -305,8 +320,8 @@ def test_repetition_matches_per_setting_reference(mode, config, num_copies):
                             seed_entropy=(31, num_copies), **noise)
     references = []
     for rep in range(3):
-        distance, state = _outcome(run_single_repetition, point, rep)
-        ref_distance, ref_state = _outcome(reference_repetition, point, rep)
+        distance, state = _outcome(lone_repetition, point, rep)
+        ref_distance, ref_state = _outcome(_reference_outcome, point, rep)
         assert distance == ref_distance
         assert np.array_equal(state, ref_state)
         references.append(ref_distance)
@@ -339,7 +354,7 @@ def test_batch_takes_state_and_noise_from_each_point(mode):
                                       sigma_post=0.02 * index, **noise))
     assert len(list(_batches(points))) == 1
     results = [result.distances.tolist() for result in run_points(points)]
-    assert results == [[run_single_repetition(point, rep)[0] for rep in range(2)]
+    assert results == [[lone_repetition(point, rep)[0] for rep in range(2)]
                        for point in points]
 
 
@@ -358,7 +373,7 @@ def test_batch_raises_first_error_of_repetition_loop(mode, num_copies):
         expected = None
         for rep in range(point.repetitions):
             try:
-                run_single_repetition(point, rep)
+                lone_repetition(point, rep)
             except (DegenerateDataError, DegenerateNoiseError) as exc:
                 expected = (type(exc), str(exc))
                 break

@@ -4,11 +4,9 @@ from numpy.testing import assert_allclose
 
 from dsmsim.errors import DegenerateNoiseError, ParameterError
 from dsmsim.states import (
-    ConjugateState,
     DensityMatrix,
     PureState,
     conjugate_coefficients,
-    make_conjugate_state,
     random_density_matrix,
     standard_state,
 )
@@ -94,19 +92,17 @@ def test_haar_states_reproducible_and_distinct():
 
 
 def test_conjugate_state_uniform_cases():
-    flat = make_conjugate_state(4, 0)
-    assert_allclose(flat.coeffs, np.full(4, 0.5), atol=1e-15)
-    alternating = make_conjugate_state(2, 1)
-    assert_allclose(alternating.coeffs, np.array([1, -1]) / SQRT2, atol=1e-15)
+    flat = conjugate_coefficients(4)[0]
+    assert_allclose(flat, np.full(4, 0.5), atol=1e-15)
+    alternating = conjugate_coefficients(2)[1]
+    assert_allclose(alternating, np.array([1, -1]) / SQRT2, atol=1e-15)
 
 
 def test_conjugate_state_with_bias():
     # frozen from direct evaluation of M = sqrt(1.1^2 + 0.9^2)
-    state = make_conjugate_state(2, 0, np.array([0.1, -0.1]))
-    assert_allclose(state.norm_const, 1.4212670403551897, atol=1e-15)
-    assert_allclose(state.coeffs,
-                    [0.773957299203321, 0.6332377902572626], atol=1e-15)
-    assert abs(np.sum(np.abs(state.coeffs) ** 2) - 1.0) < 1e-12
+    coeffs = conjugate_coefficients(2, np.array([0.1, -0.1]))[0]
+    assert_allclose(coeffs, [0.773957299203321, 0.6332377902572626], atol=1e-15)
+    assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) < 1e-12
 
 
 def test_conjugate_basis_is_orthonormal_without_bias():
@@ -117,24 +113,23 @@ def test_conjugate_basis_is_orthonormal_without_bias():
 
 def test_conjugate_state_validation():
     with pytest.raises(ParameterError):
-        make_conjugate_state(4, 4)
+        conjugate_coefficients(1)
     with pytest.raises(ParameterError):
-        make_conjugate_state(4, -1)
-    with pytest.raises(ParameterError):
-        make_conjugate_state(4, 0, np.zeros(3))
+        conjugate_coefficients(4, np.zeros(3))
     with pytest.raises(DegenerateNoiseError):
-        make_conjugate_state(2, 0, np.array([-1.0, 0.0]))
+        conjugate_coefficients(2, np.array([-1.0, 0.0]))
 
 
 def test_conjugate_family_shares_magnitudes(rng):
     kappas = 0.1 * rng.standard_normal(4)
     rows = conjugate_coefficients(4, kappas)
-    for k, row in enumerate(rows):
-        state = make_conjugate_state(4, k, kappas)
-        assert isinstance(state, ConjugateState)
-        assert np.array_equal(row, state.coeffs)
-        assert np.max(np.abs(np.abs(row) - state.magnitudes)) < 1e-15
-        assert np.array_equal(state.magnitudes, rows[0].real)
+    assert np.max(np.abs(rows.imag[0])) == 0.0
+    for row in rows:
+        assert np.max(np.abs(np.abs(row) - rows[0].real)) < 1e-15
+    # stacked draws give the family of each draw, bit for bit
+    stacked = conjugate_coefficients(4, np.array([kappas, -kappas]))
+    assert np.array_equal(stacked[0], rows)
+    assert np.array_equal(stacked[1], conjugate_coefficients(4, -kappas))
 
 
 def test_random_density_matrix_is_valid(rng):
