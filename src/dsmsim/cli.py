@@ -9,6 +9,7 @@ error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from importlib import resources
@@ -79,12 +80,6 @@ def load_preset(name: str, full_scale: bool = False) -> ExperimentConfig:
     return parse_config(text)
 
 
-def _with_seed(config: ExperimentConfig, seed: int | None) -> ExperimentConfig:
-    if seed is None:
-        return config
-    return ExperimentConfig(**{**config.__dict__, "master_seed": seed})
-
-
 def output_paths(out: str, tables) -> dict:
     """One file per table; single-table runs write exactly to ``out``."""
     base = Path(out)
@@ -104,7 +99,6 @@ def _write_tables(tables: dict, out: str):
 
 
 def _execute(config: ExperimentConfig, args) -> int:
-    config = _with_seed(config, args.seed)
     out = args.out or config.output_path
     try:
         tables = run_figure(config, threads=args.threads)
@@ -127,8 +121,8 @@ def main(argv=None) -> int:
             config = load_config(args.config)
         else:
             config = load_preset(args.name, full_scale=args.full_scale)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
+        if args.seed is not None:
+            config = dataclasses.replace(config, master_seed=args.seed)
         if args.threads < 1:
             raise ConfigError("--threads must be positive")
     except (ConfigError, OSError) as exc:

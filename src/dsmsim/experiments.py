@@ -2,8 +2,12 @@
 
 A flat JSON document describes one sweep: the prepared state, protocol
 configuration(s), noise grids, copy budgets, repetition count, and master
-seed. ``run_figure`` executes the full parameter grid deterministically
-(one Monte Carlo run per grid point) and returns named tables of rows;
+seed. ``ExperimentConfig`` holds every default and every value rule, so a
+config built in Python or by ``dataclasses.replace`` is held to the same
+rules as a parsed one; ``parse_config`` adds only the rules that need the
+document itself (unknown, null and conflicting keys). ``run_figure``
+executes the full parameter grid deterministically (one Monte Carlo run
+per grid point) and returns named tables of rows;
 ``export_csv``/``export_json`` write them byte-stably. The "qfi" task
 produces the variance-versus-normalization curves and the histogram of
 realized normalization constants instead of tomography sweeps.
@@ -21,13 +25,12 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError
 from .metrics import norm_const_samples, qfi_pure
-from .montecarlo import ExperimentPoint, run_points
+from .montecarlo import MODES, ExperimentPoint, run_points
+from .pure_protocol import CONFIGURATIONS
 from .states import PureState, standard_state
 
 STATE_KINDS = ("ghz", "w", "dicke", "haar", "custom")
-MODES = ("pure", "mixed")
-CONFIG_CHOICES = ("C1", "C2", "both")
-TASKS = ("tomography", "qfi")
+CONFIG_CHOICES = CONFIGURATIONS + ("both",)
 
 RESULT_FIELDS = ("state", "mode", "config", "sigma_prep", "sigma_post",
                  "epsilon", "num_copies", "repetitions", "seed",
@@ -38,24 +41,85 @@ HIST_FIELDS = ("bin_left", "bin_right", "density")
 # Keys accepted per task; anything else is rejected outright.
 _COMMON_KEYS = {"task", "state_kind", "num_qubits", "dicke_excitations",
                 "state_seed", "custom_amplitudes", "master_seed", "output_path"}
-_TOMOGRAPHY_KEYS = _COMMON_KEYS | {
-    "mode", "configuration", "sigma_prep", "sigma_post", "sigma_sweep",
-    "epsilon", "epsilon_sweep", "copy_budgets", "repetitions",
+_TASK_KEYS = {
+    "tomography": _COMMON_KEYS | {
+        "mode", "configuration", "sigma_prep", "sigma_post", "sigma_sweep",
+        "epsilon", "epsilon_sweep", "copy_budgets", "repetitions",
+    },
+    "qfi": _COMMON_KEYS | {"sigma_prep", "norm_samples", "norm_grid",
+                           "histogram_bins"},
 }
+TASKS = tuple(_TASK_KEYS)
+# The qfi task samples normalization constants at this preparation noise
+# unless the document gives sigma_prep; the field's own default is 0.
+QFI_SIGMA_PREP = 0.1
 # scalar noise key -> the sweep key that replaces it on every grid point
 _SWEPT = {"sigma_prep": "sigma_sweep", "sigma_post": "sigma_sweep",
           "epsilon": "epsilon_sweep"}
-_QFI_KEYS = _COMMON_KEYS | {"sigma_prep", "norm_samples", "norm_grid",
-                            "histogram_bins"}
+# noise keys of the other mode, which that mode's engine would ignore
+_FOREIGN = {"pure": ("epsilon", "epsilon_sweep"), "mixed": ("sigma_prep",)}
 
 
 def _custom_state(pairs) -> PureState:
     return PureState(np.array([complex(re, im) for re, im in pairs]))
 
 
+def _require(condition: bool, message: str):
+    if not condition:
+        raise ConfigError(message)
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass; JSON true/false must not pass as counts
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    # JSON admits Infinity, NaN and integers beyond the float range, which
+    # no sweep parameter can take
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _number(value, key: str, maximum=None) -> float:
+    _require(_is_number(value), f"{key} must be a finite number")
+    _require(value >= 0, f"{key} must be >= 0")
+    _require(maximum is None or value <= maximum, f"{key} must be <= {maximum}")
+    return float(value)
+
+
+def _nonempty(value, key: str) -> tuple:
+    _require(isinstance(value, (list, tuple)) and len(value) > 0,
+             f"{key} must be a nonempty list")
+    return tuple(value)
+
+
+def _amplitudes(value, num_qubits: int) -> tuple:
+    _require(isinstance(value, (list, tuple)) and len(value) == 2**num_qubits,
+             "custom_amplitudes must list one [re, im] pair per basis state")
+    _require(all(isinstance(pair, (list, tuple)) and len(pair) == 2
+                 and all(_is_number(x) for x in pair) for pair in value),
+             "custom_amplitudes entries must be [re, im] pairs of finite numbers")
+    pairs = tuple((float(re), float(im)) for re, im in value)
+    try:
+        _custom_state(pairs)
+    except ParameterError as exc:
+        raise ConfigError(f"custom_amplitudes: {exc}") from exc
+    return pairs
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated sweep description with documented defaults applied."""
+    """Validated sweep description; each field's default is the documented one.
+
+    Construction applies every value rule, however the config is built
+    (parsed, in Python, or by ``dataclasses.replace``), and stores lists as
+    tuples and noise levels as floats. Raises ``ConfigError``.
+    """
 
     task: str = "tomography"
     state_kind: str = "ghz"
@@ -78,6 +142,71 @@ class ExperimentConfig:
     norm_grid: tuple = (0.5, 2.0, 151)
     histogram_bins: int = 40
 
+    def __post_init__(self):
+        def store(key, value):
+            object.__setattr__(self, key, value)
+
+        _require(self.task in TASKS, f"task must be one of {TASKS}")
+        _require(self.state_kind in STATE_KINDS,
+                 f"state_kind must be one of {STATE_KINDS}")
+        _require(self.mode in MODES, f"mode must be one of {MODES}")
+        _require(self.configuration in CONFIG_CHOICES,
+                 f"configuration must be one of {CONFIG_CHOICES}")
+        for key, minimum in (("num_qubits", 1), ("state_seed", 0),
+                             ("master_seed", 0), ("repetitions", 1),
+                             ("norm_samples", 1), ("histogram_bins", 1)):
+            value = getattr(self, key)
+            _require(_is_int(value) and value >= minimum,
+                     f"{key} must be an integer >= {minimum}")
+        _require(isinstance(self.output_path, str) and self.output_path,
+                 "output_path must be a nonempty string")
+
+        if self.state_kind == "dicke":
+            count = self.dicke_excitations
+            _require(_is_int(count) and 0 < count < self.num_qubits,
+                     "dicke_excitations must lie strictly between 0 and num_qubits")
+        else:
+            _require(self.dicke_excitations is None,
+                     "dicke_excitations applies to the dicke state only")
+        if self.state_kind == "custom":
+            store("custom_amplitudes",
+                  _amplitudes(self.custom_amplitudes, self.num_qubits))
+        else:
+            _require(self.custom_amplitudes is None,
+                     "custom_amplitudes applies to the custom state only")
+
+        for key, maximum in (("sigma_prep", None), ("sigma_post", None),
+                             ("epsilon", 1.0)):
+            store(key, _number(getattr(self, key), key, maximum))
+        for key, maximum in (("sigma_sweep", None), ("epsilon_sweep", 1.0)):
+            if getattr(self, key) is not None:
+                store(key, tuple(_number(value, f"{key} entries", maximum)
+                                 for value in _nonempty(getattr(self, key), key)))
+        for scalar, sweep in _SWEPT.items():
+            _require(getattr(self, sweep) is None or getattr(self, scalar) == 0.0,
+                     f"{sweep} replaces {scalar}; leave {scalar} at 0")
+        for key in _FOREIGN[self.mode]:
+            _require(getattr(self, key) == _DEFAULTS[key],
+                     f"{key} does not apply to {self.mode} mode")
+
+        budgets = _nonempty(self.copy_budgets, "copy_budgets")
+        _require(all(_is_int(n) and n >= 1 for n in budgets),
+                 "copy_budgets entries must be positive integers")
+        store("copy_budgets", budgets)
+        _require(isinstance(self.norm_grid, (list, tuple)) and len(self.norm_grid) == 3,
+                 "norm_grid must be [low, high, points]")
+        low, high, points = self.norm_grid
+        _require(_is_int(points) and points >= 2,
+                 "norm_grid points must be an integer >= 2")
+        _require(_is_number(low) and _is_number(high) and 0 < low < high,
+                 "norm_grid needs finite 0 < low < high")
+        store("norm_grid", (float(low), float(high), points))
+
+        # to_dict drops the keys of the other task, so they keep their defaults
+        stray = [key for key in _DEFAULTS if key not in _TASK_KEYS[self.task]
+                 and getattr(self, key) != _DEFAULTS[key]]
+        _require(not stray, f"{stray} do not apply to task {self.task!r}")
+
     def state_label(self) -> str:
         if self.state_kind == "dicke":
             return f"dicke{self.num_qubits}e{self.dicke_excitations}"
@@ -91,225 +220,59 @@ class ExperimentConfig:
                               excitations=self.dicke_excitations)
 
     def to_dict(self) -> dict:
-        """Flat JSON-compatible document; only keys valid for the task."""
-        allowed = _QFI_KEYS if self.task == "qfi" else _TOMOGRAPHY_KEYS
+        """Flat JSON-compatible document: the task's keys that differ from
+        their defaults, so ``parse_config`` gives back an equal config."""
         doc = {}
-        for entry in dataclass_fields(self):
-            if entry.name not in allowed:
-                continue
-            if self.task == "tomography":
-                if entry.name in ("epsilon", "epsilon_sweep") and self.mode == "pure":
-                    continue
-                if entry.name == "sigma_prep" and self.mode == "mixed":
-                    continue
-                # a sweep replaces its scalars, which the parser then rejects
-                if entry.name in _SWEPT and getattr(self, _SWEPT[entry.name]) is not None:
-                    continue
-            value = getattr(self, entry.name)
-            if value is None and entry.name in ("sigma_sweep", "epsilon_sweep",
-                                               "dicke_excitations",
-                                               "custom_amplitudes"):
-                continue
-            doc[entry.name] = list(value) if isinstance(value, tuple) else value
+        for key, default in _document_defaults(self.task).items():
+            value = getattr(self, key)
+            if value != default:
+                doc[key] = list(value) if isinstance(value, tuple) else value
         return doc
 
 
-def _require(condition: bool, message: str):
-    if not condition:
-        raise ConfigError(message)
+_DEFAULTS = {entry.name: entry.default for entry in dataclass_fields(ExperimentConfig)}
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass; JSON true/false must not pass as counts
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    # JSON admits Infinity and NaN, which no sweep parameter can take
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _number_list(value, key: str, minimum=None, maximum=None) -> tuple:
-    _require(isinstance(value, (list, tuple)) and len(value) > 0,
-             f"{key} must be a nonempty list")
-    out = []
-    for item in value:
-        _require(_is_number(item), f"{key} entries must be finite numbers")
-        _require(minimum is None or item >= minimum, f"{key} entries must be >= {minimum}")
-        _require(maximum is None or item <= maximum, f"{key} entries must be <= {maximum}")
-        out.append(float(item))
-    return tuple(out)
+def _document_defaults(task: str) -> dict:
+    """Value of each of the task's keys when a document leaves it out."""
+    defaults = {key: value for key, value in _DEFAULTS.items() if key in _TASK_KEYS[task]}
+    if task == "qfi":
+        defaults["sigma_prep"] = QFI_SIGMA_PREP
+    return defaults
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Strict parse of a flat JSON key-value document; unknown keys fail."""
+    """Strict parse of a flat JSON key-value document; unknown keys fail.
+
+    Value rules belong to ``ExperimentConfig``; this adds the rules that
+    need the document: no unknown or null key, no noise key of the other
+    mode and no scalar beside the sweep that replaces it, even at 0.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "configuration must be a JSON object")
 
-    task = doc.get("task", "tomography")
+    task = doc.get("task", ExperimentConfig.task)
     _require(task in TASKS, f"task must be one of {TASKS}")
-    allowed = _QFI_KEYS if task == "qfi" else _TOMOGRAPHY_KEYS
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys for task {task!r}: {sorted(unknown)}")
+    unknown = doc.keys() - _TASK_KEYS[task]
+    _require(not unknown, f"unknown keys for task {task!r}: {sorted(unknown)}")
+    nulls = sorted(key for key, value in doc.items() if value is None)
+    _require(not nulls, f"keys must not be null: {nulls}")
 
-    mode = doc.get("mode", "pure")
-    if task == "tomography":
-        _require(mode in MODES, f"mode must be one of {MODES}")
-        if mode == "pure":
-            _require("epsilon" not in doc and "epsilon_sweep" not in doc,
-                     "epsilon applies to mixed mode only")
-        else:
-            _require("sigma_prep" not in doc,
-                     "mixed-mode preparation noise is the epsilon channel; "
-                     "sigma_prep applies to pure mode only")
-        for scalar, sweep in _SWEPT.items():
-            _require(scalar not in doc or sweep not in doc,
-                     f"{sweep} replaces {scalar}; give one of them")
-
-    values = {"task": task}
-
-    state_kind = doc.get("state_kind", "ghz")
-    _require(state_kind in STATE_KINDS, f"state_kind must be one of {STATE_KINDS}")
-    values["state_kind"] = state_kind
-
-    num_qubits = doc.get("num_qubits", 3)
-    _require(_is_int(num_qubits) and num_qubits >= 1,
-             "num_qubits must be a positive integer")
-    values["num_qubits"] = num_qubits
-
-    if state_kind == "dicke":
-        exc_count = doc.get("dicke_excitations")
-        _require(_is_int(exc_count) and 0 < exc_count < num_qubits,
-                 "dicke_excitations must lie strictly between 0 and num_qubits")
-        values["dicke_excitations"] = exc_count
-    else:
-        _require("dicke_excitations" not in doc,
-                 "dicke_excitations applies to the dicke state only")
-
-    if state_kind == "custom":
-        amps = doc.get("custom_amplitudes")
-        _require(isinstance(amps, list) and len(amps) == 2**num_qubits,
-                 "custom_amplitudes must list one [re, im] pair per basis state")
-        pairs = []
-        for pair in amps:
-            _require(isinstance(pair, list) and len(pair) == 2
-                     and all(_is_number(x) for x in pair),
-                     "custom_amplitudes entries must be [re, im] pairs of finite numbers")
-            pairs.append((float(pair[0]), float(pair[1])))
-        values["custom_amplitudes"] = tuple(pairs)
-        try:
-            _custom_state(values["custom_amplitudes"])
-        except ParameterError as exc:
-            raise ConfigError(f"custom_amplitudes: {exc}") from exc
-    else:
-        _require("custom_amplitudes" not in doc,
-                 "custom_amplitudes applies to the custom state only")
-
-    state_seed = doc.get("state_seed", 0)
-    _require(_is_int(state_seed) and state_seed >= 0,
-             "state_seed must be a nonnegative integer")
-    values["state_seed"] = state_seed
-
-    master_seed = doc.get("master_seed", 0)
-    _require(_is_int(master_seed) and master_seed >= 0,
-             "master_seed must be a nonnegative integer")
-    values["master_seed"] = master_seed
-
-    output_path = doc.get("output_path", "results.csv")
-    _require(isinstance(output_path, str) and output_path,
-             "output_path must be a nonempty string")
-    values["output_path"] = output_path
-
-    def grab_float(key, default, minimum=0.0, maximum=None):
-        raw = doc.get(key, default)
-        _require(_is_number(raw), f"{key} must be a finite number")
-        _require(raw >= minimum, f"{key} must be >= {minimum}")
-        if maximum is not None:
-            _require(raw <= maximum, f"{key} must be <= {maximum}")
-        return float(raw)
-
-    if task == "qfi":
-        values["sigma_prep"] = grab_float("sigma_prep", 0.1)
-        norm_samples = doc.get("norm_samples", 100000)
-        _require(_is_int(norm_samples) and norm_samples >= 1,
-                 "norm_samples must be a positive integer")
-        values["norm_samples"] = norm_samples
-        grid = doc.get("norm_grid", [0.5, 2.0, 151])
-        _require(isinstance(grid, list) and len(grid) == 3,
-                 "norm_grid must be [low, high, points]")
-        low, high, points = grid
-        _require(_is_int(points) and points >= 2,
-                 "norm_grid points must be an integer >= 2")
-        _require(_is_number(low) and _is_number(high) and 0 < low < high,
-                 "norm_grid needs finite 0 < low < high")
-        values["norm_grid"] = (float(low), float(high), points)
-        bins = doc.get("histogram_bins", 40)
-        _require(_is_int(bins) and bins >= 1,
-                 "histogram_bins must be a positive integer")
-        values["histogram_bins"] = bins
-        return ExperimentConfig(**values)
-
-    values["mode"] = mode
-    configuration = doc.get("configuration", "both")
-    _require(configuration in CONFIG_CHOICES,
-             f"configuration must be one of {CONFIG_CHOICES}")
-    values["configuration"] = configuration
-
-    values["sigma_prep"] = grab_float("sigma_prep", 0.0) if mode == "pure" else 0.0
-    values["sigma_post"] = grab_float("sigma_post", 0.0)
-    if "sigma_sweep" in doc:
-        values["sigma_sweep"] = _number_list(doc["sigma_sweep"], "sigma_sweep",
-                                             minimum=0.0)
-    if mode == "mixed":
-        values["epsilon"] = grab_float("epsilon", 0.0, maximum=1.0)
-        if "epsilon_sweep" in doc:
-            values["epsilon_sweep"] = _number_list(doc["epsilon_sweep"],
-                                                   "epsilon_sweep",
-                                                   minimum=0.0, maximum=1.0)
-
-    budgets = doc.get("copy_budgets", [1000])
-    _require(isinstance(budgets, list) and len(budgets) > 0,
-             "copy_budgets must be a nonempty list")
-    for n in budgets:
-        _require(_is_int(n) and n >= 1,
-                 "copy_budgets entries must be positive integers")
-    values["copy_budgets"] = tuple(budgets)
-
-    repetitions = doc.get("repetitions", 50)
-    _require(_is_int(repetitions) and repetitions >= 1,
-             "repetitions must be a positive integer")
-    values["repetitions"] = repetitions
-
-    return ExperimentConfig(**values)
+    config = ExperimentConfig(**{**_document_defaults(task), **doc})
+    for key in _FOREIGN[config.mode]:
+        _require(key not in doc, f"{key} does not apply to {config.mode} mode")
+    for scalar, sweep in _SWEPT.items():
+        _require(scalar not in doc or sweep not in doc,
+                 f"{sweep} replaces {scalar}; give one of them")
+    return config
 
 
 def load_config(path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as handle:
         return parse_config(handle.read())
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    state: str
-    mode: str
-    config: str
-    sigma_prep: float
-    sigma_post: float
-    epsilon: float | None
-    num_copies: int
-    repetitions: int
-    seed: int
-    mean_distance: float | None
-    std_error: float | None
-    error: str = ""
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in RESULT_FIELDS}
 
 
 class FigureRunError(RuntimeError):
@@ -384,11 +347,11 @@ def run_figure(config: ExperimentConfig, threads: int = 1) -> dict:
             try:
                 result = next(results)
             except Exception as exc:
-                rows.append(ResultRow(**base, mean_distance=None, std_error=None,
-                                      error=f"{type(exc).__name__}: {exc}").to_dict())
+                rows.append({**base, "mean_distance": None, "std_error": None,
+                             "error": f"{type(exc).__name__}: {exc}"})
                 raise FigureRunError(f"grid point {index} failed: {exc}", rows) from exc
-            rows.append(ResultRow(**base, mean_distance=result.mean,
-                                  std_error=result.std_error).to_dict())
+            rows.append({**base, "mean_distance": result.mean,
+                         "std_error": result.std_error, "error": ""})
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

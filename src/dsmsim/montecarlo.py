@@ -59,7 +59,7 @@ from .states import (
     conjugate_coefficients,
 )
 
-STATE_KINDS = ("pure", "mixed")
+MODES = ("pure", "mixed")
 # A batch of repetitions holds at most this many outcome probabilities (and
 # as many entries of each per-cell table), whatever the dimension: 80
 # repetitions at d = 8. A batch keeps about four such tables alive at once,
@@ -123,6 +123,12 @@ def _frequencies(counts: np.ndarray, copies: np.ndarray, config: str, d: int) ->
     return _pauli_cells(freq, config, d)
 
 
+def _is_count(value) -> bool:
+    # a bool would pass as 1 repetition and a float copy budget fails only
+    # when copies are split
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentPoint:
     """One grid point of a sweep: fixed state, noise, budget, and seed."""
@@ -138,15 +144,15 @@ class ExperimentPoint:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in STATE_KINDS:
-            raise ParameterError(f"mode must be one of {STATE_KINDS}")
+        if self.mode not in MODES:
+            raise ParameterError(f"mode must be one of {MODES}")
         _check_config(self.config)
-        if self.repetitions < 1:
-            raise ParameterError("need at least one repetition")
-        if self.num_copies < 1:
-            raise ParameterError("copy budget must be positive")
-        if not (self.sigma_prep >= 0.0 and self.sigma_post >= 0.0):
-            raise ParameterError("sigma must be nonnegative")
+        if not (_is_count(self.repetitions) and self.repetitions >= 1):
+            raise ParameterError("repetitions must be a positive integer")
+        if not (_is_count(self.num_copies) and self.num_copies >= 1):
+            raise ParameterError("copy budget must be a positive integer")
+        if not (0.0 <= self.sigma_prep < np.inf and 0.0 <= self.sigma_post < np.inf):
+            raise ParameterError("sigma must be finite and nonnegative")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ParameterError("epsilon must lie in [0, 1]")
         # each mode has one preparation noise; the other one would be ignored

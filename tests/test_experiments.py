@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from concurrent.futures import Future
 
@@ -6,10 +7,13 @@ import pytest
 
 import dsmsim.experiments as experiments
 import dsmsim.montecarlo as montecarlo
+from dsmsim.cli import PRESETS, load_preset
 from dsmsim.errors import ConfigError, ParameterError
 from dsmsim.experiments import (
     CURVE_FIELDS,
+    QFI_SIGMA_PREP,
     RESULT_FIELDS,
+    ExperimentConfig,
     FigureRunError,
     export_csv,
     export_json,
@@ -25,6 +29,8 @@ def test_minimal_document_gets_defaults():
     assert config.configuration == "both"
     assert config.copy_budgets == (1000,)
     assert config.state_kind == "ghz"
+    assert config == ExperimentConfig()
+    assert parse_config('{"task": "qfi"}').sigma_prep == QFI_SIGMA_PREP
 
 
 def test_unknown_keys_rejected():
@@ -77,21 +83,37 @@ def test_sigma_prep_rejected_in_mixed_mode():
     '{"sigma_prep": 0.3, "sigma_sweep": [0.0]}',
     '{"sigma_post": 0.2, "sigma_sweep": [0.0]}',
     '{"mode": "mixed", "epsilon": 0.1, "epsilon_sweep": [0.0]}',
+    '{"sigma_sweep": null}',
+    pytest.param('{"sigma_post": 1%s}' % ("0" * 400), id="sigma_post-beyond-float"),
 ])
 def test_invalid_documents_rejected(doc):
     with pytest.raises(ConfigError):
         parse_config(doc)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ExperimentConfig(sigma_sweep=(0.0,), sigma_post=0.3),
+    lambda: dataclasses.replace(parse_config("{}"), repetitions=0),
+    lambda: ExperimentConfig(mode="mixed", sigma_prep=0.2),
+    lambda: ExperimentConfig(task="qfi", copy_budgets=(10,)),
+], ids=["scalar-beside-sweep", "replace-repetitions", "mixed-sigma-prep",
+        "other-task-key"])
+def test_direct_construction_held_to_document_rules(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
 def test_round_trip_identity():
-    docs = [
+    configs = [parse_config(doc) for doc in (
         '{"state_kind": "w", "sigma_sweep": [0.0, 0.1], "copy_budgets": [10, 20]}',
         '{"mode": "mixed", "epsilon_sweep": [0.0, 1.0], "sigma_post": 0.05}',
         '{"task": "qfi", "sigma_prep": 0.2, "histogram_bins": 10}',
+        '{"task": "qfi", "sigma_prep": 0}',
         '{"state_kind": "dicke", "dicke_excitations": 2, "num_qubits": 3}',
-    ]
-    for doc in docs:
-        config = parse_config(doc)
+    )]
+    configs += [load_preset(name) for name in PRESETS]
+    configs.append(load_preset("fig2", full_scale=True))
+    for config in configs:
         assert parse_config(json.dumps(config.to_dict())) == config
 
 

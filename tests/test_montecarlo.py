@@ -259,11 +259,14 @@ def test_experiment_point_validation():
         ExperimentPoint(mode="pure", config="C1", state=GHZ, num_copies=10,
                         repetitions=0, seed_entropy=(1,))
     # the other mode's preparation noise, which the engine would ignore,
-    # negative noise, epsilon outside [0, 1] and an empty copy budget
+    # negative or infinite noise, epsilon outside [0, 1], an empty copy
+    # budget and counts that are not integers
     invalid = [("mixed", dict(sigma_prep=0.3)), ("pure", dict(epsilon=0.9)),
                  ("pure", dict(sigma_prep=-0.1)), ("mixed", dict(sigma_post=-0.1)),
+                 ("pure", dict(sigma_prep=np.inf)), ("pure", dict(sigma_post=np.inf)),
                  ("mixed", dict(epsilon=1.5)), ("mixed", dict(epsilon=-0.1)),
-                 ("pure", dict(num_copies=0))]
+                 ("pure", dict(num_copies=0)), ("pure", dict(num_copies=100.5)),
+                 ("pure", dict(repetitions=True))]
     for mode, fields in invalid:
         kwargs = dict(mode=mode, config="C1", state=GHZ, num_copies=10,
                       repetitions=1, seed_entropy=(1,))
