@@ -42,10 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the configuration's master seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker processes (at least 1); each takes "
-                            "batches of Monte Carlo repetitions, which span "
-                            "consecutive grid points with the same copy "
-                            "budget")
+                       help="worker processes (at least 1, at most the "
+                            "usable CPUs); each takes batches of Monte Carlo "
+                            "repetitions, which span consecutive grid points "
+                            "with the same copy budget")
         p.add_argument("--out", type=str, default=None,
                        help="output path (.csv or .json); overrides the "
                             "configuration's output_path")

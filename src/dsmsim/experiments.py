@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError
 from .metrics import norm_const_samples, qfi_pure
-from .montecarlo import MODES, ExperimentPoint, run_points
+from .montecarlo import MODES, ExperimentPoint, pool_size, run_points
 from .pure_protocol import CONFIGURATIONS
 from .states import PureState, standard_state
 
@@ -51,7 +51,7 @@ _TASK_KEYS = {
 }
 TASKS = tuple(_TASK_KEYS)
 # The qfi task samples normalization constants at this preparation noise
-# unless the document gives sigma_prep; the field's own default is 0.
+# unless the config gives sigma_prep; tomography's default is 0.
 QFI_SIGMA_PREP = 0.1
 # scalar noise key -> the sweep key that replaces it on every grid point
 _SWEPT = {"sigma_prep": "sigma_sweep", "sigma_post": "sigma_sweep",
@@ -129,7 +129,7 @@ class ExperimentConfig:
     custom_amplitudes: tuple | None = None
     mode: str = "pure"
     configuration: str = "both"
-    sigma_prep: float = 0.0
+    sigma_prep: float | None = None      # None: the task's default
     sigma_post: float = 0.0
     sigma_sweep: tuple | None = None
     epsilon: float = 0.0
@@ -147,6 +147,9 @@ class ExperimentConfig:
             object.__setattr__(self, key, value)
 
         _require(self.task in TASKS, f"task must be one of {TASKS}")
+        defaults = _DEFAULTS[self.task]
+        if self.sigma_prep is None:
+            store("sigma_prep", defaults["sigma_prep"])
         _require(self.state_kind in STATE_KINDS,
                  f"state_kind must be one of {STATE_KINDS}")
         _require(self.mode in MODES, f"mode must be one of {MODES}")
@@ -186,7 +189,7 @@ class ExperimentConfig:
             _require(getattr(self, sweep) is None or getattr(self, scalar) == 0.0,
                      f"{sweep} replaces {scalar}; leave {scalar} at 0")
         for key in _FOREIGN[self.mode]:
-            _require(getattr(self, key) == _DEFAULTS[key],
+            _require(getattr(self, key) == defaults[key],
                      f"{key} does not apply to {self.mode} mode")
 
         budgets = _nonempty(self.copy_budgets, "copy_budgets")
@@ -203,8 +206,8 @@ class ExperimentConfig:
         store("norm_grid", (float(low), float(high), points))
 
         # to_dict drops the keys of the other task, so they keep their defaults
-        stray = [key for key in _DEFAULTS if key not in _TASK_KEYS[self.task]
-                 and getattr(self, key) != _DEFAULTS[key]]
+        stray = [key for key, default in defaults.items()
+                 if key not in _TASK_KEYS[self.task] and getattr(self, key) != default]
         _require(not stray, f"{stray} do not apply to task {self.task!r}")
 
     def state_label(self) -> str:
@@ -223,22 +226,19 @@ class ExperimentConfig:
         """Flat JSON-compatible document: the task's keys that differ from
         their defaults, so ``parse_config`` gives back an equal config."""
         doc = {}
-        for key, default in _document_defaults(self.task).items():
+        for key, default in _DEFAULTS[self.task].items():
             value = getattr(self, key)
-            if value != default:
+            if key in _TASK_KEYS[self.task] and value != default:
                 doc[key] = list(value) if isinstance(value, tuple) else value
         return doc
 
 
-_DEFAULTS = {entry.name: entry.default for entry in dataclass_fields(ExperimentConfig)}
-
-
-def _document_defaults(task: str) -> dict:
-    """Value of each of the task's keys when a document leaves it out."""
-    defaults = {key: value for key, value in _DEFAULTS.items() if key in _TASK_KEYS[task]}
-    if task == "qfi":
-        defaults["sigma_prep"] = QFI_SIGMA_PREP
-    return defaults
+# task -> the value each field takes when it is not given
+_DEFAULTS = {
+    task: {entry.name: entry.default for entry in dataclass_fields(ExperimentConfig)}
+    | {"sigma_prep": QFI_SIGMA_PREP if task == "qfi" else 0.0}
+    for task in TASKS
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -261,7 +261,7 @@ def parse_config(text: str) -> ExperimentConfig:
     nulls = sorted(key for key, value in doc.items() if value is None)
     _require(not nulls, f"keys must not be null: {nulls}")
 
-    config = ExperimentConfig(**{**_document_defaults(task), **doc})
+    config = ExperimentConfig(**doc)
     for key in _FOREIGN[config.mode]:
         _require(key not in doc, f"{key} does not apply to {config.mode} mode")
     for scalar, sweep in _SWEPT.items():
@@ -333,9 +333,7 @@ def run_figure(config: ExperimentConfig, threads: int = 1) -> dict:
         for index, (configuration, s_prep, s_post, eps, copies) in grid
     )
     rows = []
-    # no more workers than repetitions: under fork, all of them start at the
-    # first task
-    workers = min(threads, len(grid) * config.repetitions)
+    workers = pool_size(threads, len(grid) * config.repetitions)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         results = run_points(points, workers, executor=pool)

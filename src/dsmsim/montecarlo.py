@@ -33,6 +33,7 @@ first, and the points before it keep their results.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -382,6 +383,23 @@ def run_points(points, threads: int = 1, executor=None):
                 distances = []
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all CPUs where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def pool_size(threads: int, tasks: int) -> int:
+    """Worker processes for ``threads`` requested workers and ``tasks`` tasks.
+
+    No more than the tasks nor the usable CPUs: under the fork start method
+    a pool starts all its workers at the first task, and more workers than
+    CPUs only compete for them.
+    """
+    return min(threads, tasks, _usable_cpus())
+
+
 def run_repetitions(point: ExperimentPoint, threads: int = 1) -> RunResult:
     """All repetitions of one grid point, reduced in repetition order.
 
@@ -390,7 +408,8 @@ def run_repetitions(point: ExperimentPoint, threads: int = 1) -> RunResult:
     contiguous batches of the repetitions; every repetition owns its
     seed-derived stream, so the worker count never changes the result.
     """
-    if threads > 1 and point.repetitions > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, point.repetitions)) as pool:
-            return next(run_points([point], threads, executor=pool))
+    workers = pool_size(threads, point.repetitions)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return next(run_points([point], workers, executor=pool))
     return next(run_points([point], threads))

@@ -9,14 +9,13 @@ drawn in setting order, so a table of settings consumes the same stream as
 drawing each setting's copies in turn. Tables may be stacked, one random
 stream each, and counted together.
 
-Three layouts count the same copies, chosen from the shape of the stack
-alone. Settings with many copies are counted one at a time in fixed-size
-chunks. Settings with few copies are counted for all tables together:
-either one pass per copy slot, comparing the slot's variate of every row
-with all edges of the group at once, or in blocks that pad every setting
-to the widest one. The slot pass makes few NumPy calls over long arrays
-when there are many rows and edges per slot (the fig4 sweep); the padded
-blocks win when a few rows carry many copies each.
+Two layouts count the same copies, chosen by the copy count alone.
+Settings with many copies are counted one at a time in fixed-size chunks.
+Settings with few copies are counted for all tables together, in passes
+over blocks of consecutive copy slots: each pass compares those slots'
+variates of every row of a group of tables with all its edges at once. The
+block width follows from the shape alone: a few slots when the group has
+many rows and edges (the fig4 sweep), up to every slot when it has few.
 """
 
 from __future__ import annotations
@@ -27,23 +26,16 @@ from .errors import ParameterError, PhysicsError
 
 PROB_SUM_ATOL = 1e-12
 PROB_NEG_ATOL = -1e-12
-# Settings with at most this many copies are counted together from one draw.
+# Settings with at most this many copies are counted together in slot blocks.
 # Counting setting by setting costs one NumPy call per edge and setting, which
-# dominates at few copies; counting all settings at once pays for padding
-# every setting to the largest, the layout chosen near this width. The two
-# cost the same at about 1,000-1,300 copies per setting (3, 9, 17 and 33
-# outcomes, 4 and 50 tables, NumPy 2.4, x86-64).
+# dominates at few copies; the blocks pay for padding every setting to the
+# largest. The two cost the same between 1,024 and 2,048 copies per setting
+# (3 and 17 outcomes, 3 and 24 settings, 50 tables, NumPy 2.4, x86-64).
 BATCH_COPIES = 1024
-# Variates per draw (and copy-edge comparisons per batch). Scratch memory is
-# bounded by this, whatever the copy budget.
+# Variates per draw. The slot blocks size their groups and passes from it
+# too (_block_shape), so scratch memory is bounded by a small multiple of
+# it, whatever the copy budget.
 CHUNK = 1 << 16
-# Small budgets are counted one copy slot at a time when a group's rows x
-# edges reach this many times the slot width, and in padded blocks below
-# it. A slot costs three NumPy calls per group, so the slot pass pays only
-# when each call compares enough numbers. Over d = 2-16, 1-1092 tables and
-# widths 1-1000 the rule picked the faster layout or, near the crossover,
-# one at most 1.4x slower (NumPy 2.4, x86-64).
-SLOT_RATIO = 48
 
 
 def check_outcome_table(probs) -> np.ndarray:
@@ -78,49 +70,36 @@ def outcome_table(success) -> np.ndarray:
     return check_outcome_table(np.concatenate((success, fail), axis=-1))
 
 
-def _below_padded(edges, copies, rngs) -> np.ndarray:
+def _block_shape(tables, settings, width, count) -> tuple:
+    """Tables per group and copy slots per pass of the slot blocks.
+
+    A group holds its draws and its edges in about CHUNK numbers, and a
+    pass its gathered variates (8 bytes each) and their comparisons with
+    the edges (1 byte each) in about CHUNK bytes.
+    """
+    size = min(tables, max(1, CHUNK // (settings * (width + count))))
+    return size, min(width, max(1, CHUNK // (size * settings * (count + 8))))
+
+
+def _below_blocks(edges, copies, rngs) -> np.ndarray:
     """Copies below each edge of stacked tables, for settings with few copies each.
 
-    The rows of all tables, one after another, are counted in groups: each
-    setting's variates fill one row of a block padded with +inf, which lies
-    below no edge, and each table's rows of a group take one draw from that
-    table's stream.
-    """
-    tables, settings = edges.shape[:2]
-    edges = edges.reshape(tables * settings, -1)
-    copies = np.tile(copies, tables)
-    rows, width = copies.shape[0], int(copies.max())
-    per_group = max(1, CHUNK // (width * max(edges.shape[1], 1)))
-    below = np.empty(edges.shape, dtype=np.int64)
-    for start in range(0, rows, per_group):
-        stop = min(start + per_group, rows)
-        group = copies[start:stop]
-        # the group's rows split where one table ends and the next begins
-        cuts = [start, *range(start - start % settings + settings, stop, settings), stop]
-        variates = [rngs[lo // settings].random(int(copies[lo:hi].sum()))
-                    for lo, hi in zip(cuts, cuts[1:])]
-        block = np.full((stop - start, 1, width), np.inf)
-        block[np.arange(width) < group[:, None, None]] = np.concatenate(variates)
-        below[start:stop] = np.count_nonzero(block < edges[start:stop, :, None], axis=2)
-    return below.reshape(tables, settings, -1)
-
-
-def _below_slots(edges, copies, rngs, size: int) -> np.ndarray:
-    """Copies below each edge of stacked tables, one pass per copy slot.
-
-    Groups of ``size`` tables are counted together. Each table draws all
-    its copies from its stream in one call; slot j then gathers the j-th
-    variate of every row of the group (+inf for rows with fewer copies)
-    and is compared with every edge of the group at once, so the inner
-    loops run over rows x edges contiguous numbers.
+    Groups of tables are counted together. Each table draws all its copies
+    from its stream in one call; a pass then gathers a block of consecutive
+    copy slots of every row of the group (+inf for rows with fewer copies,
+    which lies below no edge) and compares them with every edge of the
+    group at once.
     """
     tables, settings, count = edges.shape
     width, total = int(copies.max()), int(copies.sum())
+    size, step = _block_shape(tables, settings, width, count)
     # slot j of setting s reads draw starts[s] + j of its table, or the +inf
-    # past the table's draws
+    # past the table's draws; the group's table t starts offsets[t] into the
+    # flattened draws
     slots = np.arange(width)[:, None]
     starts = np.cumsum(copies) - copies
     columns = np.where(slots < copies, starts + slots, total)
+    offsets = (total + 1) * np.arange(size)[:, None]
     draws = np.empty((size, total + 1))
     draws[:, total] = np.inf
     # no count exceeds the width, so the narrowest type that holds it will do
@@ -128,17 +107,16 @@ def _below_slots(edges, copies, rngs, size: int) -> np.ndarray:
     below = np.empty(edges.shape, dtype=np.int64)
     for start in range(0, tables, size):
         stop = min(start + size, tables)
-        drawn = draws[:stop - start]
-        for row, rng in zip(drawn, rngs[start:stop]):
+        rows = (stop - start) * settings
+        for row, rng in zip(draws, rngs[start:stop]):
             rng.random(out=row[:total])
-        group = edges[start:stop].reshape(-1, count).T.copy()
-        hits = np.empty(group.shape, dtype=bool)
+        # [edge, row] against blocks [slot, 1, row]
+        group = edges[start:stop].reshape(rows, count).T.copy()
         counted = np.zeros(group.shape, dtype=tally)
-        slot = np.empty((stop - start, settings))
-        for cols in columns:
-            np.take(drawn, cols, axis=1, out=slot)
-            np.less(slot.ravel(), group, out=hits)
-            counted += hits.view(np.uint8)
+        for lo in range(0, width, step):
+            cells = columns[lo:lo + step, None] + offsets[:stop - start]
+            block = draws.take(cells).reshape(-1, 1, rows)
+            counted += np.less(block, group).view(np.uint8).sum(axis=0, dtype=tally)
         below[start:stop] = counted.T.reshape(stop - start, settings, count)
     return below
 
@@ -171,8 +149,8 @@ def sample_count_tables(probs, copies, rngs) -> np.ndarray:
     before it, and its counts equal the per-copy inverse-CDF lookup of those
     variates, so any split of the rows or tables into calls gives the same
     counts from the same streams. Few copies per row are counted for all
-    tables together, by copy slot or in padded blocks; many copies row by
-    row in fixed-size chunks.
+    tables together in blocks of copy slots; many copies row by row in
+    fixed-size chunks.
     """
     probs = np.asarray(probs, dtype=np.float64)
     copies = np.asarray(copies, dtype=np.int64)
@@ -197,14 +175,8 @@ def _copies_below(probs, copies, rngs) -> np.ndarray:
     edges = np.cumsum(probs[..., :-1], axis=-1)
     if not copies.any():
         return np.zeros(edges.shape, dtype=np.int64)
-    tables, settings, count = edges.shape
-    width = int(copies.max())
-    if width > BATCH_COPIES:
+    if int(copies.max()) > BATCH_COPIES:
         return np.array([_below_chunked(table, copies, rng)
                          for table, rng in zip(edges, rngs)])
-    # a slot group holds its draws and its edges in about CHUNK numbers
-    size = min(tables, max(1, CHUNK // (settings * (width + count))))
-    if size * settings * count >= SLOT_RATIO * width:
-        return _below_slots(edges, copies, rngs, size)
-    return _below_padded(edges, copies, rngs)
+    return _below_blocks(edges, copies, rngs)
 

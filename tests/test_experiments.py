@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 from concurrent.futures import Future
 
 import numpy as np
@@ -31,6 +32,19 @@ def test_minimal_document_gets_defaults():
     assert config.state_kind == "ghz"
     assert config == ExperimentConfig()
     assert parse_config('{"task": "qfi"}').sigma_prep == QFI_SIGMA_PREP
+
+
+def test_qfi_sigma_prep_default_is_the_tasks():
+    built = ExperimentConfig(task="qfi")
+    assert built.sigma_prep == QFI_SIGMA_PREP
+    assert built == parse_config('{"task": "qfi"}')
+    assert built.to_dict() == {"task": "qfi"}
+    explicit = ExperimentConfig(task="qfi", sigma_prep=0)
+    assert explicit.sigma_prep == 0.0
+    assert explicit == parse_config('{"task": "qfi", "sigma_prep": 0}')
+    assert explicit.to_dict() == {"task": "qfi", "sigma_prep": 0.0}
+    assert ExperimentConfig().sigma_prep == 0.0
+    assert ExperimentConfig(mode="mixed").to_dict() == {"mode": "mixed"}
 
 
 def test_unknown_keys_rejected():
@@ -278,30 +292,66 @@ def test_batches_across_points_match_lone_repetitions(mode, monkeypatch):
         assert run_figure(config, threads=3)["results"] == serial
 
 
-def test_pool_capped_at_repetition_count(monkeypatch):
-    pools, tasks = [], []
+class RecordingPool:
+    """Runs each task in this process; starts no worker."""
 
-    class RecordingPool:
-        """Runs each task in this process; starts no worker."""
+    sizes = []      # max_workers of every pool made, reset by _record_pools
+    tasks = []
 
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
 
-        def submit(self, fn, *args):
-            tasks.append(args)
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+    def submit(self, fn, *args):
+        self.tasks.append(args)
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
-        def shutdown(self, cancel_futures=False):
-            pass
+    def shutdown(self, cancel_futures=False):
+        pass
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+
+
+def _record_pools(monkeypatch, cpus):
+    """Make every pool a RecordingPool, on a machine of ``cpus`` usable CPUs."""
+    RecordingPool.sizes, RecordingPool.tasks = [], []
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+
+
+def test_pool_capped_at_repetition_count(monkeypatch):
+    _record_pools(monkeypatch, cpus=64)
     doc = json.dumps({"num_qubits": 2, "configuration": "C2",
                       "copy_budgets": [40, 80], "repetitions": 3})
     assert run_figure(parse_config(doc), threads=32) == run_figure(parse_config(doc))
-    assert pools == [6]
-    assert len(tasks) == 6
+    assert RecordingPool.sizes == [6]
+    assert len(RecordingPool.tasks) == 6
+
+
+def test_pool_capped_at_usable_cpus(monkeypatch):
+    _record_pools(monkeypatch, cpus=3)
+    config = parse_config(json.dumps({"num_qubits": 2, "configuration": "C2",
+                                      "copy_budgets": [40, 80], "repetitions": 4}))
+    assert run_figure(config, threads=5000) == run_figure(config)
+    point = montecarlo.ExperimentPoint(mode="pure", config="C1",
+                                       state=config.build_state(), num_copies=60,
+                                       repetitions=5, seed_entropy=(3,))
+    assert (montecarlo.run_repetitions(point, threads=5000).distances.tolist()
+            == montecarlo.run_repetitions(point).distances.tolist())
+    assert RecordingPool.sizes == [3, 3]
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    assert 1 <= montecarlo._usable_cpus() <= os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    assert montecarlo._usable_cpus() == 7
 
 
 def test_nonpositive_threads_rejected():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,20 @@ def test_zero_copies_gives_zero_counts(rng):
 
 def test_deterministic_outcome(rng):
     assert one_row_counts([1.0], 7, rng).tolist() == [7]
+    assert one_row_counts([1.0], BATCH_COPIES + 1, rng).tolist() == [BATCH_COPIES + 1]
+
+
+@pytest.mark.parametrize("width", [7, BATCH_COPIES + 1])
+def test_one_outcome_tables_draw_their_copies(width):
+    # a table without edges still consumes the variates of its copies
+    copies = np.array([width, 0, width - 1])
+    streams = [np.random.default_rng(seed) for seed in range(3)]
+    counts = sample_count_tables(np.ones((3, 3, 1)), copies, streams)
+    assert np.array_equal(counts, np.broadcast_to(copies[:, None], (3, 3, 1)))
+    for seed, stream in enumerate(streams):
+        drawn = np.random.default_rng(seed)
+        drawn.random(int(copies.sum()))
+        assert stream.random() == drawn.random()
 
 
 def test_counts_sum_and_reproducibility():
@@ -100,22 +116,51 @@ def _reference_tables(probs, copies, streams):
                      for table, stream in zip(probs, streams)])
 
 
-# SLOT_RATIO 0 counts every small budget by copy slots, an infinite one in
-# padded blocks.
-RATIOS = {"slots": 0, "padded": np.inf}
+# Copy slots per pass of the slot blocks: one (the slot pass of earlier
+# versions), a few, or the whole width (the padded blocks of earlier
+# versions). Widths above BATCH_COPIES are counted in chunks, whatever the
+# pass width.
+PASSES = {"slots": lambda width: 1, "blocks": lambda width: min(3, width),
+          "padded": lambda width: width}
 WIDTHS = [1, 42, BATCH_COPIES, BATCH_COPIES + 1]
 # A CHUNK of 997 cuts small budgets into groups of a few tables and splits
 # the draws above BATCH_COPIES; at BATCH_COPIES itself the default one
 # already cuts groups, and 997 would count one table per group.
 STACKED = [(edges, width, tables, layout, chunk)
            for edges in (1, 2, 16) for width in WIDTHS for tables in (1, 7, 80, 200)
-           for layout in RATIOS for chunk in (CHUNK, 997)
-           if not (width == BATCH_COPIES and chunk < CHUNK)]
+           for layout in PASSES for chunk in (CHUNK, 997)
+           if not (width == BATCH_COPIES and chunk < CHUNK)
+           and not (width > BATCH_COPIES and layout == "blocks")]
+
+
+def _force_passes(monkeypatch, layout):
+    """Count the slot blocks in passes of the layout's width."""
+    shape = sampling._block_shape
+
+    def forced(tables, settings, width, count):
+        return shape(tables, settings, width, count)[0], PASSES[layout](width)
+
+    monkeypatch.setattr(sampling, "_block_shape", forced)
+
+
+def test_block_shape_within_chunk():
+    for tables, settings, width, count in itertools.product(
+            (1, 7, 80, 200), (1, 3, 24), (1, 42, BATCH_COPIES), (0, 1, 16)):
+        size, step = sampling._block_shape(tables, settings, width, count)
+        assert 1 <= size <= tables and 1 <= step <= width
+        # a group's draws and edges, and a pass's variates and comparisons,
+        # stay within CHUNK unless a single table or slot already exceeds it
+        group, compared = settings * (width + count), settings * (count + 8)
+        assert size == 1 or size * group <= CHUNK
+        assert step == 1 or step * size * compared <= CHUNK
+        # and fill at least half of it where the group or pass could be larger
+        assert size == tables or 2 * size * group > CHUNK
+        assert step == width or 2 * step * size * compared > CHUNK
 
 
 @pytest.mark.parametrize("edges, width, tables, layout, chunk", STACKED)
 def test_stacked_counts_match_reference(monkeypatch, edges, width, tables, layout, chunk):
-    monkeypatch.setattr(sampling, "SLOT_RATIO", RATIOS[layout])
+    _force_passes(monkeypatch, layout)
     monkeypatch.setattr(sampling, "CHUNK", chunk)
     probs = _stacked_tables(tables, edges + 1, seed=1000 * edges + width + tables)
     copies = _width_copies(width)
@@ -126,10 +171,10 @@ def test_stacked_counts_match_reference(monkeypatch, edges, width, tables, layou
     assert np.array_equal(counts, expected)
 
 
-@pytest.mark.parametrize("layout", sorted(RATIOS))
+@pytest.mark.parametrize("layout", sorted(PASSES))
 @pytest.mark.parametrize("width", WIDTHS)
 def test_variate_on_an_edge_counts_above_it(monkeypatch, layout, width):
-    monkeypatch.setattr(sampling, "SLOT_RATIO", RATIOS[layout])
+    _force_passes(monkeypatch, layout)
     # dyadic probabilities: every edge is exact, and the stream hits each one
     probs = np.array([[0.125, 0.0, 0.375, 0.25, 0.25],
                       [0.5, 0.25, 0.0, 0.0, 0.25],
