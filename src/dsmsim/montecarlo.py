@@ -13,9 +13,12 @@ Settings follow the scan-free structure of each protocol:
     mixed C1  - d x 3   (interaction n, basis; all conjugate k kept)
     mixed C2  - d x 3   (interaction k, basis; all postselected |n> kept)
 
-Every repetition owns a random stream derived from (seed entropy,
-repetition index), so results are independent of worker count and
-reductions happen in repetition order.
+Every repetition owns a random stream: repetition ``rep`` of a point draws
+from PCG64 seeded by ``SeedSequence(seed_entropy + (rep,))``, so
+``np.random.default_rng(np.random.SeedSequence(seed_entropy + (rep,)))``
+reproduces it outside dsmsim. The seeds of a batch's repetitions are
+derived together, in one pass over arrays (_seed_words). Results are
+independent of worker count, and reductions happen in repetition order.
 
 Repetitions run in batches. Consecutive grid points that share mode,
 configuration, dimension and copy budget pool their repetitions, in order,
@@ -40,6 +43,7 @@ from functools import lru_cache
 from itertools import groupby, repeat
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ParameterError
 from .metrics import trace_distance_pure, trace_distances
@@ -152,6 +156,12 @@ class ExperimentPoint:
             raise ParameterError("repetitions must be a positive integer")
         if not (_is_count(self.num_copies) and self.num_copies >= 1):
             raise ParameterError("copy budget must be a positive integer")
+        # what SeedSequence accepts as integer entropy, bools included; a
+        # negative value or a float would break the split into 32-bit words
+        if not (isinstance(self.seed_entropy, tuple) and all(
+                isinstance(value, (int, np.integer)) and value >= 0
+                for value in self.seed_entropy)):
+            raise ParameterError("seed_entropy must be a tuple of nonnegative integers")
         if not (0.0 <= self.sigma_prep < np.inf and 0.0 <= self.sigma_post < np.inf):
             raise ParameterError("sigma must be finite and nonnegative")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -205,9 +215,108 @@ class RunResult:
         return float(np.std(self.distances, ddof=1) / np.sqrt(self.distances.shape[0]))
 
 
-def _repetition_rng(point: ExperimentPoint, rep: int):
-    seq = np.random.SeedSequence(tuple(point.seed_entropy) + (rep,))
-    return np.random.default_rng(seq)
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), whose output
+# NEP 19 freezes. Its arithmetic wraps at 32 bits; it runs here on uint32
+# arrays only, as scalar uint32 arithmetic warns on overflow.
+_POOL = 4                                   # SeedSequence's default pool size
+_MASK = 0xFFFFFFFF
+_SHIFT = np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k for k < count, wrapped to 32 bits: the hash's multipliers."""
+    values = [init]
+    while len(values) < count:
+        values.append(values[-1] * mult & _MASK)
+    return np.array(values, dtype=np.uint32)
+
+
+# generate_state(4, uint64) hashes 8 words: 9 multipliers
+_STATE_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL + 1)
+
+
+def _hashmix(value: np.ndarray, constants: np.ndarray, call: int) -> np.ndarray:
+    """SeedSequence's hashmix, the ``call``-th of a run, on a row of words."""
+    value = (value ^ constants[call]) * constants[call + 1]
+    return value ^ value >> _SHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a pool word with a hashed word."""
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ value >> _SHIFT
+
+
+def _words(value) -> list:
+    """A nonnegative integer as SeedSequence splits it: 32-bit words, low first."""
+    value = int(value)
+    words = [value & _MASK]
+    while value > _MASK:
+        value >>= 32
+        words.append(value & _MASK)
+    return words
+
+
+class _SeedWords(ISeedSequence):
+    """Hands PCG64 the state words already derived for its repetition.
+
+    PCG64 asks its seed sequence for generate_state(4, np.uint64) once.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _seed_words(entropies: list) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(4, uint64) of every entropy tuple.
+
+    One pass for all of them: SeedSequence's entropy mixing and its state
+    hash run on uint32 rows with one column per tuple. Entropy is
+    zero-padded to the pool size, and words beyond it are mixed into the
+    columns that have them only. Returns [len(entropies), 4] uint64 words.
+    """
+    words = [[word for value in entropy for word in _words(value)] for entropy in entropies]
+    lengths = np.array([len(column) for column in words])
+    width = max(_POOL, int(lengths.max()))
+    table = np.array([column + [0] * (width - len(column)) for column in words],
+                     dtype=np.uint32).T
+    # mix_entropy: one hashmix per pool word, 12 to mix the pool, then 4 per
+    # word beyond the pool
+    constants = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL * width + 1)
+    pool = [_hashmix(table[i], constants, i) for i in range(_POOL)]
+    call = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants, call))
+                call += 1
+    for src in range(_POOL, width):
+        more = lengths > src
+        for dst in range(_POOL):
+            mixed = _mix(pool[dst], _hashmix(table[src], constants, call))
+            pool[dst] = np.where(more, mixed, pool[dst])
+            call += 1
+    state = np.array([_hashmix(pool[i % _POOL], _STATE_CONSTANTS, i)
+                      for i in range(2 * _POOL)])
+    # word pairs read as little-endian uint64, as generate_state does
+    return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _streams(batch) -> list:
+    """The random stream of every repetition of a batch, in order.
+
+    Repetition ``rep`` of a point draws from PCG64 seeded by
+    SeedSequence(seed_entropy + (rep,)); the seeds of the whole batch are
+    derived at once (_seed_words).
+    """
+    entropies = [point.seed_entropy + (rep,)
+                 for point, start, stop in batch for rep in range(start, stop)]
+    return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
+            for words in _seed_words(entropies)]
 
 
 def _batch_key(point: ExperimentPoint) -> tuple:
@@ -261,8 +370,7 @@ def _batch(batch):
     amplitude vectors (pure) or density matrices (mixed), all validated.
     """
     mode, config, d, num_copies = _batch_key(batch[0][0])
-    rngs = [_repetition_rng(point, rep)
-            for point, start, stop in batch for rep in range(start, stop)]
+    rngs = _streams(batch)
     # Each stage's stacked tables are dropped once the next stage has read
     # them, which bounds the memory a batch holds at once.
     probs = outcome_table(_setting_rows(_noisy_pauli(batch, rngs), config))

@@ -267,6 +267,11 @@ def test_experiment_point_validation():
                  ("mixed", dict(epsilon=1.5)), ("mixed", dict(epsilon=-0.1)),
                  ("pure", dict(num_copies=0)), ("pure", dict(num_copies=100.5)),
                  ("pure", dict(repetitions=True))]
+    # seed entropy that is not a tuple, or holds a negative value, a float,
+    # a string or None
+    invalid += [("pure", dict(seed_entropy=entropy))
+                for entropy in ([1], 1, None, (-1,), (3, np.int64(-2)), (1.0,),
+                                (np.float64(2),), (1, "2"), (None,))]
     for mode, fields in invalid:
         kwargs = dict(mode=mode, config="C1", state=GHZ, num_copies=10,
                       repetitions=1, seed_entropy=(1,))
@@ -277,6 +282,11 @@ def test_experiment_point_validation():
                     seed_entropy=(1,), sigma_post=0.1, epsilon=1.0)
     ExperimentPoint(mode="pure", config="C1", state=GHZ, num_copies=10, repetitions=1,
                     seed_entropy=(1,), sigma_prep=0.1, sigma_post=0.1)
+    # as is every integer SeedSequence takes, bools and NumPy integers included
+    for entropy in ((), (0,), (True, False), (np.int64(7), np.uint64(2**64 - 1)),
+                    (2**100,)):
+        ExperimentPoint(mode="pure", config="C1", state=GHZ, num_copies=10,
+                        repetitions=1, seed_entropy=entropy)
 
 
 def _reference_outcome(point, rep):
@@ -359,6 +369,61 @@ def test_batch_takes_state_and_noise_from_each_point(mode):
     results = [result.distances.tolist() for result in run_points(points)]
     assert results == [[lone_repetition(point, rep)[0] for rep in range(2)]
                        for point in points]
+
+
+# seed entropies of 0 to 6 words, so that seed_entropy + (rep,) spans 1 to
+# 7 words: values at and past the 32-bit word boundaries, bools and NumPy
+# integers
+SEED_ENTROPIES = [(), (3,), (0, 2**32 - 1), (2**32, 7), (2**64 + 1,), (True, False, 2**32),
+                  (2**100,), (np.int64(7), 1, 2, 3, 4), (np.uint64(2**64 - 1), 2**100)]
+
+
+def test_streams_match_seed_sequence():
+    """A batch derives every repetition's PCG64 seed exactly as SeedSequence
+    does, whatever the entropy width of its points; a point's repetitions
+    may cross the 32-bit word boundary of the repetition index."""
+    points = [ExperimentPoint(mode="mixed", config="C1", state=GHZ, num_copies=10,
+                              repetitions=2**32 + 2, seed_entropy=entropy)
+              for entropy in SEED_ENTROPIES]
+    batch = ([(point, 0, 3) for point in points]
+             + [(points[1], 2**32 - 2, 2**32 + 1), (points[0], 5, 6)])
+    entropies = [point.seed_entropy + (rep,)
+                 for point, start, stop in batch for rep in range(start, stop)]
+    # SeedSequence splits each value into max(1, ceil(bits / 32)) words
+    widths = {sum(max(1, -(-int(value).bit_length() // 32)) for value in entropy)
+              for entropy in entropies}
+    assert sorted(widths) == [1, 2, 3, 4, 5, 6, 7]
+    words = montecarlo._seed_words(entropies)
+    streams = montecarlo._streams(batch)
+    assert words.dtype == np.uint64 and words.shape == (len(entropies), 4)
+    assert len(streams) == len(entropies)
+    for entropy, row, stream in zip(entropies, words, streams):
+        sequence = np.random.SeedSequence(entropy)
+        assert np.array_equal(row, sequence.generate_state(4, np.uint64))
+        reference = np.random.Generator(np.random.PCG64(sequence))
+        assert stream.bit_generator.state == reference.bit_generator.state
+        assert stream.random() == reference.random()
+        assert stream.standard_normal() == reference.standard_normal()
+
+
+@pytest.mark.parametrize("mode", ["pure", "mixed"])
+def test_batch_of_mixed_seed_widths_matches_lone_repetitions(mode):
+    """Points whose seed entropies split into different numbers of words
+    share a batch, and each repetition keeps the stream of a lone one; the
+    lone ones match the per-setting reference, which seeds with NumPy's own
+    SeedSequence."""
+    noise = (dict(sigma_prep=0.05, sigma_post=0.05) if mode == "pure"
+             else dict(sigma_post=0.05, epsilon=0.3))
+    points = [ExperimentPoint(mode=mode, config="C1", state=GHZ, num_copies=1000,
+                              repetitions=3, seed_entropy=entropy, **noise)
+              for entropy in [(5,), (2**40, 3), (2**64 + 1, True, np.int64(2), 2**100)]]
+    assert len(list(_batches(points))) == 1
+    distances, recons = _batch([(point, 0, 3) for point in points])
+    lone = [lone_repetition(point, rep) for point in points for rep in range(3)]
+    assert distances.tolist() == [distance for distance, _ in lone]
+    assert all(np.array_equal(recon, state) for recon, (_, state) in zip(recons, lone))
+    for point in points[1:]:
+        assert lone_repetition(point, 2)[0] == _reference_outcome(point, 2)[0]
 
 
 @pytest.mark.parametrize("mode,num_copies", [("pure", 8), ("mixed", 1)])
