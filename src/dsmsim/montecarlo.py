@@ -202,17 +202,25 @@ def _prepared(amps: bytes, epsilon: str) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class RunResult:
+    """Distances of a grid point's repetitions, in repetition order.
+
+    mean and std_error run the arithmetic of np.mean and np.std(ddof=1)
+    with bare ufuncs, which skips their wrappers and rounds the same.
+    """
+
     distances: np.ndarray
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.distances))
+        return float(np.add.reduce(self.distances) / self.distances.shape[0])
 
     @property
     def std_error(self) -> float:
-        if self.distances.shape[0] < 2:
+        n = self.distances.shape[0]
+        if n < 2:
             return 0.0
-        return float(np.std(self.distances, ddof=1) / np.sqrt(self.distances.shape[0]))
+        dev = self.distances - self.mean
+        return float(np.sqrt(np.add.reduce(dev * dev) / (n - 1)) / np.sqrt(n))
 
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), whose output

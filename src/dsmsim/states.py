@@ -23,7 +23,9 @@ from .errors import DegenerateNoiseError, ParameterError
 
 # Tolerance for algebraic identities at the dimensions used here (d <= 64).
 ATOL = 1e-12
-# Eigenvalue floor for positive semidefiniteness checks.
+# Eigenvalue floor for positive semidefiniteness checks: a density matrix,
+# whose entries must be finite, passes when rho + PSD_ATOL * I (1e-10 I)
+# admits a Cholesky factor, that is when no eigenvalue lies below -PSD_ATOL.
 PSD_ATOL = 1e-10
 
 
@@ -64,15 +66,18 @@ class PureState:
 def check_density_matrices(elems) -> None:
     """Validate density matrices stacked along leading axes.
 
-    Each d x d matrix must be Hermitian, have trace one and no eigenvalue
-    below -1e-10. Raises ParameterError naming the first check any matrix
-    fails.
+    Each d x d matrix must have finite entries, be Hermitian, have trace
+    one and no eigenvalue below -PSD_ATOL, tested as "rho + 1e-10 I admits
+    a Cholesky factor". Raises ParameterError naming the first check any
+    matrix fails.
     """
     elems = np.asarray(elems, dtype=np.complex128)
     if elems.ndim < 2 or elems.shape[-1] != elems.shape[-2]:
         raise ParameterError("density matrix must be square")
     if elems.shape[-1] < 2:
         raise ParameterError("dimension must be at least 2")
+    if not np.all(np.isfinite(elems)):
+        raise ParameterError("density matrix entries must be finite")
     if np.max(np.abs(elems - np.swapaxes(elems.conj(), -1, -2))) > ATOL:
         raise ParameterError("density matrix is not Hermitian")
     traces = np.trace(elems, axis1=-2, axis2=-1)
@@ -80,13 +85,23 @@ def check_density_matrices(elems) -> None:
     trace = complex(traces[worst])
     if abs(trace - 1.0) > ATOL:
         raise ParameterError(f"trace must be 1, got {trace!r}")
-    if float(np.linalg.eigvalsh(elems)[..., 0].min()) < -PSD_ATOL:
-        raise ParameterError("density matrix has a negative eigenvalue")
+    # Cholesky reads only the lower triangle, so it runs after the
+    # Hermitian check. It succeeds only when the shifted matrix is positive
+    # definite, which differs from "no eigenvalue below -PSD_ATOL" only at
+    # an eigenvalue of exactly -PSD_ATOL, where rounding decides either way.
+    try:
+        np.linalg.cholesky(elems + PSD_ATOL * np.eye(elems.shape[-1]))
+    except np.linalg.LinAlgError:
+        raise ParameterError("density matrix has a negative eigenvalue") from None
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, positive-semidefinite, trace-one matrix."""
+    """Finite, Hermitian, positive-semidefinite, trace-one matrix.
+
+    Validated by check_density_matrices: positivity is tested as
+    "rho + 1e-10 I admits a Cholesky factor".
+    """
 
     elems: np.ndarray
 

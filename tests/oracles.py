@@ -133,6 +133,12 @@ def real_overlap_state(rng, d: int, magnitudes: np.ndarray) -> np.ndarray:
     return vec * (gamma.conjugate() / abs(gamma))
 
 
+def passes_eigenvalue_rule(elems, atol: float) -> bool:
+    """Positivity read off the spectrum: no matrix of the stack ``elems``
+    has an eigenvalue below -atol."""
+    return float(np.linalg.eigvalsh(elems)[..., 0].min()) >= -atol
+
+
 # --- Reference Monte Carlo repetition -------------------------------------
 #
 # The repetition as a loop over measurement settings: one labelled outcome

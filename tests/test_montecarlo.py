@@ -161,6 +161,19 @@ def test_repetition_listing_and_single_repetition():
     assert recon.shape == (8,)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 16, 50, 127, 128, 129, 1000])
+def test_run_result_statistics_equal_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(9170 + n)
+    for scale in (1e-9, 1e-3, 0.37, 1.0, 2e5):
+        values = rng.random(n) * scale
+        result = montecarlo.RunResult(distances=values)
+        assert result.mean == float(np.mean(values))
+        if n == 1:
+            assert result.std_error == 0.0
+        else:
+            assert result.std_error == float(np.std(values, ddof=1) / np.sqrt(n))
+
+
 def test_determinism_across_runs_and_threads():
     point = ExperimentPoint(mode="pure", config="C1", state=GHZ, num_copies=4000,
                             repetitions=12, seed_entropy=(17, 3),

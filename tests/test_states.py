@@ -3,13 +3,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dsmsim.errors import DegenerateNoiseError, ParameterError
+from dsmsim.mixed_protocol import physicalize_tables
 from dsmsim.states import (
+    PSD_ATOL,
     DensityMatrix,
     PureState,
+    check_density_matrices,
     conjugate_coefficients,
     random_density_matrix,
     standard_state,
 )
+
+from oracles import passes_eigenvalue_rule
 
 SQRT2 = np.sqrt(2.0)
 
@@ -39,6 +44,93 @@ def test_density_matrix_invariants():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
     rho = DensityMatrix(np.diag([0.25, 0.75]))
     assert rho.dim == 2
+
+
+NAN, INF = np.nan, np.inf
+NON_FINITE = {
+    "nan-diagonal": [[NAN, 0.0], [0.0, 0.5]],
+    "all-nan": [[NAN, NAN], [NAN, NAN]],
+    "inf-off-diagonal": [[0.5, INF], [INF, 0.5]],
+    "minus-inf-off-diagonal": [[0.5, -INF], [-INF, 0.5]],
+    "inf-imaginary": [[0.5, complex(0.0, INF)], [complex(0.0, -INF), 0.5]],
+}
+
+
+@pytest.mark.parametrize("bad", list(NON_FINITE.values()), ids=list(NON_FINITE))
+def test_density_matrices_reject_non_finite_entries(bad):
+    # raised before any arithmetic: the warnings NaN or inf would trigger
+    # are errors under this suite's settings
+    with pytest.raises(ParameterError, match="entries must be finite"):
+        check_density_matrices(bad)
+    with pytest.raises(ParameterError, match="entries must be finite"):
+        DensityMatrix(np.array(bad))
+    stack = np.repeat(np.eye(2, dtype=complex)[None] / 2, 5, axis=0)
+    stack[2] = bad
+    with pytest.raises(ParameterError, match="entries must be finite"):
+        check_density_matrices(stack)
+
+
+def passes_guard(elems) -> bool:
+    """Whether check_density_matrices accepts the stack; any other failure
+    than positivity is a test error."""
+    try:
+        check_density_matrices(elems)
+    except ParameterError as exc:
+        assert str(exc) == "density matrix has a negative eigenvalue"
+        return False
+    return True
+
+
+def spectrum_stack(rng, d: int, lowest: float, count: int) -> np.ndarray:
+    """``count`` Hermitian trace-one matrices U diag(lam) U^dag, Haar U, each
+    with smallest eigenvalue ``lowest`` and the others positive."""
+    mats = []
+    for _ in range(count):
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        rest = rng.random(d - 1) + 0.1
+        lam = np.concatenate(([lowest], rest * (1.0 - lowest) / rest.sum()))
+        rho = (u * lam) @ u.conj().T
+        mats.append((rho + rho.conj().T) / 2)
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16, 64])
+def test_positivity_guard_matches_eigenvalue_rule(d):
+    rng = np.random.default_rng(4410 + d)
+    for k in (0.0, 0.5, 0.9, 1.1, 2.0, 10.0):
+        stack = spectrum_stack(rng, d, -k * PSD_ATOL, 3)
+        assert passes_eigenvalue_rule(stack, PSD_ATOL) == (k <= 1.0)
+        assert passes_guard(stack) == (k <= 1.0)
+        for rho in stack:
+            assert passes_guard(rho) == passes_eigenvalue_rule(rho, PSD_ATOL)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16, 32, 64])
+def test_positivity_guard_accepts_projectors_and_physicalized_tables(d):
+    rng = np.random.default_rng(4480 + d)
+    vecs = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    basis = np.zeros(d)
+    basis[d // 2] = 1.0
+    ghz = np.zeros(d)
+    ghz[[0, -1]] = 1.0 / SQRT2
+    projectors = np.array([np.outer(v, v.conj()) for v in [*vecs, basis, ghz]])
+    raw = rng.standard_normal((8, d, d)) + 1j * rng.standard_normal((8, d, d))
+    raw[:3] = raw[:3, :, :1] * raw[:3, :1, :]          # rank one
+    for stack in (projectors, physicalize_tables(raw)):
+        assert passes_eigenvalue_rule(stack, PSD_ATOL)
+        assert passes_guard(stack)
+
+
+def test_positivity_guard_finds_one_failing_matrix_mid_stack():
+    rng = np.random.default_rng(4521)
+    stack = spectrum_stack(rng, 8, 0.0, 7)
+    stack[3] = spectrum_stack(rng, 8, -2.0 * PSD_ATOL, 1)[0]
+    assert not passes_eigenvalue_rule(stack, PSD_ATOL)
+    assert passes_eigenvalue_rule(np.delete(stack, 3, axis=0), PSD_ATOL)
+    with pytest.raises(ParameterError, match="negative eigenvalue"):
+        check_density_matrices(stack)
+    check_density_matrices(np.delete(stack, 3, axis=0))
 
 
 def test_ghz_amplitudes():
