@@ -20,38 +20,41 @@ from .errors import DegenerateDataError, ParameterError
 from .pure_protocol import _check_config, nominal_coefficients
 
 
-def pauli_from_conditionals(m00, m01, m11) -> np.ndarray:
+def pauli_from_conditionals(m00, m01, m11, out=None) -> np.ndarray:
     """P_j = Tr(|j><j| Lambda'') for the six Pauli eigenstates, elementwise.
 
     Takes the entries of one probe matrix or whole tables of them and
-    returns (p0, p1, p+, p-, pL, pR) along a new last axis.
+    returns (p0, p1, p+, p-, pL, pR) along a new last axis, or writes them
+    into ``out`` [..., basis Z/X/Y, eigenvalue], of any strides.
     """
     m01 = np.asarray(m01)
     half_trace = 0.5 * (m00 + m11)
-    return np.stack([
-        np.asarray(m00, dtype=np.float64),
-        np.asarray(m11, dtype=np.float64),
-        half_trace + m01.real,
-        half_trace - m01.real,
-        half_trace - m01.imag,
-        half_trace + m01.imag,
-    ], axis=-1)
+    cells = np.empty(np.shape(half_trace) + (3, 2)) if out is None else out
+    cells[..., 0, 0] = m00
+    cells[..., 0, 1] = m11
+    cells[..., 1, 0] = half_trace + m01.real
+    cells[..., 1, 1] = half_trace - m01.real
+    cells[..., 2, 0] = half_trace - m01.imag
+    cells[..., 2, 1] = half_trace + m01.imag
+    return cells.reshape(cells.shape[:-2] + (6,)) if out is None else out
 
 
 def lambda_tables(pauli, config: str):
     """Probe-matrix entries from Pauli readout probabilities, elementwise.
 
-    ``pauli`` holds (p0, p1, p+, p-, pL, pR) along its last axis; returns
-    the measurable entries as arrays over the leading axes: the off-diagonal
-    entry, Lambda''_10 in C1 and Lambda''_01 in C2, and Lambda''_11.
+    ``pauli`` holds (p0, p1, p+, p-, pL, pR) along its last axis, or along
+    [..., basis, eigenvalue] of any strides; returns the measurable entries
+    as arrays over the leading axes: the off-diagonal entry, Lambda''_10 in
+    C1 and Lambda''_01 in C2, and Lambda''_11.
     """
     _check_config(config)
     pauli = np.asarray(pauli, dtype=np.float64)
-    delta_y = pauli[..., 4] - pauli[..., 5]
-    rotated = np.empty(pauli.shape[:-1], dtype=np.complex128)
-    rotated.real = pauli[..., 2] - pauli[..., 3]
+    pauli = pauli.reshape(pauli.shape[:-1] + (3, 2)) if pauli.shape[-1] == 6 else pauli
+    delta_y = pauli[..., 2, 0] - pauli[..., 2, 1]
+    rotated = np.empty(pauli.shape[:-2], dtype=np.complex128)
+    rotated.real = pauli[..., 1, 0] - pauli[..., 1, 1]
     rotated.imag = delta_y if config == "C1" else -delta_y
-    return 0.5 * rotated, pauli[..., 1]
+    return 0.5 * rotated, pauli[..., 0, 1]
 
 
 def conditional_tables(rho, coeff_rows, config: str):

@@ -17,7 +17,7 @@ Every repetition owns a random stream: repetition ``rep`` of a point draws
 from PCG64 seeded by ``SeedSequence(seed_entropy + (rep,))``, so
 ``np.random.default_rng(np.random.SeedSequence(seed_entropy + (rep,)))``
 reproduces it outside dsmsim. The seeds of a batch's repetitions are
-derived together, in one pass over arrays (_seed_words). Results are
+derived together, in one pass over arrays (_seed_state). Results are
 independent of worker count, and reductions happen in repetition order.
 
 Repetitions run in batches. Consecutive grid points that share mode,
@@ -88,44 +88,41 @@ def _split_copies(total: int, parts: int) -> np.ndarray:
     return copies
 
 
-# One repetition works on two layouts of the same numbers. A Pauli table
-# holds (p0, p1, p+, p-, pL, pR) for every cell (n, k) along its last axis;
-# pure states have a single k. An outcome table has one row per setting,
-# ordered by the index the setting fixes (n in C1, k in C2) and then by
-# probe basis Z, X, Y, and one column per outcome of that setting:
-# (branch, probe eigenvalue) pairs, branches running over the index the
-# setting does not fix, then the failed postselection last. Both may stack
-# repetitions along leading axes.
+# Every stage of a batch works on one layout, the outcome table [rep,
+# setting, outcome]: settings by the index they fix (n in C1, k in C2), then
+# probe basis Z, X, Y; outcomes (branch, probe eigenvalue) over the other
+# index, then the failed postselection. The probabilities are written and
+# the estimates read through a view of it as Pauli cells (_cells).
 
 
-def _transpose_cells(cells: np.ndarray, axes: tuple) -> np.ndarray:
-    """Permute the last four axes of ``cells``; leading axes stay in front."""
-    lead = cells.ndim - 4
-    return cells.transpose(tuple(range(lead)) + tuple(lead + axis for axis in axes))
+def _cells(table: np.ndarray, config: str) -> np.ndarray:
+    """The Pauli cells [rep, n, k, basis, eigenvalue] of outcome tables, a view."""
+    reps, settings, outcomes = table.shape
+    cells = table[..., :-1].reshape(reps, settings // 3, 3, outcomes // 2, 2)
+    return cells.transpose((0, 1, 3, 2, 4) if config == "C1" else (0, 3, 1, 2, 4))
 
 
-def _setting_rows(pauli: np.ndarray, config: str) -> np.ndarray:
-    """Pauli table [n, k, 6] -> rows (fixed index, basis), columns (branch, pair)."""
-    *lead, d, branches, _ = pauli.shape
-    cells = pauli.reshape(*lead, d, branches, 3, 2)
-    rows = _transpose_cells(cells, (0, 2, 1, 3) if config == "C1" else (1, 2, 0, 3))
-    return rows.reshape(*lead, rows.shape[-4] * 3, -1)
+def _outcome_tables(pauli, config: str) -> np.ndarray:
+    """Validated outcome tables [rep, setting, outcome] of pure Pauli tables
+    [rep, n, 6] or of mixed conditional tables (m00, m01, m11) [rep, n, k]."""
+    mixed = isinstance(pauli, tuple)
+    reps, d, k = pauli[0].shape if mixed else pauli.shape[:2] + (1,)
+    fixed, branches = (d, k) if config == "C1" else (k, d)
+    table = np.empty((reps, 3 * fixed, 2 * branches + 1))
+    cells = _cells(table, config)
+    if mixed:
+        pauli_from_conditionals(*pauli, out=cells)
+    else:
+        cells[...] = pauli.reshape(cells.shape)
+    return outcome_table(table)
 
 
-def _pauli_cells(rows: np.ndarray, config: str, d: int) -> np.ndarray:
-    """Inverse of _setting_rows for the postselected columns."""
-    *lead, settings, columns = rows.shape
-    cells = rows.reshape(*lead, settings // 3, 3, columns // 2, 2)
-    cells = _transpose_cells(cells, (0, 2, 1, 3) if config == "C1" else (2, 0, 1, 3))
-    return cells.reshape(*lead, d, -1, 6)
-
-
-def _frequencies(counts: np.ndarray, copies: np.ndarray, config: str, d: int) -> np.ndarray:
-    """Pauli table of estimates count / copies; settings without copies read 0."""
-    freq = np.zeros(counts[..., :-1].shape)
-    copies = np.asarray(copies)[:, None]
-    np.divide(counts[..., :-1], copies, out=freq, where=copies > 0)
-    return _pauli_cells(freq, config, d)
+def _frequencies(counts: np.ndarray, copies: np.ndarray, config: str) -> np.ndarray:
+    """Pauli cells of the estimates count / copies; settings without copies read 0."""
+    copies = copies[:, None]
+    freq = (counts / copies if copies.all() else
+            np.divide(counts, copies, out=np.zeros(counts.shape), where=copies > 0))
+    return _cells(freq, config)
 
 
 def _is_count(value) -> bool:
@@ -234,24 +231,23 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     """init * mult**k for k < count, wrapped to 32 bits: the hash's multipliers."""
-    values = [init]
-    while len(values) < count:
-        values.append(values[-1] * mult & _MASK)
-    return np.array(values, dtype=np.uint32)
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK for k in range(count)],
+                    dtype=np.uint32)
 
 
 # generate_state(4, uint64) hashes 8 words: 9 multipliers
 _STATE_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL + 1)
 
 
-def _hashmix(value: np.ndarray, constants: np.ndarray, call: int) -> np.ndarray:
-    """SeedSequence's hashmix, the ``call``-th of a run, on a row of words."""
-    value = (value ^ constants[call]) * constants[call + 1]
+def _hashmix(values: np.ndarray, constants: np.ndarray, call: int, count: int) -> np.ndarray:
+    """SeedSequence's hashmix, calls call..call+count-1 of a run as rows."""
+    ends = constants[call:call + count + 1, None]
+    value = (values ^ ends[:-1]) * ends[1:]
     return value ^ value >> _SHIFT
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of a pool word with a hashed word."""
+    """SeedSequence's mix of pool words with hashed words."""
     value = _MIX_L * x - _MIX_R * y
     return value ^ value >> _SHIFT
 
@@ -259,11 +255,7 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _words(value) -> list:
     """A nonnegative integer as SeedSequence splits it: 32-bit words, low first."""
     value = int(value)
-    words = [value & _MASK]
-    while value > _MASK:
-        value >>= 32
-        words.append(value & _MASK)
-    return words
+    return [value >> shift & _MASK for shift in range(0, max(32, value.bit_length()), 32)]
 
 
 class _SeedWords(ISeedSequence):
@@ -279,52 +271,51 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def _seed_words(entropies: list) -> np.ndarray:
-    """SeedSequence(entropy).generate_state(4, uint64) of every entropy tuple.
+def _seed_state(slices) -> np.ndarray:
+    """SeedSequence(entropy + (rep,)).generate_state(4, uint64) of every rep
+    in start..stop-1 (below 2**64) of every (entropy, start, stop) slice.
 
-    One pass for all of them: SeedSequence's entropy mixing and its state
-    hash run on uint32 rows with one column per tuple. Entropy is
-    zero-padded to the pool size, and words beyond it are mixed into the
-    columns that have them only. Returns [len(entropies), 4] uint64 words.
+    Entropy is split into words once per slice, indices by array arithmetic;
+    SeedSequence's hash runs on rows of words, one column per repetition.
     """
-    words = [[word for value in entropy for word in _words(value)] for entropy in entropies]
-    lengths = np.array([len(column) for column in words])
+    sizes = [stop - start for _, start, stop in slices]
+    prefixes = [[w for value in entropy for w in _words(value)] for entropy, *_ in slices]
+    reps = np.concatenate([np.arange(*bounds, dtype=np.uint64) for _, *bounds in slices])
+    heads = np.repeat([len(prefix) for prefix in prefixes], sizes)
+    lengths = heads + 1 + (reps > _MASK)
     width = max(_POOL, int(lengths.max()))
-    table = np.array([column + [0] * (width - len(column)) for column in words],
-                     dtype=np.uint32).T
-    # mix_entropy: one hashmix per pool word, 12 to mix the pool, then 4 per
-    # word beyond the pool
+    # a spare last row takes the zero high words of indices below 2**32
+    table = np.repeat(np.array([words + [0] * (width + 1 - len(words)) for words in prefixes],
+                               dtype=np.uint32).T, sizes, axis=1)
+    columns = np.arange(len(reps))
+    table[heads, columns] = reps & np.uint64(_MASK)
+    table[heads + 1, columns] = reps >> np.uint64(32)
+    # mix_entropy: one hashmix per pool word, 12 to mix the pool (three per
+    # source word, all of the same word), then 4 per word beyond the pool
     constants = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL * width + 1)
-    pool = [_hashmix(table[i], constants, i) for i in range(_POOL)]
-    call = _POOL
+    pool = _hashmix(table[:_POOL], constants, 0, _POOL)
     for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants, call))
-                call += 1
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants, _POOL + 3 * src, 3))
     for src in range(_POOL, width):
-        more = lengths > src
-        for dst in range(_POOL):
-            mixed = _mix(pool[dst], _hashmix(table[src], constants, call))
-            pool[dst] = np.where(more, mixed, pool[dst])
-            call += 1
-    state = np.array([_hashmix(pool[i % _POOL], _STATE_CONSTANTS, i)
-                      for i in range(2 * _POOL)])
+        mixed = _mix(pool, _hashmix(table[src], constants, _POOL * src, _POOL))
+        pool = np.where(lengths > src, mixed, pool)
+    state = _hashmix(np.tile(pool, (2, 1)), _STATE_CONSTANTS, 0, 2 * _POOL)
     # word pairs read as little-endian uint64, as generate_state does
     return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _streams(batch) -> list:
-    """The random stream of every repetition of a batch, in order.
+def _seed_words(entropies: list) -> np.ndarray:
+    """_seed_state of entropy tuples that end in their repetition index."""
+    return _seed_state([(entropy[:-1], entropy[-1], entropy[-1] + 1) for entropy in entropies])
 
-    Repetition ``rep`` of a point draws from PCG64 seeded by
-    SeedSequence(seed_entropy + (rep,)); the seeds of the whole batch are
-    derived at once (_seed_words).
-    """
-    entropies = [point.seed_entropy + (rep,)
-                 for point, start, stop in batch for rep in range(start, stop)]
+
+def _streams(batch) -> list:
+    """The random stream of every repetition of a batch, in order: PCG64
+    seeded by SeedSequence(seed_entropy + (rep,)), all derived at once."""
     return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
-            for words in _seed_words(entropies)]
+            for words in _seed_state([(point.seed_entropy, start, stop)
+                                      for point, start, stop in batch])]
 
 
 def _batch_key(point: ExperimentPoint) -> tuple:
@@ -342,8 +333,8 @@ def _per_repetition(batch, values) -> np.ndarray:
     return np.repeat(np.array(values), [stop - start for _, start, stop in batch], axis=0)
 
 
-def _noisy_pauli(batch, rngs) -> np.ndarray:
-    """Pauli tables [rep, n, k, 6] of a batch, one per repetition.
+def _noisy_pauli(batch, rngs):
+    """The Pauli probabilities of a batch, as _outcome_tables takes them.
 
     Each repetition draws its noise from its own stream in ``rngs`` at the
     noise levels of its own point: the preparation perturbation (pure mode)
@@ -357,38 +348,36 @@ def _noisy_pauli(batch, rngs) -> np.ndarray:
         kappas.append(sample_kappas(d, point.sigma_post, rng))
     coeffs = conjugate_coefficients(d, np.array(kappas))
     if mode == "pure":
-        return np.array([pauli_table(psi_prime, rows, config)[:, None, :]
+        return np.array([pauli_table(psi_prime, rows, config)
                          for psi_prime, rows in zip(perturbed, coeffs)])
     prepared = _per_repetition(batch, [point.prepared.elems for point, _, _ in batch])
-    return pauli_from_conditionals(*conditional_tables(prepared, coeffs, config))
+    return conditional_tables(prepared, coeffs, config)
 
 
 def _batch(batch):
     """The repetitions of a batch together: (distances, reconstructions).
 
     ``batch`` lists (point, start, stop) slices, repetitions start..stop-1
-    of each point, all points sharing one _batch_key. Every repetition is
-    one outcome table: every setting's probabilities, counts drawn for all
-    settings, and estimates read back from the counts. The tables of the
-    batch are stacked and go through each stage together; each repetition
-    takes its noise levels, prepared state and target from its own point.
-    The pure path builds its tables and reconstructions one repetition at a
-    time: its scalar probe arithmetic and its norms and inner products have
-    no array form that rounds the same. Reconstructions come back as
-    amplitude vectors (pure) or density matrices (mixed), all validated.
+    of each point, all points sharing one _batch_key. Each stage runs once
+    on the batch's outcome tables, each repetition with the noise levels,
+    prepared state and target of its own point; the pure probe arithmetic
+    and reconstructions run one repetition at a time, as they have no array
+    form that rounds the same. Reconstructions come back as amplitude
+    vectors (pure) or density matrices (mixed), all validated.
     """
     mode, config, d, num_copies = _batch_key(batch[0][0])
     rngs = _streams(batch)
     # Each stage's stacked tables are dropped once the next stage has read
     # them, which bounds the memory a batch holds at once.
-    probs = outcome_table(_setting_rows(_noisy_pauli(batch, rngs), config))
+    probs = _outcome_tables(_noisy_pauli(batch, rngs), config)
     copies = _split_copies(num_copies, probs.shape[1])
     counts = sample_count_tables(probs, copies, rngs)
     del probs
-    estimates = _frequencies(counts, copies, config, d)
+    estimates = _frequencies(counts, copies, config)
     del counts
     if mode == "pure":
-        recons = [reconstruct_pure(table[:, 0, :], config=config) for table in estimates]
+        recons = [reconstruct_pure(table, config=config)
+                  for table in estimates.reshape(-1, d, 6)]
         distances = [trace_distance_pure(point.state, recon)
                      for point, recon in zip(_owners(batch), recons)]
         return np.array(distances), np.array([recon.amps for recon in recons])

@@ -9,6 +9,11 @@ drawn in setting order, so a table of settings consumes the same stream as
 drawing each setting's copies in turn. Tables may be stacked, one random
 stream each, and counted together.
 
+The edges, and the failure column of an outcome table, are running sums
+over many rows at once, one add per outcome: np.cumsum's sequential adds
+along a row, so they round as it does, in the [edge, row] order the
+counting passes compare them in.
+
 Two layouts count the same copies, chosen by the copy count alone.
 Settings with many copies are counted one at a time in fixed-size chunks.
 Settings with few copies are counted for all tables together, in passes
@@ -59,15 +64,19 @@ def check_outcome_table(probs) -> np.ndarray:
     return probs
 
 
-def outcome_table(success) -> np.ndarray:
-    """Append the failure outcome to rows of postselected probabilities.
+def _running_sums(columns) -> np.ndarray:
+    """np.cumsum(columns, axis=-1) with that axis moved to the front."""
+    sums = np.moveaxis(columns, -1, 0).copy()
+    for j in range(1, len(sums)):
+        sums[j] += sums[j - 1]
+    return sums
 
-    The failure column is 1 minus the row's sequential sum; the table is
-    validated by check_outcome_table.
-    """
-    success = np.asarray(success, dtype=np.float64)
-    fail = 1.0 - np.cumsum(success, axis=-1)[..., -1:]
-    return check_outcome_table(np.concatenate((success, fail), axis=-1))
+
+def outcome_table(table) -> np.ndarray:
+    """Validated outcome tables whose last column, the failure outcome, is
+    set in place to 1 minus the sequential sum of the row's other columns."""
+    table[..., -1] = 1.0 - _running_sums(table[..., :-1])[-1]
+    return check_outcome_table(table)
 
 
 def _block_shape(tables, settings, width, count) -> tuple:
@@ -81,16 +90,16 @@ def _block_shape(tables, settings, width, count) -> tuple:
     return size, min(width, max(1, CHUNK // (size * settings * (count + 8))))
 
 
-def _below_blocks(edges, copies, rngs) -> np.ndarray:
+def _below_blocks(probs, copies, rngs) -> np.ndarray:
     """Copies below each edge of stacked tables, for settings with few copies each.
 
     Groups of tables are counted together. Each table draws all its copies
     from its stream in one call; a pass then gathers a block of consecutive
     copy slots of every row of the group (+inf for rows with fewer copies,
     which lies below no edge) and compares them with every edge of the
-    group at once.
+    group at once, taken as the group's running sums [edge, row].
     """
-    tables, settings, count = edges.shape
+    tables, settings, count = probs[..., :-1].shape
     width, total = int(copies.max()), int(copies.sum())
     size, step = _block_shape(tables, settings, width, count)
     # slot j of setting s reads draw starts[s] + j of its table, or the +inf
@@ -104,14 +113,14 @@ def _below_blocks(edges, copies, rngs) -> np.ndarray:
     draws[:, total] = np.inf
     # no count exceeds the width, so the narrowest type that holds it will do
     tally = np.min_scalar_type(width)
-    below = np.empty(edges.shape, dtype=np.int64)
+    below = np.empty((tables, settings, count), dtype=np.int64)
     for start in range(0, tables, size):
         stop = min(start + size, tables)
         rows = (stop - start) * settings
         for row, rng in zip(draws, rngs[start:stop]):
             rng.random(out=row[:total])
-        # [edge, row] against blocks [slot, 1, row]
-        group = edges[start:stop].reshape(rows, count).T.copy()
+        # edges [edge, row] against blocks [slot, 1, row]
+        group = _running_sums(probs[start:stop, :, :-1]).reshape(count, rows)
         counted = np.zeros(group.shape, dtype=tally)
         for lo in range(0, width, step):
             cells = columns[lo:lo + step, None] + offsets[:stop - start]
@@ -122,8 +131,9 @@ def _below_blocks(edges, copies, rngs) -> np.ndarray:
 
 
 def _below_chunked(edges, copies, rng) -> np.ndarray:
-    """Copies below each edge, one setting at a time in fixed-size chunks."""
-    below = np.zeros(edges.shape, dtype=np.int64)
+    """Copies below each edge [edge, setting] of a table, one setting at a
+    time in fixed-size chunks; returns [setting, edge]."""
+    below = np.zeros(edges.shape[::-1], dtype=np.int64)
     size = min(CHUNK, int(copies.max()))
     variates = np.empty(size)
     mask = np.empty(size, dtype=bool)
@@ -132,7 +142,7 @@ def _below_chunked(edges, copies, rng) -> np.ndarray:
             step = min(count, size)
             chunk, hits = variates[:step], mask[:step]
             rng.random(out=chunk)
-            for col, edge in enumerate(edges[row].tolist()):
+            for col, edge in enumerate(edges[:, row].tolist()):
                 np.less(chunk, edge, out=hits)
                 below[row, col] += np.count_nonzero(hits)
             count -= step
@@ -160,23 +170,19 @@ def sample_count_tables(probs, copies, rngs) -> np.ndarray:
         raise ParameterError("need one random stream per table")
     if np.any(copies < 0):
         raise ParameterError("copy count must be nonnegative")
-    below = _copies_below(probs, copies, rngs)
+    # the last edge, +inf, is left out: every remaining copy lands on the
+    # last outcome
+    if not copies.any():
+        below = np.zeros(probs[..., :-1].shape, dtype=np.int64)
+    elif int(copies.max()) > BATCH_COPIES:
+        below = np.array([_below_chunked(_running_sums(table[:, :-1]), copies, rng)
+                          for table, rng in zip(probs, rngs)])
+    else:
+        below = _below_blocks(probs, copies, rngs)
     # outcome j holds the copies below edge j and not below edge j - 1
     counts = np.empty(probs.shape, dtype=np.int64)
     counts[..., :-1] = below
     counts[..., -1] = copies
     counts[..., 1:] -= below
     return counts
-
-
-def _copies_below(probs, copies, rngs) -> np.ndarray:
-    """Copies below each cumulative edge but the last, [table, setting, edge]."""
-    # the last edge is +inf: every remaining copy lands on the last outcome
-    edges = np.cumsum(probs[..., :-1], axis=-1)
-    if not copies.any():
-        return np.zeros(edges.shape, dtype=np.int64)
-    if int(copies.max()) > BATCH_COPIES:
-        return np.array([_below_chunked(table, copies, rng)
-                         for table, rng in zip(edges, rngs)])
-    return _below_blocks(edges, copies, rngs)
 

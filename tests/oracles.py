@@ -330,3 +330,63 @@ def reference_repetition(point, rep):
         diag[n, k] = p["1"]
     recon = DensityMatrix(physicalize_tables(_reference_raw(off, diag, point.config)))
     return trace_distance_mixed(target, recon), recon
+
+
+# --- Reference table layouts ----------------------------------------------
+#
+# The two-layout composition the engine ran before it wrote outcome tables
+# in place: Pauli tables [..., n, k, 6] stacked from the probe matrices,
+# copied into setting rows, a failure column appended from a cumulative sum
+# along each row; frequencies divided with a mask and copied back into
+# Pauli cells for the lambda reads. The engine's one-layout writer and
+# read-back must reproduce it bit for bit.
+
+def reference_pauli_from_conditionals(m00, m01, m11):
+    """(p0, p1, p+, p-, pL, pR) stacked along a new last axis."""
+    m01 = np.asarray(m01)
+    half_trace = 0.5 * (m00 + m11)
+    return np.stack([np.asarray(m00, dtype=np.float64), np.asarray(m11, dtype=np.float64),
+                     half_trace + m01.real, half_trace - m01.real,
+                     half_trace - m01.imag, half_trace + m01.imag], axis=-1)
+
+
+def _transpose_cells(cells, axes):
+    lead = cells.ndim - 4
+    return cells.transpose(tuple(range(lead)) + tuple(lead + axis for axis in axes))
+
+
+def reference_setting_rows(pauli, config):
+    """Pauli table [..., n, k, 6] -> rows (fixed index, basis), columns (branch, pair)."""
+    *lead, d, branches, _ = pauli.shape
+    cells = pauli.reshape(*lead, d, branches, 3, 2)
+    rows = _transpose_cells(cells, (0, 2, 1, 3) if config == "C1" else (1, 2, 0, 3))
+    return rows.reshape(*lead, rows.shape[-4] * 3, -1)
+
+
+def reference_outcome_table(success):
+    """Setting rows with the failure column appended, validated."""
+    from dsmsim.sampling import check_outcome_table
+
+    success = np.asarray(success, dtype=np.float64)
+    fail = 1.0 - np.cumsum(success, axis=-1)[..., -1:]
+    return check_outcome_table(np.concatenate((success, fail), axis=-1))
+
+
+def reference_frequencies(counts, copies, config, d):
+    """Pauli table [..., n, k, 6] of count / copies; settings without copies read 0."""
+    freq = np.zeros(counts[..., :-1].shape)
+    copies = np.asarray(copies)[:, None]
+    np.divide(counts[..., :-1], copies, out=freq, where=copies > 0)
+    *lead, settings, columns = freq.shape
+    cells = freq.reshape(*lead, settings // 3, 3, columns // 2, 2)
+    cells = _transpose_cells(cells, (0, 2, 1, 3) if config == "C1" else (2, 0, 1, 3))
+    return cells.reshape(*lead, d, -1, 6)
+
+
+def reference_lambda_tables(pauli, config):
+    """(off-diagonal entry, Lambda''_11) read from Pauli tables [..., 6]."""
+    delta_y = pauli[..., 4] - pauli[..., 5]
+    rotated = np.empty(pauli.shape[:-1], dtype=np.complex128)
+    rotated.real = pauli[..., 2] - pauli[..., 3]
+    rotated.imag = delta_y if config == "C1" else -delta_y
+    return 0.5 * rotated, pauli[..., 1]

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import reference_repetition
+from oracles import (
+    _reference_counts,
+    reference_frequencies,
+    reference_lambda_tables,
+    reference_outcome_table,
+    reference_pauli_from_conditionals,
+    reference_repetition,
+    reference_setting_rows,
+)
 
 from dsmsim import montecarlo
 from dsmsim.errors import DegenerateDataError, DegenerateNoiseError, ParameterError
@@ -17,14 +25,12 @@ from dsmsim.montecarlo import (
     _batch,
     _batches,
     _distances,
-    _frequencies,
-    _setting_rows,
     _split_copies,
     run_points,
     run_repetitions,
 )
 from dsmsim.pure_protocol import pauli_table, reconstruct_pure
-from dsmsim.sampling import outcome_table
+from dsmsim.sampling import sample_count_tables
 from dsmsim.states import (
     DensityMatrix,
     PureState,
@@ -38,13 +44,14 @@ GHZ = standard_state("ghz", 3)
 
 def pure_outcomes(psi, coeffs, config):
     """Outcome table of a pure repetition: one row per setting."""
-    return outcome_table(_setting_rows(pauli_table(psi, coeffs, config)[:, None, :], config))
+    pauli = pauli_table(psi, coeffs, config)[:, None, :]
+    return reference_outcome_table(reference_setting_rows(pauli, config))
 
 
 def mixed_outcomes(rho, coeffs, config):
     """Outcome table of a mixed repetition: one row per setting."""
     pauli = pauli_from_conditionals(*conditional_tables(rho.elems, coeffs, config))
-    return outcome_table(_setting_rows(pauli, config))
+    return reference_outcome_table(reference_setting_rows(pauli, config))
 
 
 def lone_repetition(point, rep):
@@ -120,7 +127,7 @@ def test_pure_estimator_consistency_with_expected_counts(config):
     coeffs = conjugate_coefficients(d)
     probs = pure_outcomes(psi, coeffs, config)
     copies = _split_copies(1200, probs.shape[0])
-    table = _frequencies(probs * copies[:, None], copies, config, d)[:, 0, :]
+    table = reference_frequencies(probs * copies[:, None], copies, config, d)[:, 0, :]
     recon = reconstruct_pure(table, config=config)
     analytic = reconstruct_pure(pauli_table(psi, coeffs, config), config=config)
     assert trace_distance_pure(recon, analytic) < 1e-10
@@ -133,8 +140,8 @@ def test_mixed_estimator_consistency_with_expected_counts(config, rng):
     coeffs = conjugate_coefficients(d)
     probs = mixed_outcomes(rho, coeffs, config)
     copies = _split_copies(2400, probs.shape[0])
-    off, diag = lambda_tables(_frequencies(probs * copies[:, None], copies, config, d),
-                              config)
+    estimates = reference_frequencies(probs * copies[:, None], copies, config, d)
+    off, diag = lambda_tables(estimates, config)
     m00, m01, m11 = conditional_tables(rho.elems, coeffs, config)
     assert np.max(np.abs(off - (m01.conj() if config == "C1" else m01))) < 1e-12
     assert np.max(np.abs(diag - m11)) < 1e-12
@@ -145,9 +152,68 @@ def test_zero_success_counts_propagate_degenerate_error():
     copies = _split_copies(6, 3 * d)
     counts = np.zeros((3 * d, 3), dtype=np.int64)
     counts[:, -1] = copies                  # every copy failed postselection
-    table = _frequencies(counts, copies, "C1", d)[:, 0, :]
+    table = reference_frequencies(counts, copies, "C1", d)[:, 0, :]
     with pytest.raises(DegenerateDataError):
         reconstruct_pure(table, config="C1")
+
+
+def _synthetic_sources(mode, d, reps, gen):
+    """Pauli sources of ``reps`` repetitions: pure Pauli tables [rep, d, 6] or
+    mixed conditional tables (m00, m01, m11) [rep, d, d].
+
+    The cells of a repetition sum to one, so every setting row of either
+    configuration sums to at most one; one entry is a rounding-scale
+    negative, which validation clamps to zero.
+    """
+    k = d if mode == "mixed" else 1
+    trace = gen.random((reps, d, k))
+    trace /= trace.sum(axis=(1, 2), keepdims=True)
+    share = gen.random((reps, d, k))
+    m00, m11 = share * trace, (1.0 - share) * trace
+    m01 = np.sqrt(m00 * m11) * gen.random((reps, d, k)) * np.exp(
+        2j * np.pi * gen.random((reps, d, k)))
+    m00[-1, 0, 0], m01[-1, 0, 0] = -4e-13, 0.0
+    if mode == "mixed":
+        return m00, m01, m11
+    return reference_pauli_from_conditionals(m00, m01, m11)[:, :, 0, :]
+
+
+@pytest.mark.parametrize("reps", [1, 80])
+@pytest.mark.parametrize("d", [1, 2, 8])
+@pytest.mark.parametrize("mode,config", [("pure", "C1"), ("pure", "C2"),
+                                         ("mixed", "C1"), ("mixed", "C2")])
+def test_one_layout_matches_two_layout_reference(mode, config, d, reps):
+    """The outcome tables written in place, their counts and the estimates
+    read back through strided views equal, bit for bit, those of the
+    composition that stacked Pauli tables, copied them into setting rows and
+    copied the frequencies back into Pauli cells."""
+    source = _synthetic_sources(mode, d, reps, np.random.default_rng([d, reps]))
+    pauli = (reference_pauli_from_conditionals(*source) if mode == "mixed"
+             else source[:, :, None, :])
+    expected = reference_outcome_table(reference_setting_rows(pauli, config))
+    probs = montecarlo._outcome_tables(source, config)
+    assert np.array_equal(probs, expected)
+    assert probs[-1].min() == 0.0
+    settings = probs.shape[1]
+    # fewer copies than settings leave the last settings without any
+    for budget in (settings - 1, 700):
+        copies = _split_copies(budget, settings)
+        counts = sample_count_tables(
+            probs, copies, [np.random.default_rng([budget, rep]) for rep in range(reps)])
+        assert np.array_equal(counts, [
+            [_reference_counts(row, count, stream) for row, count in zip(table, copies)]
+            for table, stream in zip(expected, [np.random.default_rng([budget, rep])
+                                                for rep in range(reps)])])
+        estimates = montecarlo._frequencies(counts, copies, config)
+        reference = reference_frequencies(counts, copies, config, d)
+        assert np.array_equal(estimates.reshape(reference.shape), reference)
+        assert not np.any(reference_setting_rows(reference, config)[:, copies == 0])
+        if mode == "pure":
+            assert np.array_equal(estimates.reshape(-1, d, 6), reference[:, :, 0, :])
+        else:
+            for read, ref in zip(lambda_tables(estimates, config),
+                                 reference_lambda_tables(reference, config)):
+                assert np.array_equal(read, ref)
 
 
 def test_repetition_listing_and_single_repetition():

@@ -188,3 +188,29 @@ def test_variate_on_an_edge_counts_above_it(monkeypatch, layout, width):
 
     counts = sample_count_tables(probs, copies, streams())
     assert np.array_equal(counts, _reference_tables(probs, copies, streams()))
+
+
+@pytest.mark.parametrize("width", [BATCH_COPIES, BATCH_COPIES + 1])
+def test_edges_are_sequential_cumulative_sums(monkeypatch, width):
+    """The edges the counting passes compare with, taken as running sums
+    across many rows, equal np.cumsum along each row bit for bit: in the
+    slot blocks (up to BATCH_COPIES copies per setting), group by group,
+    and in the chunks, table by table."""
+    seen = []
+    sums = sampling._running_sums
+    monkeypatch.setattr(sampling, "_running_sums",
+                        lambda columns: seen.append(sums(columns)) or seen[-1])
+    for outcomes in range(2, 34):
+        # 20 tables of 5 settings at 1024 copies form two groups
+        probs = _stacked_tables(20, outcomes, seed=outcomes)
+        seen.clear()
+        counts = sample_count_tables(probs, _width_copies(width),
+                                     [np.random.default_rng(t) for t in range(20)])
+        assert len(seen) == (2 if width <= BATCH_COPIES else 20)
+        # [edge, table, setting]: groups of tables, or one table each
+        edges = (np.concatenate(seen, axis=1) if width <= BATCH_COPIES
+                 else np.stack(seen, axis=1))
+        expected = np.cumsum(probs[..., :-1], axis=-1)
+        assert np.array_equal(edges, np.moveaxis(expected, -1, 0))
+        assert np.array_equal(counts, _reference_tables(
+            probs, _width_copies(width), [np.random.default_rng(t) for t in range(20)]))
