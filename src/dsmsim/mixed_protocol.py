@@ -24,8 +24,8 @@ def pauli_from_conditionals(m00, m01, m11, out=None) -> np.ndarray:
     """P_j = Tr(|j><j| Lambda'') for the six Pauli eigenstates, elementwise.
 
     Takes the entries of one probe matrix or whole tables of them and
-    returns (p0, p1, p+, p-, pL, pR) along a new last axis, or writes them
-    into ``out`` [..., basis Z/X/Y, eigenvalue], of any strides.
+    returns (p0, p1, p+, p-, pL, pR) along new last axes [..., basis Z/X/Y,
+    eigenvalue], written into ``out`` (of any strides) if it is given.
     """
     m01 = np.asarray(m01)
     half_trace = 0.5 * (m00 + m11)
@@ -36,20 +36,19 @@ def pauli_from_conditionals(m00, m01, m11, out=None) -> np.ndarray:
     cells[..., 1, 1] = half_trace - m01.real
     cells[..., 2, 0] = half_trace - m01.imag
     cells[..., 2, 1] = half_trace + m01.imag
-    return cells.reshape(cells.shape[:-2] + (6,)) if out is None else out
+    return cells
 
 
 def lambda_tables(pauli, config: str):
     """Probe-matrix entries from Pauli readout probabilities, elementwise.
 
-    ``pauli`` holds (p0, p1, p+, p-, pL, pR) along its last axis, or along
-    [..., basis, eigenvalue] of any strides; returns the measurable entries
-    as arrays over the leading axes: the off-diagonal entry, Lambda''_10 in
-    C1 and Lambda''_01 in C2, and Lambda''_11.
+    ``pauli`` holds Pauli cells [..., basis Z/X/Y, eigenvalue] of any
+    strides, as pauli_from_conditionals returns them; returns the measurable
+    entries as arrays over the leading axes: the off-diagonal entry,
+    Lambda''_10 in C1 and Lambda''_01 in C2, and Lambda''_11.
     """
     _check_config(config)
     pauli = np.asarray(pauli, dtype=np.float64)
-    pauli = pauli.reshape(pauli.shape[:-1] + (3, 2)) if pauli.shape[-1] == 6 else pauli
     delta_y = pauli[..., 2, 0] - pauli[..., 2, 1]
     rotated = np.empty(pauli.shape[:-2], dtype=np.complex128)
     rotated.real = pauli[..., 1, 0] - pauli[..., 1, 1]

@@ -118,11 +118,8 @@ def _outcome_tables(pauli, config: str) -> np.ndarray:
 
 
 def _frequencies(counts: np.ndarray, copies: np.ndarray, config: str) -> np.ndarray:
-    """Pauli cells of the estimates count / copies; settings without copies read 0."""
-    copies = copies[:, None]
-    freq = (counts / copies if copies.all() else
-            np.divide(counts, copies, out=np.zeros(counts.shape), where=copies > 0))
-    return _cells(freq, config)
+    """Pauli cells of count / copies; a setting without copies counts 0, so reads 0."""
+    return _cells(counts / np.maximum(copies, 1)[:, None], config)
 
 
 def _is_count(value) -> bool:
@@ -231,8 +228,10 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     """init * mult**k for k < count, wrapped to 32 bits: the hash's multipliers."""
-    return np.array([init * pow(mult, k, 1 << 32) & _MASK for k in range(count)],
-                    dtype=np.uint32)
+    values = [init]
+    while len(values) < count:
+        values.append(values[-1] * mult & _MASK)
+    return np.array(values, dtype=np.uint32)
 
 
 # generate_state(4, uint64) hashes 8 words: 9 multipliers
@@ -255,7 +254,11 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _words(value) -> list:
     """A nonnegative integer as SeedSequence splits it: 32-bit words, low first."""
     value = int(value)
-    return [value >> shift & _MASK for shift in range(0, max(32, value.bit_length()), 32)]
+    words = [value & _MASK]
+    while value > _MASK:
+        value >>= 32
+        words.append(value & _MASK)
+    return words
 
 
 class _SeedWords(ISeedSequence):

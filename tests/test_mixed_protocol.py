@@ -98,7 +98,7 @@ def test_pure_projector_conditional_equals_probe_outer_product(rng):
     coeffs = conjugate_coefficients(d, kappas)
     for config in ("C1", "C2"):
         tables = conditional_tables(psi.projector().elems, coeffs, config)
-        mixed = pauli_from_conditionals(*tables)[:, 0, :]
+        mixed = pauli_from_conditionals(*tables)[:, 0].reshape(d, 6)
         assert np.max(np.abs(mixed - pauli_table(psi, coeffs, config))) < 1e-12
 
 
@@ -128,10 +128,10 @@ def test_lambda_extraction_recovers_known_matrix(rng):
 
 
 def test_lambda_extraction_balanced_probabilities():
-    off, diag = lambda_tables([0.3, 0.1, 0.2, 0.2, 0.2, 0.2], "C1")
+    off, diag = lambda_tables([[0.3, 0.1], [0.2, 0.2], [0.2, 0.2]], "C1")
     assert off == 0
     assert diag == pytest.approx(0.1)
-    _, empty = lambda_tables([0.4, 0.0, 0.2, 0.2, 0.2, 0.2], "C2")
+    _, empty = lambda_tables([[0.4, 0.0], [0.2, 0.2], [0.2, 0.2]], "C2")
     assert empty == 0.0
 
 

@@ -51,7 +51,8 @@ def pure_outcomes(psi, coeffs, config):
 def mixed_outcomes(rho, coeffs, config):
     """Outcome table of a mixed repetition: one row per setting."""
     pauli = pauli_from_conditionals(*conditional_tables(rho.elems, coeffs, config))
-    return reference_outcome_table(reference_setting_rows(pauli, config))
+    rows = reference_setting_rows(pauli.reshape(*pauli.shape[:2], 6), config)
+    return reference_outcome_table(rows)
 
 
 def lone_repetition(point, rep):
@@ -141,7 +142,7 @@ def test_mixed_estimator_consistency_with_expected_counts(config, rng):
     probs = mixed_outcomes(rho, coeffs, config)
     copies = _split_copies(2400, probs.shape[0])
     estimates = reference_frequencies(probs * copies[:, None], copies, config, d)
-    off, diag = lambda_tables(estimates, config)
+    off, diag = lambda_tables(estimates.reshape(d, d, 3, 2), config)
     m00, m01, m11 = conditional_tables(rho.elems, coeffs, config)
     assert np.max(np.abs(off - (m01.conj() if config == "C1" else m01))) < 1e-12
     assert np.max(np.abs(diag - m11)) < 1e-12
