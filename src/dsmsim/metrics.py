@@ -20,17 +20,31 @@ from .states import DensityMatrix, PureState
 REAL_ATOL = 1e-12
 
 
-def trace_distance_pure(psi: PureState, phi: PureState) -> float:
-    """sqrt(1 - |<phi|psi>|^2).
+def vector_norms(vecs) -> np.ndarray:
+    """np.linalg.norm of each complex vector stacked in ``vecs``, rounded as it
+    rounds one: a (1, d) @ (d, 1) matmul runs its dot kernel."""
+    re, im = vecs.real, vecs.imag
+    sq_norms = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return np.sqrt(sq_norms[..., 0, 0])
+
+
+def trace_distances_pure(psis, phis) -> np.ndarray:
+    """sqrt(1 - |<phi|psi>|^2) between amplitude vectors stacked in psis and
+    in phis, leading axes broadcast; each pair rounds as a lone one.
 
     Evaluated as the norm of the component of |phi> orthogonal to |psi>,
-    which is the same quantity but keeps full precision near zero, where
-    1 - |<phi|psi>|^2 would drown in the inner product's rounding noise.
+    which keeps full precision near zero, where 1 - |<phi|psi>|^2 would
+    drown in the inner product's rounding noise.
     """
+    overlaps = (psis.conj()[..., None, :] @ phis[..., :, None])[..., 0]  # np.vdot
+    return np.minimum(1.0, vector_norms(phis - psis * overlaps))
+
+
+def trace_distance_pure(psi: PureState, phi: PureState) -> float:
+    """trace_distances_pure of two states."""
     if psi.dim != phi.dim:
         raise ParameterError("states must share a dimension")
-    residual = phi.amps - psi.amps * np.vdot(psi.amps, phi.amps)
-    return float(min(1.0, np.linalg.norm(residual)))
+    return float(trace_distances_pure(psi.amps, phi.amps))
 
 
 def trace_distance_mixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:

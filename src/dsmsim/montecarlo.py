@@ -46,7 +46,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ParameterError
-from .metrics import trace_distance_pure, trace_distances
+from .metrics import trace_distances, trace_distances_pure
 from .mixed_protocol import (
     conditional_tables,
     lambda_tables,
@@ -55,7 +55,7 @@ from .mixed_protocol import (
     raw_reconstruction,
 )
 from .noise import perturb_pure_state, sample_kappas, white_noise_channel
-from .pure_protocol import _check_config, pauli_table, reconstruct_pure
+from .pure_protocol import _check_config, reconstruct_amplitudes
 from .sampling import outcome_table, sample_count_tables
 from .states import (
     DensityMatrix,
@@ -102,18 +102,13 @@ def _cells(table: np.ndarray, config: str) -> np.ndarray:
     return cells.transpose((0, 1, 3, 2, 4) if config == "C1" else (0, 3, 1, 2, 4))
 
 
-def _outcome_tables(pauli, config: str) -> np.ndarray:
-    """Validated outcome tables [rep, setting, outcome] of pure Pauli tables
-    [rep, n, 6] or of mixed conditional tables (m00, m01, m11) [rep, n, k]."""
-    mixed = isinstance(pauli, tuple)
-    reps, d, k = pauli[0].shape if mixed else pauli.shape[:2] + (1,)
+def _outcome_tables(conditionals, config: str) -> np.ndarray:
+    """Validated outcome tables [rep, setting, outcome] of conditional tables
+    (m00, m01, m11) [rep, n, k]: all k (mixed) or k = 0 alone (pure)."""
+    reps, d, k = conditionals[0].shape
     fixed, branches = (d, k) if config == "C1" else (k, d)
     table = np.empty((reps, 3 * fixed, 2 * branches + 1))
-    cells = _cells(table, config)
-    if mixed:
-        pauli_from_conditionals(*pauli, out=cells)
-    else:
-        cells[...] = pauli.reshape(cells.shape)
+    pauli_from_conditionals(*conditionals, out=_cells(table, config))
     return outcome_table(table)
 
 
@@ -308,11 +303,6 @@ def _seed_state(slices) -> np.ndarray:
     return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _seed_words(entropies: list) -> np.ndarray:
-    """_seed_state of entropy tuples that end in their repetition index."""
-    return _seed_state([(entropy[:-1], entropy[-1], entropy[-1] + 1) for entropy in entropies])
-
-
 def _streams(batch) -> list:
     """The random stream of every repetition of a batch, in order: PCG64
     seeded by SeedSequence(seed_entropy + (rep,)), all derived at once."""
@@ -326,35 +316,34 @@ def _batch_key(point: ExperimentPoint) -> tuple:
     return point.mode, point.config, point.state.dim, point.num_copies
 
 
-def _owners(batch) -> list:
-    """The point of each repetition of a batch, in order."""
-    return [point for point, start, stop in batch for _ in range(start, stop)]
-
-
 def _per_repetition(batch, values) -> np.ndarray:
     """Stack one value per slice of a batch into one entry per repetition."""
     return np.repeat(np.array(values), [stop - start for _, start, stop in batch], axis=0)
 
 
-def _noisy_pauli(batch, rngs):
-    """The Pauli probabilities of a batch, as _outcome_tables takes them.
+def _noisy_tables(batch, rngs):
+    """The conditional tables of a batch, as _outcome_tables takes them.
 
     Each repetition draws its noise from its own stream in ``rngs`` at the
     noise levels of its own point: the preparation perturbation (pure mode)
-    and then the detector bias.
+    and then the detector bias. One conditional_tables call then conditions
+    every repetition's prepared state, or its perturbed projector
+    |psi'><psi'| (pure mode, keeping the k = 0 column), on its detector.
     """
     mode, config, d, _ = _batch_key(batch[0][0])
     perturbed, kappas = [], []
-    for point, rng in zip(_owners(batch), rngs):
+    owners = [point for point, start, stop in batch for _ in range(start, stop)]
+    for point, rng in zip(owners, rngs):
         if mode == "pure":
-            perturbed.append(perturb_pure_state(point.state, point.sigma_prep, rng)[0])
+            perturbed.append(perturb_pure_state(point.state, point.sigma_prep, rng)[0].amps)
         kappas.append(sample_kappas(d, point.sigma_post, rng))
     coeffs = conjugate_coefficients(d, np.array(kappas))
-    if mode == "pure":
-        return np.array([pauli_table(psi_prime, rows, config)
-                         for psi_prime, rows in zip(perturbed, coeffs)])
-    prepared = _per_repetition(batch, [point.prepared.elems for point, _, _ in batch])
-    return conditional_tables(prepared, coeffs, config)
+    if mode == "mixed":
+        prepared = _per_repetition(batch, [point.prepared.elems for point, _, _ in batch])
+        return conditional_tables(prepared, coeffs, config)
+    amps = np.array(perturbed)
+    tables = conditional_tables(amps[:, :, None] * amps[:, None, :].conj(), coeffs, config)
+    return tuple(table[..., :1] for table in tables)
 
 
 def _batch(batch):
@@ -362,28 +351,24 @@ def _batch(batch):
 
     ``batch`` lists (point, start, stop) slices, repetitions start..stop-1
     of each point, all points sharing one _batch_key. Each stage runs once
-    on the batch's outcome tables, each repetition with the noise levels,
-    prepared state and target of its own point; the pure probe arithmetic
-    and reconstructions run one repetition at a time, as they have no array
-    form that rounds the same. Reconstructions come back as amplitude
-    vectors (pure) or density matrices (mixed), all validated.
+    on the batch's stacked tables, each repetition with the noise levels,
+    prepared state and target of its own point. Reconstructions come back
+    as amplitude vectors (pure) or validated density matrices (mixed).
     """
     mode, config, d, num_copies = _batch_key(batch[0][0])
     rngs = _streams(batch)
     # Each stage's stacked tables are dropped once the next stage has read
     # them, which bounds the memory a batch holds at once.
-    probs = _outcome_tables(_noisy_pauli(batch, rngs), config)
+    probs = _outcome_tables(_noisy_tables(batch, rngs), config)
     copies = _split_copies(num_copies, probs.shape[1])
     counts = sample_count_tables(probs, copies, rngs)
     del probs
     estimates = _frequencies(counts, copies, config)
     del counts
     if mode == "pure":
-        recons = [reconstruct_pure(table, config=config)
-                  for table in estimates.reshape(-1, d, 6)]
-        distances = [trace_distance_pure(point.state, recon)
-                     for point, recon in zip(_owners(batch), recons)]
-        return np.array(distances), np.array([recon.amps for recon in recons])
+        recons = reconstruct_amplitudes(estimates.reshape(-1, d, 6), config)
+        targets = _per_repetition(batch, [point.state.amps for point, _, _ in batch])
+        return trace_distances_pure(targets, recons), recons
     recons = physicalize_tables(raw_reconstruction(*lambda_tables(estimates, config), config))
     check_density_matrices(recons)
     targets = _per_repetition(batch, [point.projector.elems for point, _, _ in batch])

@@ -10,7 +10,9 @@ onto |n>. Either way the probe ends in an unnormalized two-component state
     C2:  ((psi'_n - c_n Gamma)|0> + c_n Gamma|1>) / sqrt(2)
 
 with Gamma = sum_m c_m psi'_m, and Pauli-basis probe probabilities expose
-the real and imaginary parts of psi'_n.
+the real and imaginary parts of psi'_n. They are also the k = 0 column of
+the mixed protocol's conditional tables on |psi'><psi'|, which is where the
+Monte Carlo engine reads them; pauli_table evaluates the closed form.
 
 Sign note: with |L> = (|0> + i|1>)/sqrt(2) and |R> = (|0> - i|1>)/sqrt(2),
 direct evaluation of the C2 probe state gives P_L - P_R = -c_n Gamma Im
@@ -24,9 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDataError, ParameterError
+from .metrics import vector_norms
 from .states import PureState
-
-_SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 CONFIGURATIONS = ("C1", "C2")
 
@@ -37,27 +38,6 @@ def _check_config(config: str) -> str:
     return config
 
 
-def _probe_c1(amps, magnitudes, gamma: complex, n: int):
-    cn_psi = magnitudes[n] * amps[n]
-    return (gamma - cn_psi) * _SQRT2_INV, cn_psi * _SQRT2_INV
-
-
-def _probe_c2(amps, magnitudes, gamma: complex, n: int):
-    cn_gamma = magnitudes[n] * gamma
-    return (amps[n] - cn_gamma) * _SQRT2_INV, cn_gamma * _SQRT2_INV
-
-
-def _pauli_row(a0, a1) -> tuple:
-    return (
-        abs(a0) ** 2,
-        abs(a1) ** 2,
-        0.5 * abs(a0 + a1) ** 2,
-        0.5 * abs(a0 - a1) ** 2,
-        0.5 * abs(a0 - 1j * a1) ** 2,
-        0.5 * abs(a0 + 1j * a1) ** 2,
-    )
-
-
 def pauli_table(psi_prime: PureState, coeff_rows, config: str) -> np.ndarray:
     """Probe probabilities (p0, p1, p+, p-, pL, pR) as one row per basis index.
 
@@ -65,15 +45,21 @@ def pauli_table(psi_prime: PureState, coeff_rows, config: str) -> np.ndarray:
     the probes use its k = 0 state, whose port weights c_m are the real part
     of row 0. Row n holds P_j = |<j|eta_n>|^2 for the unnormalized probe
     state eta_n of index n; each basis pair sums to the postselection
-    success probability |eta_n|^2.
+    success probability |eta_n|^2. It squares the probe amplitudes, where
+    conditional_tables expands |eta_n|^2: a vanishing branch (C2's zero
+    branch for the uniform state) is 0 here and a rounding residue there.
     """
-    probe = _probe_c1 if _check_config(config) == "C1" else _probe_c2
+    _check_config(config)
     d = psi_prime.dim
     if coeff_rows.shape != (d, d):
         raise ParameterError("need the d x d conjugate basis of the state's dimension")
     amps, magnitudes = psi_prime.amps, coeff_rows[0].real
-    gamma = complex(np.dot(magnitudes, amps))             # sum_m c_m psi'_m
-    return np.array([_pauli_row(*probe(amps, magnitudes, gamma, n)) for n in range(d)])
+    gamma = np.dot(magnitudes, amps)                      # sum_m c_m psi'_m
+    # sqrt(2) eta_n = a0|0> + a1|1>, projected onto |0>, |1>, |+>, |->, |L>, |R>
+    a1 = magnitudes * (amps if config == "C1" else gamma)
+    a0 = (gamma if config == "C1" else amps) - a1
+    probes = np.stack([a0, a1, a0 + a1, a0 - a1, a0 - 1j * a1, a0 + 1j * a1], axis=-1)
+    return np.abs(probes) ** 2 * [0.5, 0.5, 0.25, 0.25, 0.25, 0.25]
 
 
 def nominal_coefficients(d: int) -> np.ndarray:
@@ -81,17 +67,18 @@ def nominal_coefficients(d: int) -> np.ndarray:
     return np.full(d, 1.0 / np.sqrt(d))
 
 
-def reconstruct_pure(prob_table, config: str, nominal=None) -> PureState:
-    """Amplitude estimate from one (p0, p1, p+, p-, pL, pR) row per basis index.
+def reconstruct_amplitudes(prob_tables, config: str, nominal=None) -> np.ndarray:
+    """Amplitude estimates [..., d] of Pauli tables [..., d, 6] stacked along
+    leading axes, each rounded as a lone table is.
 
-    ``prob_table`` is laid out as pauli_table returns it. Forms
+    Each table is laid out as pauli_table returns it. Forms
     v_n = (P_+ - P_- + 2 P_1) +/- i (P_L - P_R) (sign per configuration),
     divides by the nominal conjugate coefficients, and drops the unknown
     overall factor by renormalizing. The global phase is fixed by making the
     largest-magnitude amplitude real and positive.
     """
     _check_config(config)
-    d = len(prob_table)
+    d = prob_tables.shape[-2]
     if d < 2:
         raise ParameterError("need at least two basis indices")
     if nominal is None:
@@ -99,14 +86,21 @@ def reconstruct_pure(prob_table, config: str, nominal=None) -> PureState:
     nominal = np.asarray(nominal, dtype=np.float64)
     if nominal.shape != (d,) or np.any(nominal <= 0.0):
         raise ParameterError("nominal coefficients must be positive, one per index")
-    p1, p_plus, p_minus, p_l, p_r = prob_table[:, 1:].T
+    p1, p_plus, p_minus, p_l, p_r = np.moveaxis(prob_tables[..., 1:], -1, 0)
     sign = 1.0 if config == "C1" else -1.0
-    vec = np.empty(d, dtype=np.complex128)
+    vec = np.empty(prob_tables.shape[:-1], dtype=np.complex128)
     vec.real = p_plus - p_minus + 2.0 * p1
     vec.imag = sign * (p_l - p_r)
     vec = vec / nominal
-    if not np.any(vec):
+    if not np.all(np.any(vec, axis=-1)):
         raise DegenerateDataError("reconstructed amplitudes are all zero")
-    peak = int(np.argmax(np.abs(vec)))
-    vec = vec * (vec[peak].conjugate() / abs(vec[peak]))
-    return PureState(vec / np.linalg.norm(vec))
+    peak = np.take_along_axis(vec, np.argmax(np.abs(vec), axis=-1)[..., None], axis=-1)
+    # np.hypot rounds as abs() of one complex number; np.abs differs from it
+    # in the last bit for about a third of all inputs
+    vec = vec * (peak.conj() / np.hypot(peak.real, peak.imag))
+    return vec / vector_norms(vec)[..., None]
+
+
+def reconstruct_pure(prob_table, config: str, nominal=None) -> PureState:
+    """reconstruct_amplitudes of one table, as a validated state."""
+    return PureState(reconstruct_amplitudes(prob_table, config, nominal))

@@ -43,14 +43,8 @@ BATCH_COPIES = 1024
 CHUNK = 1 << 16
 
 
-def check_outcome_table(probs) -> np.ndarray:
-    """Validate rows of outcome probabilities; returns them clamped at zero.
-
-    Every entry must be finite and no lower than -1e-12 (rounding-scale
-    negatives are clamped to zero), and every row must sum to one. Tables
-    may be stacked along leading axes.
-    """
-    probs = np.array(probs, dtype=np.float64, ndmin=2)
+def _checked(probs: np.ndarray) -> np.ndarray:
+    """The checks of check_outcome_table, clamping ``probs`` in place."""
     if not np.all(np.isfinite(probs)):
         raise PhysicsError("outcome probabilities must be finite")
     low = float(probs.min())
@@ -64,6 +58,16 @@ def check_outcome_table(probs) -> np.ndarray:
     return probs
 
 
+def check_outcome_table(probs) -> np.ndarray:
+    """Validate rows of outcome probabilities; returns a copy clamped at zero.
+
+    Every entry must be finite and no lower than -1e-12 (rounding-scale
+    negatives are clamped to zero), and every row must sum to one. Tables
+    may be stacked along leading axes.
+    """
+    return _checked(np.array(probs, dtype=np.float64, ndmin=2))
+
+
 def _running_sums(columns) -> np.ndarray:
     """np.cumsum(columns, axis=-1) with that axis moved to the front."""
     sums = np.moveaxis(columns, -1, 0).copy()
@@ -73,10 +77,11 @@ def _running_sums(columns) -> np.ndarray:
 
 
 def outcome_table(table) -> np.ndarray:
-    """Validated outcome tables whose last column, the failure outcome, is
-    set in place to 1 minus the sequential sum of the row's other columns."""
+    """Outcome tables whose last column, the failure outcome, is set in
+    place to 1 minus the sequential sum of the row's other columns, then
+    validated and clamped in place as check_outcome_table does."""
     table[..., -1] = 1.0 - _running_sums(table[..., :-1])[-1]
-    return check_outcome_table(table)
+    return _checked(table)
 
 
 def _block_shape(tables, settings, width, count) -> tuple:

@@ -4,7 +4,7 @@ Everything here rebuilds the physics by brute force on the full joint
 (2d)-dimensional space, or from hand-expanded closed forms, so the checks
 stay independent of the library's code paths. The reference Monte Carlo
 repetition at the end reuses only the library's noise draws, state types,
-physicalization and distances.
+physicalization and mixed-state distance.
 """
 
 import numpy as np
@@ -174,16 +174,6 @@ def _reference_pauli(a0, a1) -> dict:
     }
 
 
-def _reference_pure_table(amps, magnitudes, config, n) -> dict:
-    sqrt2_inv = 1.0 / np.sqrt(2.0)
-    gamma = complex(np.dot(magnitudes, amps))
-    if config == "C1":
-        cn_psi = magnitudes[n] * amps[n]
-        return _reference_pauli((gamma - cn_psi) * sqrt2_inv, cn_psi * sqrt2_inv)
-    cn_gamma = magnitudes[n] * gamma
-    return _reference_pauli((amps[n] - cn_gamma) * sqrt2_inv, cn_gamma * sqrt2_inv)
-
-
 def _reference_conditional_tables(rho, coeff_rows, magnitudes, config):
     d = rho.shape[0]
     rho_v = rho @ coeff_rows.T
@@ -206,35 +196,29 @@ def _reference_conditional_tables(rho, coeff_rows, magnitudes, config):
     return m00.real, m01, m11.real
 
 
-def _reference_settings(mode, config, d):
-    if mode == "pure" and config == "C2":
-        return [(None, basis) for basis in "ZXY"]
-    return [(index, basis) for index in range(d) for basis in "ZXY"]
+def _reference_settings(config, tables):
+    """(fixed index, basis) pairs: n in C1, k in C2, over the tables' columns k."""
+    d, columns = tables[0].shape
+    return [(index, basis) for index in range(d if config == "C1" else columns)
+            for basis in "ZXY"]
 
 
-def _reference_distribution(mode, config, index, basis, tables):
+def _reference_distribution(config, index, basis, tables):
     """(labels, probabilities) of one setting, failure outcome last."""
     pair = _PAIRS[basis]
-    if mode == "pure":
-        if config == "C1":
-            labels, probs = list(pair), [tables[index][j] for j in pair]
-        else:
-            labels = [(n, j) for n in range(len(tables)) for j in pair]
-            probs = [tables[n][j] for n, j in labels]
+    m00, m01, m11 = tables
+    if config == "C1":
+        diag0, off, diag1 = m00[index], m01[index], m11[index]
     else:
-        m00, m01, m11 = tables
-        if config == "C1":
-            diag0, off, diag1 = m00[index], m01[index], m11[index]
-        else:
-            diag0, off, diag1 = m00[:, index], m01[:, index], m11[:, index]
-        half = 0.5 * (diag0 + diag1)
-        upper, lower = {"Z": (diag0, diag1),
-                        "X": (half + off.real, half - off.real),
-                        "Y": (half - off.imag, half + off.imag)}[basis]
-        labels, probs = [], []
-        for branch in range(diag0.shape[0]):
-            labels += [(branch, pair[0]), (branch, pair[1])]
-            probs += [upper[branch], lower[branch]]
+        diag0, off, diag1 = m00[:, index], m01[:, index], m11[:, index]
+    half = 0.5 * (diag0 + diag1)
+    upper, lower = {"Z": (diag0, diag1),
+                    "X": (half + off.real, half - off.real),
+                    "Y": (half - off.imag, half + off.imag)}[basis]
+    labels, probs = [], []
+    for branch in range(diag0.shape[0]):
+        labels += [(branch, pair[0]), (branch, pair[1])]
+        probs += [upper[branch], lower[branch]]
     probs = probs + [1.0 - sum(probs)]
     assert min(probs) >= -1e-12
     return labels + ["fail"], np.clip(np.array(probs), 0.0, None)
@@ -266,10 +250,33 @@ def _reference_raw(off, diag, config):
     return raw
 
 
+def reference_reconstruct_pure(table, config):
+    """Amplitudes of one Pauli table [d, 6] at nominal 1/sqrt(d), with the
+    scalar arithmetic of one table: abs() of one complex number for the
+    phase, np.linalg.norm for the scale."""
+    from dsmsim.errors import DegenerateDataError
+
+    d = table.shape[0]
+    sign = 1.0 if config == "C1" else -1.0
+    vec = np.array([complex(p_plus - p_minus + 2.0 * p1, sign * (p_l - p_r))
+                    for _, p1, p_plus, p_minus, p_l, p_r in table])
+    vec = vec / np.full(d, 1.0 / np.sqrt(d))
+    if not np.any(vec):
+        raise DegenerateDataError("reconstructed amplitudes are all zero")
+    peak = int(np.argmax(np.abs(vec)))
+    vec = vec * (vec[peak].conjugate() / abs(vec[peak]))
+    return vec / np.linalg.norm(vec)
+
+
+def reference_distance_pure(psi, phi) -> float:
+    """Pure-state trace distance of two amplitude vectors, one np.vdot and
+    one np.linalg.norm."""
+    return float(min(1.0, np.linalg.norm(phi - psi * np.vdot(psi, phi))))
+
+
 def reference_repetition(point, rep):
     """(distance, state) of one repetition, computed setting by setting."""
-    from dsmsim.errors import DegenerateDataError
-    from dsmsim.metrics import trace_distance_mixed, trace_distance_pure
+    from dsmsim.metrics import trace_distance_mixed
     from dsmsim.mixed_protocol import physicalize_tables
     from dsmsim.noise import perturb_pure_state, sample_kappas, white_noise_channel
     from dsmsim.states import DensityMatrix, PureState
@@ -278,47 +285,30 @@ def reference_repetition(point, rep):
         np.random.SeedSequence(tuple(point.seed_entropy) + (rep,)))
     d = point.state.dim
     if point.mode == "pure":
-        psi_prime, _ = perturb_pure_state(point.state, point.sigma_prep, rng)
-        magnitudes, _ = _reference_conjugate(d, sample_kappas(d, point.sigma_post, rng))
-        tables = [_reference_pure_table(psi_prime.amps, magnitudes, point.config, n)
-                  for n in range(d)]
+        # the pure probe is the k = 0 column of the perturbed projector's tables
+        rho_prime = perturb_pure_state(point.state, point.sigma_prep, rng)[0].projector()
     else:
         target = point.state.projector()
         rho_prime = white_noise_channel(target, point.epsilon)
-        magnitudes, rows = _reference_conjugate(d, sample_kappas(d, point.sigma_post, rng))
-        tables = _reference_conditional_tables(rho_prime.elems, rows, magnitudes,
-                                               point.config)
-    settings = _reference_settings(point.mode, point.config, d)
+    magnitudes, rows = _reference_conjugate(d, sample_kappas(d, point.sigma_post, rng))
+    tables = _reference_conditional_tables(rho_prime.elems, rows, magnitudes, point.config)
+    if point.mode == "pure":
+        tables = tuple(table[:, :1] for table in tables)
+    settings = _reference_settings(point.config, tables)
     base, extra = divmod(point.num_copies, len(settings))
     estimates = {}
     for position, (index, basis) in enumerate(settings):
         copies = base + (1 if position < extra else 0)
-        labels, probs = _reference_distribution(point.mode, point.config, index,
-                                                basis, tables)
+        labels, probs = _reference_distribution(point.config, index, basis, tables)
         counts = _reference_counts(probs, copies, rng)
-        for label, count in zip(labels[:-1], counts[:-1]):
+        for (branch, j), count in zip(labels[:-1], counts[:-1]):
             value = count / copies if copies else 0.0
-            if point.mode == "pure" and point.config == "C1":
-                cell, j = (index, 0), label
-            else:
-                branch, j = label
-                cell = ((index, branch) if point.config == "C1" else (branch, index))
-                if point.mode == "pure":
-                    cell = (branch, 0)
+            cell = (index, branch) if point.config == "C1" else (branch, index)
             estimates.setdefault(cell, {})[j] = value
     if point.mode == "pure":
-        sign = 1.0 if point.config == "C1" else -1.0
-        vec = np.empty(d, dtype=np.complex128)
-        for n in range(d):
-            p = estimates[n, 0]
-            vec[n] = complex(p["+"] - p["-"] + 2.0 * p["1"], sign * (p["L"] - p["R"]))
-        vec = vec / np.full(d, 1.0 / np.sqrt(d))
-        if not np.any(vec):
-            raise DegenerateDataError("reconstructed amplitudes are all zero")
-        peak = int(np.argmax(np.abs(vec)))
-        vec = vec * (vec[peak].conjugate() / abs(vec[peak]))
-        recon = PureState(vec / np.linalg.norm(vec))
-        return trace_distance_pure(point.state, recon), recon
+        table = np.array([[estimates[n, 0][key] for key in "01+-LR"] for n in range(d)])
+        recon = PureState(reference_reconstruct_pure(table, point.config))
+        return reference_distance_pure(point.state.amps, recon.amps), recon
     off = np.empty((d, d), dtype=np.complex128)
     diag = np.empty((d, d), dtype=np.float64)
     for (n, k), p in estimates.items():

@@ -9,8 +9,11 @@ from dsmsim.metrics import (
     qfi_pure,
     trace_distance_mixed,
     trace_distance_pure,
+    trace_distances_pure,
 )
 from dsmsim.states import DensityMatrix, PureState, random_density_matrix, standard_state
+
+from oracles import reference_distance_pure
 
 GHZ = standard_state("ghz", 3)
 
@@ -18,6 +21,25 @@ GHZ = standard_state("ghz", 3)
 def real_unit_vector(rng, d):
     vec = rng.standard_normal(d)
     return PureState(vec / np.linalg.norm(vec))
+
+
+@pytest.mark.parametrize("d", [2, 8, 64])
+def test_stacked_pure_distances_round_as_lone_pairs(d):
+    """Every pair of a stack, and one state against a stack, gives the
+    distance of one np.vdot and one np.linalg.norm bit for bit."""
+    rng = np.random.default_rng(4100 + d)
+    psis = rng.standard_normal((3, 5, d)) + 1j * rng.standard_normal((3, 5, d))
+    psis /= np.linalg.norm(psis, axis=-1, keepdims=True)
+    # near neighbours as well as far ones: distances from about 1e-8 to 1
+    scales = 10.0 ** rng.uniform(-8, 0, (3, 5, 1))
+    phis = psis + scales * (rng.standard_normal((3, 5, d)) + 1j * rng.standard_normal((3, 5, d)))
+    phis /= np.linalg.norm(phis, axis=-1, keepdims=True)
+    got = trace_distances_pure(psis, phis)
+    assert got.shape == (3, 5)
+    assert np.array_equal(got, [[reference_distance_pure(psi, phi) for psi, phi in zip(*rows)]
+                                for rows in zip(psis, phis)])
+    assert np.array_equal(trace_distances_pure(psis[0, 0], phis[0]),
+                          [reference_distance_pure(psis[0, 0], phi) for phi in phis[0]])
 
 
 def test_pure_distance_examples():

@@ -12,7 +12,6 @@ from dsmsim.mixed_protocol import (
     raw_reconstruction,
 )
 from dsmsim.noise import sample_kappas, white_noise_channel
-from dsmsim.pure_protocol import pauli_table
 from dsmsim.states import (
     DensityMatrix,
     PureState,
@@ -22,7 +21,13 @@ from dsmsim.states import (
     standard_state,
 )
 
-from oracles import joint_conditional_c1, joint_conditional_c2
+from oracles import (
+    _reference_pauli,
+    joint_conditional_c1,
+    joint_conditional_c2,
+    joint_probe_c1,
+    joint_probe_c2,
+)
 
 JOINT = {"C1": joint_conditional_c1, "C2": joint_conditional_c2}
 
@@ -90,16 +95,18 @@ def test_vectorized_tables_match_per_cell_entries(config, d, rng):
 
 
 def test_pure_projector_conditional_equals_probe_outer_product(rng):
-    """For rho = |psi><psi| the k = 0 column of the mixed tables is the pure
-    Pauli table."""
+    """For rho = |psi><psi| the k = 0 column of the mixed tables holds the
+    Pauli probabilities of the pure probe state of the joint evolution."""
     d = 8
     psi = standard_state("haar", 3, seed=31)
     kappas = sample_kappas(d, 0.05, rng)
     coeffs = conjugate_coefficients(d, kappas)
-    for config in ("C1", "C2"):
+    for config, probe in (("C1", joint_probe_c1), ("C2", joint_probe_c2)):
         tables = conditional_tables(psi.projector().elems, coeffs, config)
         mixed = pauli_from_conditionals(*tables)[:, 0].reshape(d, 6)
-        assert np.max(np.abs(mixed - pauli_table(psi, coeffs, config))) < 1e-12
+        for n in range(d):
+            ref = _reference_pauli(*probe(psi.amps, coeffs[0], n))
+            assert np.max(np.abs(mixed[n] - [ref[key] for key in "01+-LR"])) < 1e-12
 
 
 def test_conditionals_are_hermitian_with_real_diagonal(rng):

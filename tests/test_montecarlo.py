@@ -159,8 +159,8 @@ def test_zero_success_counts_propagate_degenerate_error():
 
 
 def _synthetic_sources(mode, d, reps, gen):
-    """Pauli sources of ``reps`` repetitions: pure Pauli tables [rep, d, 6] or
-    mixed conditional tables (m00, m01, m11) [rep, d, d].
+    """Conditional tables (m00, m01, m11) of ``reps`` repetitions: [rep, d, d]
+    (mixed) or their k = 0 column [rep, d, 1] (pure).
 
     The cells of a repetition sum to one, so every setting row of either
     configuration sums to at most one; one entry is a rounding-scale
@@ -174,9 +174,7 @@ def _synthetic_sources(mode, d, reps, gen):
     m01 = np.sqrt(m00 * m11) * gen.random((reps, d, k)) * np.exp(
         2j * np.pi * gen.random((reps, d, k)))
     m00[-1, 0, 0], m01[-1, 0, 0] = -4e-13, 0.0
-    if mode == "mixed":
-        return m00, m01, m11
-    return reference_pauli_from_conditionals(m00, m01, m11)[:, :, 0, :]
+    return m00, m01, m11
 
 
 @pytest.mark.parametrize("reps", [1, 80])
@@ -189,8 +187,7 @@ def test_one_layout_matches_two_layout_reference(mode, config, d, reps):
     composition that stacked Pauli tables, copied them into setting rows and
     copied the frequencies back into Pauli cells."""
     source = _synthetic_sources(mode, d, reps, np.random.default_rng([d, reps]))
-    pauli = (reference_pauli_from_conditionals(*source) if mode == "mixed"
-             else source[:, :, None, :])
+    pauli = reference_pauli_from_conditionals(*source)
     expected = reference_outcome_table(reference_setting_rows(pauli, config))
     probs = montecarlo._outcome_tables(source, config)
     assert np.array_equal(probs, expected)
@@ -473,7 +470,8 @@ def test_streams_match_seed_sequence():
     widths = {sum(max(1, -(-int(value).bit_length() // 32)) for value in entropy)
               for entropy in entropies}
     assert sorted(widths) == [1, 2, 3, 4, 5, 6, 7]
-    words = montecarlo._seed_words(entropies)
+    words = montecarlo._seed_state([(point.seed_entropy, start, stop)
+                                    for point, start, stop in batch])
     streams = montecarlo._streams(batch)
     assert words.dtype == np.uint64 and words.shape == (len(entropies), 4)
     assert len(streams) == len(entropies)

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from dsmsim.errors import DegenerateDataError, ParameterError
 from dsmsim.metrics import trace_distance_pure
 from dsmsim.noise import perturb_pure_state, sample_kappas
-from dsmsim.pure_protocol import pauli_table, reconstruct_pure
+from dsmsim.pure_protocol import pauli_table, reconstruct_amplitudes, reconstruct_pure
 from dsmsim.states import PureState, conjugate_coefficients, standard_state
 
 from oracles import (
@@ -15,6 +15,7 @@ from oracles import (
     joint_probe_c1,
     joint_probe_c2,
     real_overlap_state,
+    reference_reconstruct_pure,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -169,6 +170,26 @@ def test_biased_postselection_shifts_reconstruction(rng):
     rec_clean = reconstruct_pure(pauli_table(psi, clean, "C1"), config="C1")
     assert trace_distance_pure(psi, rec_clean) < 1e-10
     assert trace_distance_pure(psi, rec_biased) > 1e-4
+
+
+@pytest.mark.parametrize("config", ["C1", "C2"])
+@pytest.mark.parametrize("d", [2, 8, 64])
+def test_stacked_reconstruction_rounds_as_lone_tables(config, d):
+    """Every table of a stack reconstructs bit for bit as the scalar
+    arithmetic of one table does."""
+    rng = np.random.default_rng([d, int(config[1])])
+    tables = rng.random((3, 4, d, 6))
+    tables[0, 0, 1:] = 0.0                                # one nonzero index
+    tables[0, 1] = rng.integers(0, 3, (d, 6)) / 4         # count-like ties for the peak
+    tables[0, 1, 0, 1] = 0.75
+    got = reconstruct_amplitudes(tables, config)
+    assert got.shape == (3, 4, d)
+    for index in np.ndindex(3, 4):
+        assert np.array_equal(got[index], reference_reconstruct_pure(tables[index], config))
+    assert np.array_equal(reconstruct_pure(tables[1, 2], config).amps, got[1, 2])
+    tables[2, 3] = 0.0
+    with pytest.raises(DegenerateDataError):
+        reconstruct_amplitudes(tables, config)
 
 
 def test_reconstruction_rejects_all_zero_tables():
