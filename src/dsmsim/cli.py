@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker processes (at least 1, at most the "
                             "usable CPUs); each takes batches of Monte Carlo "
                             "repetitions, which span consecutive grid points "
-                            "with the same copy budget")
+                            "with the same mode, configuration and dimension")
         p.add_argument("--out", type=str, default=None,
                        help="output path (.csv or .json); overrides the "
                             "configuration's output_path")

@@ -21,12 +21,12 @@ derived together, in one pass over arrays (_seed_state). Results are
 independent of worker count, and reductions happen in repetition order.
 
 Repetitions run in batches. Consecutive grid points that share mode,
-configuration, dimension and copy budget pool their repetitions, in order,
-and the pool is cut into batches of a bounded size, so a sweep of many
-points with few repetitions each runs as a few large batches; worker
-processes take whole batches. Each repetition draws its noise and its
-uniforms from its own stream, in the order of a lone repetition, and takes
-its noise levels and states from its own point; every other stage runs
+configuration and dimension pool their repetitions, in order, and the pool
+is cut into batches of a bounded size, so a sweep of many points with few
+repetitions each runs as a few large batches; worker processes take whole
+batches. Each repetition draws its noise and its uniforms from its own
+stream, in the order of a lone repetition, and takes its noise levels,
+states and copy budget from its own point; every other stage runs
 once per batch on arrays with a leading repetition axis, in forms that
 round each repetition exactly as a lone one does, so no distance depends
 on how repetitions are batched. A batch that raises is replayed one
@@ -54,7 +54,7 @@ from .mixed_protocol import (
     physicalize_tables,
     raw_reconstruction,
 )
-from .noise import perturb_pure_state, sample_kappas, white_noise_channel
+from .noise import perturb_amplitudes, sample_kappas, white_noise_channel
 from .pure_protocol import _check_config, reconstruct_amplitudes
 from .sampling import outcome_table, sample_count_tables
 from .states import (
@@ -76,16 +76,16 @@ BATCH_CELLS = 1 << 15
 INVARIANTS = 64
 
 
-def _split_copies(total: int, parts: int) -> np.ndarray:
-    """Equal split, remainder to the lowest-indexed parts."""
-    if total < 1:
+def _split_copies(total, parts: int) -> np.ndarray:
+    """Equal split of ``total`` over ``parts``, remainder to the
+    lowest-indexed parts; an array of totals splits along a new last axis."""
+    total = np.asarray(total, dtype=np.int64)
+    if np.any(total < 1):
         raise ParameterError("copy budget must be positive")
     if parts < 1:
         raise ParameterError("no settings to allocate to")
-    base, extra = divmod(total, parts)
-    copies = np.full(parts, base, dtype=np.int64)
-    copies[:extra] += 1
-    return copies
+    base, extra = np.divmod(total[..., None], parts)
+    return base + (np.arange(parts) < extra)
 
 
 # Every stage of a batch works on one layout, the outcome table [rep,
@@ -113,8 +113,9 @@ def _outcome_tables(conditionals, config: str) -> np.ndarray:
 
 
 def _frequencies(counts: np.ndarray, copies: np.ndarray, config: str) -> np.ndarray:
-    """Pauli cells of count / copies; a setting without copies counts 0, so reads 0."""
-    return _cells(counts / np.maximum(copies, 1)[:, None], config)
+    """Pauli cells of count / copies, copies [rep, setting] or [setting]; a
+    setting without copies counts 0, so reads 0."""
+    return _cells(counts / np.maximum(copies, 1)[..., None], config)
 
 
 def _is_count(value) -> bool:
@@ -312,8 +313,9 @@ def _streams(batch) -> list:
 
 
 def _batch_key(point: ExperimentPoint) -> tuple:
-    """Points with equal keys can share a batch: their outcome tables align."""
-    return point.mode, point.config, point.state.dim, point.num_copies
+    """Points with equal keys can share a batch: their outcome tables align,
+    whatever copy budget each one splits over its settings."""
+    return point.mode, point.config, point.state.dim
 
 
 def _per_repetition(batch, values) -> np.ndarray:
@@ -330,12 +332,12 @@ def _noisy_tables(batch, rngs):
     every repetition's prepared state, or its perturbed projector
     |psi'><psi'| (pure mode, keeping the k = 0 column), on its detector.
     """
-    mode, config, d, _ = _batch_key(batch[0][0])
+    mode, config, d = _batch_key(batch[0][0])
     perturbed, kappas = [], []
     owners = [point for point, start, stop in batch for _ in range(start, stop)]
     for point, rng in zip(owners, rngs):
         if mode == "pure":
-            perturbed.append(perturb_pure_state(point.state, point.sigma_prep, rng)[0].amps)
+            perturbed.append(perturb_amplitudes(point.state.amps, point.sigma_prep, rng)[0])
         kappas.append(sample_kappas(d, point.sigma_post, rng))
     coeffs = conjugate_coefficients(d, np.array(kappas))
     if mode == "mixed":
@@ -352,15 +354,17 @@ def _batch(batch):
     ``batch`` lists (point, start, stop) slices, repetitions start..stop-1
     of each point, all points sharing one _batch_key. Each stage runs once
     on the batch's stacked tables, each repetition with the noise levels,
-    prepared state and target of its own point. Reconstructions come back
-    as amplitude vectors (pure) or validated density matrices (mixed).
+    prepared state, target and copy budget of its own point. Reconstructions
+    come back as amplitude vectors (pure) or validated density matrices
+    (mixed).
     """
-    mode, config, d, num_copies = _batch_key(batch[0][0])
+    mode, config, d = _batch_key(batch[0][0])
     rngs = _streams(batch)
     # Each stage's stacked tables are dropped once the next stage has read
     # them, which bounds the memory a batch holds at once.
     probs = _outcome_tables(_noisy_tables(batch, rngs), config)
-    copies = _split_copies(num_copies, probs.shape[1])
+    copies = _split_copies(_per_repetition(batch, [point.num_copies for point, _, _ in batch]),
+                           probs.shape[1])
     counts = sample_count_tables(probs, copies, rngs)
     del probs
     estimates = _frequencies(counts, copies, config)
@@ -421,11 +425,13 @@ def _fill(slices, sizes):
 def _batches(points):
     """Batches of the points' repetitions, reading the points lazily.
 
-    Consecutive points with one _batch_key form one run of repetitions, in
-    order, cut into batches of at most BATCH_CELLS outcome probabilities;
-    a point may span batches. The points are read at most one batch ahead.
+    Consecutive points with one _batch_key (the same mode, configuration
+    and dimension, whatever their copy budgets) form one run of
+    repetitions, in order, cut into batches of at most BATCH_CELLS outcome
+    probabilities; a point may span batches. The points are read at most
+    one batch ahead.
     """
-    for (_, _, d, _), run in groupby(points, key=_batch_key):
+    for (_, _, d), run in groupby(points, key=_batch_key):
         # the largest outcome table: 3d settings of 2d + 1 outcomes (mixed)
         size = max(1, BATCH_CELLS // (3 * d * (2 * d + 1)))
         yield from _fill(((point, 0, point.repetitions) for point in run), repeat(size))
@@ -440,9 +446,9 @@ def _cut(batch, parts: int) -> list:
 def run_points(points, threads: int = 1, executor=None):
     """Yield the RunResult of every grid point, in order.
 
-    Consecutive points with the same mode, configuration, dimension and
-    copy budget share batches (_batches), so a sweep of points with few
-    repetitions each runs as few large array passes. Without an executor
+    Consecutive points with the same mode, configuration and dimension
+    share batches (_batches), so a sweep of points with few repetitions
+    each runs as few large array passes. Without an executor
     the batches run one after another in this process, reading the points
     one batch ahead. With one, all batches are submitted at once, cut
     further when there are fewer batches than ``threads``, so workers never

@@ -16,6 +16,26 @@ from .errors import DegenerateNoiseError, ParameterError
 from .states import DensityMatrix, PureState
 
 
+def perturb_amplitudes(amps: np.ndarray, sigma: float, rng) -> tuple[np.ndarray, float]:
+    """The amplitudes of perturb_pure_state, unvalidated: (amps', N).
+
+    ``amps`` itself comes back for sigma = 0, after the draw is consumed.
+    """
+    if sigma < 0:
+        raise ParameterError("sigma must be nonnegative")
+    draws = rng.standard_normal((amps.shape[0], 2))
+    if sigma == 0.0:
+        return amps, 1.0
+    for _ in range(2):
+        delta = sigma * (draws[:, 0] + 1j * draws[:, 1])
+        vec = amps + delta
+        norm = float(np.linalg.norm(vec))
+        if norm > 0.0:
+            return vec / norm, norm
+        draws = rng.standard_normal((amps.shape[0], 2))
+    raise DegenerateNoiseError("perturbation annihilated the state twice")
+
+
 def perturb_pure_state(psi: PureState, sigma: float, rng) -> tuple[PureState, float]:
     """Apply amplitude noise (psi_n + delta_n) / N with delta_n = x1 + i x2.
 
@@ -23,20 +43,10 @@ def perturb_pure_state(psi: PureState, sigma: float, rng) -> tuple[PureState, fl
     normalized state together with the realized normalization constant N.
     The draw is consumed even for sigma = 0 so random streams stay aligned
     across noise settings; in that case the input is returned unchanged.
+    An annihilated state is redrawn once before DegenerateNoiseError.
     """
-    if sigma < 0:
-        raise ParameterError("sigma must be nonnegative")
-    draws = rng.standard_normal((psi.dim, 2))
-    if sigma == 0.0:
-        return psi, 1.0
-    for _ in range(2):
-        delta = sigma * (draws[:, 0] + 1j * draws[:, 1])
-        vec = psi.amps + delta
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            return PureState(vec / norm), norm
-        draws = rng.standard_normal((psi.dim, 2))
-    raise DegenerateNoiseError("perturbation annihilated the state twice")
+    amps, norm = perturb_amplitudes(psi.amps, sigma, rng)
+    return (psi if sigma == 0.0 else PureState(amps)), norm
 
 
 def sample_kappas(d: int, sigma: float, rng) -> np.ndarray:

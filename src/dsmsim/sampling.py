@@ -14,13 +14,15 @@ over many rows at once, one add per outcome: np.cumsum's sequential adds
 along a row, so they round as it does, in the [edge, row] order the
 counting passes compare them in.
 
-Two layouts count the same copies, chosen by the copy count alone.
-Settings with many copies are counted one at a time in fixed-size chunks.
-Settings with few copies are counted for all tables together, in passes
-over blocks of consecutive copy slots: each pass compares those slots'
-variates of every row of a group of tables with all its edges at once. The
-block width follows from the shape alone: a few slots when the group has
-many rows and edges (the fig4 sweep), up to every slot when it has few.
+Two layouts count the same copies, chosen by the copy count alone. Tables
+may split their copies differently; consecutive tables that split them
+alike are counted as one run. Settings with many copies are counted one at
+a time in fixed-size chunks. Settings with few copies are counted for all
+tables of a run together, in passes over blocks of consecutive copy slots:
+each pass compares those slots' variates of every row of a group of tables
+with all its edges at once. The block width follows from the shape alone:
+a few slots when the group has many rows and edges (the fig4 sweep), up to
+every slot when it has few.
 """
 
 from __future__ import annotations
@@ -154,40 +156,55 @@ def _below_chunked(edges, copies, rng) -> np.ndarray:
     return below
 
 
+def _below_run(probs, copies, rngs) -> np.ndarray:
+    """Copies below each edge of stacked tables whose rows all take
+    ``copies``, in slot blocks or in chunks."""
+    if not copies.any():
+        return np.zeros(probs[..., :-1].shape, dtype=np.int64)
+    if int(copies.max()) > BATCH_COPIES:
+        return np.array([_below_chunked(_running_sums(table[:, :-1]), copies, rng)
+                         for table, rng in zip(probs, rngs)])
+    return _below_blocks(probs, copies, rngs)
+
+
+def _runs(copies):
+    """(start, stop) of every run of consecutive tables with equal copies."""
+    cuts = (np.flatnonzero((copies[1:] != copies[:-1]).any(axis=1)) + 1).tolist()
+    return zip([0, *cuts], [*cuts, len(copies)])
+
+
 def sample_count_tables(probs, copies, rngs) -> np.ndarray:
     """Outcome counts for every row of stacked, validated probability tables.
 
     ``probs`` holds tables [table, setting, outcome] as returned by
-    check_outcome_table, ``copies`` the copies of each setting, the same in
-    every table, and ``rngs`` one random stream per table. Row i of a table
-    draws copies[i] variates from the table's stream after those of the rows
-    before it, and its counts equal the per-copy inverse-CDF lookup of those
-    variates, so any split of the rows or tables into calls gives the same
-    counts from the same streams. Few copies per row are counted for all
-    tables together in blocks of copy slots; many copies row by row in
-    fixed-size chunks.
+    check_outcome_table, ``copies`` the copies of each row [table, setting],
+    or of each setting [setting] alike in every table, and ``rngs`` one
+    random stream per table. Row i of a table draws copies[i] variates from
+    the table's stream after those of the rows before it, and its counts
+    equal the per-copy inverse-CDF lookup of those variates, so any split of
+    the rows or tables into calls gives the same counts from the same
+    streams. Consecutive tables that split their copies alike are counted
+    together: with few copies per row in blocks of copy slots across the
+    tables, with many row by row in fixed-size chunks.
     """
     probs = np.asarray(probs, dtype=np.float64)
     copies = np.asarray(copies, dtype=np.int64)
-    if probs.ndim != 3 or copies.shape != probs.shape[1:2]:
+    if probs.ndim != 3 or copies.shape not in (probs.shape[1:2], probs.shape[:2]):
         raise ParameterError("need one copy count per table row")
     if len(rngs) != probs.shape[0]:
         raise ParameterError("need one random stream per table")
     if np.any(copies < 0):
         raise ParameterError("copy count must be nonnegative")
+    copies = np.broadcast_to(copies, probs.shape[:2])
     # the last edge, +inf, is left out: every remaining copy lands on the
-    # last outcome
-    if not copies.any():
-        below = np.zeros(probs[..., :-1].shape, dtype=np.int64)
-    elif int(copies.max()) > BATCH_COPIES:
-        below = np.array([_below_chunked(_running_sums(table[:, :-1]), copies, rng)
-                          for table, rng in zip(probs, rngs)])
-    else:
-        below = _below_blocks(probs, copies, rngs)
+    # last outcome. A lone run's array is taken as it is, so a call whose
+    # tables all split their copies alike builds no second one.
+    below = [_below_run(probs[start:stop], copies[start], rngs[start:stop])
+             for start, stop in _runs(copies)]
+    below = below[0] if len(below) == 1 else np.concatenate(below)
     # outcome j holds the copies below edge j and not below edge j - 1
     counts = np.empty(probs.shape, dtype=np.int64)
     counts[..., :-1] = below
     counts[..., -1] = copies
     counts[..., 1:] -= below
     return counts
-

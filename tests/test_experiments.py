@@ -21,6 +21,7 @@ from dsmsim.experiments import (
     parse_config,
     run_figure,
 )
+from dsmsim.sampling import BATCH_COPIES
 
 
 def test_minimal_document_gets_defaults():
@@ -213,14 +214,15 @@ def test_failed_grid_point_flushes_partial_rows(monkeypatch):
 
 
 def test_failure_rows_independent_of_workers():
-    # sigma 2.0 makes 1 + kappa <= 0 detector draws, which fail a later point
+    # sigma 2.0 makes 1 + kappa <= 0 detector draws, which fail a later
+    # point. On 1 worker each case runs as one batch, so the failing point
+    # shares a batch with the points before it: case 1's batch spans both
+    # copy budgets. More workers cut that batch into near-equal parts.
     cases = [
         ({"num_qubits": 2, "configuration": "C1",
           "sigma_sweep": [0.0, 0.05, 2.0, 0.0], "copy_budgets": [50, 60],
           "repetitions": 3, "master_seed": 5},
          "grid point 4 failed", "DegenerateDataError"),
-        # one copy budget: the failing point shares a batch with the points
-        # before it (all four on 1 worker, grid point 1's tail on 3)
         ({"mode": "mixed", "num_qubits": 2, "configuration": "C1",
           "sigma_sweep": [0.0, 2.0], "epsilon_sweep": [0.1, 0.3],
           "copy_budgets": [50], "repetitions": 3, "master_seed": 5},
@@ -257,39 +259,47 @@ def _per_repetition_results(config, rows) -> list:
 
 @pytest.mark.parametrize("mode", ["pure", "mixed"])
 def test_batches_across_points_match_lone_repetitions(mode, monkeypatch):
-    doc = {"mode": mode, "num_qubits": 2, "configuration": "both",
-           "sigma_sweep": [0.0, 0.02, 0.05], "copy_budgets": [300],
-           "repetitions": 3, "master_seed": 11}
-    if mode == "mixed":
-        doc["epsilon_sweep"] = [0.0, 0.5]
-    config = parse_config(json.dumps(doc))
-    points_per_config = 6 if mode == "mixed" else 3
     batches = []
     real = montecarlo._batch
 
     def spy(batch):
-        batches.append([(start, stop) for _, start, stop in batch])
+        batches.append([(point.num_copies, start, stop) for point, start, stop in batch])
         return real(batch)
 
     monkeypatch.setattr(montecarlo, "_batch", spy)
-    # d = 4: a batch of b repetitions holds b * 3d(2d + 1) = 108 b cells
-    split, whole = 2 * 108, 1 << 20
-    for cells in (split, whole):
-        monkeypatch.setattr(montecarlo, "BATCH_CELLS", cells)
-        batches.clear()
-        serial = run_figure(config)["results"]
-        if cells == split:
-            # batches of 2 repetitions split every 3-repetition point, and
-            # some hold the tail of one point and the head of the next
-            assert max(sum(stop - start for start, stop in batch)
-                       for batch in batches) == 2
-            assert any(len(batch) == 2 for batch in batches)
-        else:
-            # one batch per configuration spans all of its points
-            assert [len(batch) for batch in batches] == [points_per_config] * 2
-        expected = _per_repetition_results(config, serial)
-        assert [(row["mean_distance"], row["std_error"]) for row in serial] == expected
-        assert run_figure(config, threads=3)["results"] == serial
+    # d = 4, C1: 12 settings, so 300 copies (25 per setting) are counted in
+    # slot blocks and 13,000 (1,084 per setting) in chunks; a batch that
+    # spans both budgets holds both sampler layouts
+    assert -(-300 // 12) <= BATCH_COPIES < -(-13000 // 12)
+    for budgets in ([300], [300, 13000]):
+        doc = {"mode": mode, "num_qubits": 2, "configuration": "both",
+               "sigma_sweep": [0.0, 0.02, 0.05], "copy_budgets": budgets,
+               "repetitions": 3, "master_seed": 11}
+        if mode == "mixed":
+            doc["epsilon_sweep"] = [0.0, 0.5]
+        config = parse_config(json.dumps(doc))
+        points_per_config = (6 if mode == "mixed" else 3) * len(budgets)
+        # d = 4: a batch of b repetitions holds b * 3d(2d + 1) = 108 b cells
+        split, whole = 2 * 108, 1 << 20
+        for cells in (split, whole):
+            monkeypatch.setattr(montecarlo, "BATCH_CELLS", cells)
+            batches.clear()
+            serial = run_figure(config)["results"]
+            if cells == split:
+                # batches of 2 repetitions split every 3-repetition point, and
+                # some hold the tail of one point and the head of the next
+                assert max(sum(stop - start for _, start, stop in batch)
+                           for batch in batches) == 2
+                assert any(len(batch) == 2 for batch in batches)
+            else:
+                # one batch per configuration spans all of its points, at
+                # every copy budget
+                assert [len(batch) for batch in batches] == [points_per_config] * 2
+                assert all({copies for copies, _, _ in batch} == set(budgets)
+                           for batch in batches)
+            expected = _per_repetition_results(config, serial)
+            assert [(row["mean_distance"], row["std_error"]) for row in serial] == expected
+            assert run_figure(config, threads=3)["results"] == serial
 
 
 class RecordingPool:

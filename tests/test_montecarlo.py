@@ -448,6 +448,23 @@ def test_batch_takes_state_and_noise_from_each_point(mode):
                        for point in points]
 
 
+def test_batches_span_copy_budgets_not_configurations():
+    """Consecutive points that differ in copy budget alone form one run of
+    repetitions; a change of mode, configuration or dimension starts the
+    next."""
+    def point(copies, config="C1", state=GHZ, mode="pure"):
+        return ExperimentPoint(mode=mode, config=config, state=state, num_copies=copies,
+                               repetitions=2, seed_entropy=(0,))
+
+    points = [point(100), point(5000), point(100), point(5000, config="C2"),
+              point(100, config="C2"), point(100, config="C2", state=standard_state("ghz", 2)),
+              point(600, config="C2", state=standard_state("ghz", 2)),
+              point(100, config="C2", mode="mixed")]
+    runs = [[id(point) for point, _, _ in batch] for batch in _batches(points)]
+    assert runs == [[id(point) for point in run]
+                    for run in (points[:3], points[3:5], points[5:7], points[7:])]
+
+
 # seed entropies of 0 to 6 words, so that seed_entropy + (rep,) spans 1 to
 # 7 words: values at and past the 32-bit word boundaries, bools and NumPy
 # integers

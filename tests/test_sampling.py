@@ -171,6 +171,25 @@ def test_stacked_counts_match_reference(monkeypatch, edges, width, tables, layou
     assert np.array_equal(counts, expected)
 
 
+def test_tables_with_their_own_copies_match_lone_tables():
+    """Tables that split their copies differently, counted in one call, get
+    the counts of a call of their own and leave their streams where it does:
+    runs of equal splits in both layouts, a split that returns after
+    another, and a table without copies."""
+    widths = [42, 42, BATCH_COPIES + 1, 42, 0, 1, 1, BATCH_COPIES, BATCH_COPIES + 1]
+    copies = np.array([_width_copies(width) for width in widths])
+    probs = _stacked_tables(len(widths), 4, seed=3)
+    together = [np.random.default_rng(table) for table in range(len(widths))]
+    alone = [np.random.default_rng(table) for table in range(len(widths))]
+    counts = sample_count_tables(probs, copies, together)
+    for table, (row, stream) in enumerate(zip(copies, alone)):
+        lone = sample_count_tables(probs[table:table + 1], row, [stream])
+        assert np.array_equal(counts[table], lone[0])
+    assert [stream.random() for stream in together] == [stream.random() for stream in alone]
+    with pytest.raises(ParameterError):
+        sample_count_tables(probs, copies[:-1], together)
+
+
 @pytest.mark.parametrize("layout", sorted(PASSES))
 @pytest.mark.parametrize("width", WIDTHS)
 def test_variate_on_an_edge_counts_above_it(monkeypatch, layout, width):
