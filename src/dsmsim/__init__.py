@@ -34,6 +34,7 @@ from .states import (
     DensityMatrix,
     PureState,
     conjugate_coefficients,
+    port_weights,
     random_density_matrix,
     standard_state,
 )

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateDataError, ParameterError
-from .pure_protocol import _check_config, nominal_coefficients
+from .pure_protocol import _check_config, _check_nominal
 
 
 def pauli_from_conditionals(m00, m01, m11, out=None) -> np.ndarray:
@@ -61,10 +61,11 @@ def conditional_tables(rho, coeff_rows, config: str):
 
     ``rho`` holds density-matrix entries and ``coeff_rows`` the conjugate
     family as the d x d coefficient array of conjugate_coefficients (row k
-    holds |c'_k>); either may stack along leading axes. Returns (m00, m01, m11) arrays indexed
-    [..., n, k]: the unnormalized 2 x 2 probe matrix Lambda''(n, k), whose
-    trace is the postselection weight, for interaction index n postselected
-    onto |c'_k> (C1) or interaction |c'_k> postselected onto |n> (C2).
+    holds |c'_k>); either may stack along leading axes. Returns (m00, m01,
+    m11) arrays indexed [..., n, k]: the unnormalized 2 x 2 probe matrix
+    Lambda''(n, k), whose trace is the postselection weight, for interaction
+    index n postselected onto |c'_k> (C1) or interaction |c'_k> postselected
+    onto |n> (C2). Pure batches use pauli_table, this k = 0 column in O(d).
     """
     _check_config(config)
     rho = np.asarray(rho)
@@ -92,15 +93,6 @@ def conditional_tables(rho, coeff_rows, config: str):
         m01 = 0.5 * (cross - mixer)
         m00 = 0.5 * (diag[..., :, None] - 2.0 * cross.real + mixer)
     return m00.real, m01, m11.real
-
-
-def _check_tables(off_diag, diag11):
-    off_diag = np.asarray(off_diag, dtype=np.complex128)
-    diag11 = np.asarray(diag11, dtype=np.float64)
-    d = off_diag.shape[-1]
-    if off_diag.shape[-2:] != (d, d) or diag11.shape != off_diag.shape:
-        raise ParameterError("lambda tables must both be d x d over (n, k)")
-    return off_diag, diag11, d
 
 
 @lru_cache(maxsize=None)
@@ -132,10 +124,12 @@ def raw_reconstruction(off_diag, diag11, config: str, nominal=None) -> np.ndarra
     non-finite entries.
     """
     _check_config(config)
-    off_diag, diag11, d = _check_tables(off_diag, diag11)
-    if nominal is None:
-        nominal = nominal_coefficients(d)
-    nominal = np.asarray(nominal, dtype=np.float64)
+    off_diag = np.asarray(off_diag, dtype=np.complex128)
+    diag11 = np.asarray(diag11, dtype=np.float64)
+    d = off_diag.shape[-1]
+    if off_diag.shape[-2:] != (d, d) or diag11.shape != off_diag.shape:
+        raise ParameterError("lambda tables must both be d x d over (n, k)")
+    nominal = _check_nominal(nominal, d)
     if config == "C1":
         raw = _inverse_fourier_sum(off_diag, d)
         raw[..., np.arange(d), np.arange(d)] += d * diag11.mean(axis=-1)

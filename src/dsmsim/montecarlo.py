@@ -55,13 +55,14 @@ from .mixed_protocol import (
     raw_reconstruction,
 )
 from .noise import perturb_amplitudes, sample_kappas, white_noise_channel
-from .pure_protocol import _check_config, reconstruct_amplitudes
+from .pure_protocol import _check_config, pauli_table, reconstruct_amplitudes
 from .sampling import outcome_table, sample_count_tables
 from .states import (
     DensityMatrix,
     PureState,
     check_density_matrices,
     conjugate_coefficients,
+    port_weights,
 )
 
 MODES = ("pure", "mixed")
@@ -102,13 +103,17 @@ def _cells(table: np.ndarray, config: str) -> np.ndarray:
     return cells.transpose((0, 1, 3, 2, 4) if config == "C1" else (0, 3, 1, 2, 4))
 
 
-def _outcome_tables(conditionals, config: str) -> np.ndarray:
-    """Validated outcome tables [rep, setting, outcome] of conditional tables
-    (m00, m01, m11) [rep, n, k]: all k (mixed) or k = 0 alone (pure)."""
-    reps, d, k = conditionals[0].shape
+def _outcome_tables(tables, config: str) -> np.ndarray:
+    """Validated outcome tables [rep, setting, outcome] of Pauli tables [rep,
+    n, 6] (pure, k = 0) or of conditional tables (m00, m01, m11) [rep, n, k]."""
+    pure = isinstance(tables, np.ndarray)
+    reps, d, k = (*tables.shape[:2], 1) if pure else tables[0].shape
     fixed, branches = (d, k) if config == "C1" else (k, d)
     table = np.empty((reps, 3 * fixed, 2 * branches + 1))
-    pauli_from_conditionals(*conditionals, out=_cells(table, config))
+    if pure:
+        _cells(table, config)[:, :, 0] = tables.reshape(reps, d, 3, 2)
+    else:
+        pauli_from_conditionals(*tables, out=_cells(table, config))
     return outcome_table(table)
 
 
@@ -324,13 +329,12 @@ def _per_repetition(batch, values) -> np.ndarray:
 
 
 def _noisy_tables(batch, rngs):
-    """The conditional tables of a batch, as _outcome_tables takes them.
+    """The probe tables of a batch, as _outcome_tables takes them.
 
     Each repetition draws its noise from its own stream in ``rngs`` at the
-    noise levels of its own point: the preparation perturbation (pure mode)
-    and then the detector bias. One conditional_tables call then conditions
-    every repetition's prepared state, or its perturbed projector
-    |psi'><psi'| (pure mode, keeping the k = 0 column), on its detector.
+    noise levels of its own point: the preparation perturbation (pure mode),
+    then the detector bias. One stacked pauli_table (pure) or
+    conditional_tables (mixed) call then builds every repetition's tables.
     """
     mode, config, d = _batch_key(batch[0][0])
     perturbed, kappas = [], []
@@ -339,13 +343,10 @@ def _noisy_tables(batch, rngs):
         if mode == "pure":
             perturbed.append(perturb_amplitudes(point.state.amps, point.sigma_prep, rng)[0])
         kappas.append(sample_kappas(d, point.sigma_post, rng))
-    coeffs = conjugate_coefficients(d, np.array(kappas))
-    if mode == "mixed":
-        prepared = _per_repetition(batch, [point.prepared.elems for point, _, _ in batch])
-        return conditional_tables(prepared, coeffs, config)
-    amps = np.array(perturbed)
-    tables = conditional_tables(amps[:, :, None] * amps[:, None, :].conj(), coeffs, config)
-    return tuple(table[..., :1] for table in tables)
+    if mode == "pure":
+        return pauli_table(np.array(perturbed), port_weights(d, np.array(kappas)), config)
+    prepared = _per_repetition(batch, [point.prepared.elems for point, _, _ in batch])
+    return conditional_tables(prepared, conjugate_coefficients(d, np.array(kappas)), config)
 
 
 def _batch(batch):

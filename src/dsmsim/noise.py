@@ -2,7 +2,7 @@
 
 State-preparation noise perturbs each amplitude by an independent complex
 Gaussian and renormalizes; postselection noise biases the conjugate-basis
-detector ports (see states.conjugate_coefficients). Mixed-state preparation
+detector ports (see states.port_weights). Mixed-state preparation
 noise is the white-noise (depolarizing) channel acting on the density
 matrix. A gate-level imperfect Hadamard circuit illustrates where
 preparation noise comes from.
@@ -21,8 +21,8 @@ def perturb_amplitudes(amps: np.ndarray, sigma: float, rng) -> tuple[np.ndarray,
 
     ``amps`` itself comes back for sigma = 0, after the draw is consumed.
     """
-    if sigma < 0:
-        raise ParameterError("sigma must be nonnegative")
+    if not 0.0 <= sigma < np.inf:
+        raise ParameterError("sigma must be finite and nonnegative")
     draws = rng.standard_normal((amps.shape[0], 2))
     if sigma == 0.0:
         return amps, 1.0
@@ -51,8 +51,8 @@ def perturb_pure_state(psi: PureState, sigma: float, rng) -> tuple[PureState, fl
 
 def sample_kappas(d: int, sigma: float, rng) -> np.ndarray:
     """Real detector biases kappa_m ~ Normal(0, sigma^2), i.i.d."""
-    if sigma < 0:
-        raise ParameterError("sigma must be nonnegative")
+    if not 0.0 <= sigma < np.inf:
+        raise ParameterError("sigma must be finite and nonnegative")
     return sigma * rng.standard_normal(d)
 
 

@@ -10,9 +10,9 @@ onto |n>. Either way the probe ends in an unnormalized two-component state
     C2:  ((psi'_n - c_n Gamma)|0> + c_n Gamma|1>) / sqrt(2)
 
 with Gamma = sum_m c_m psi'_m, and Pauli-basis probe probabilities expose
-the real and imaginary parts of psi'_n. They are also the k = 0 column of
-the mixed protocol's conditional tables on |psi'><psi'|, which is where the
-Monte Carlo engine reads them; pauli_table evaluates the closed form.
+the real and imaginary parts of psi'_n. pauli_table evaluates them, O(d)
+per table and stacked, for the Monte Carlo engine; they are also the k = 0
+column of the mixed protocol's conditional tables on |psi'><psi'|.
 
 Sign note: with |L> = (|0> + i|1>)/sqrt(2) and |R> = (|0> - i|1>)/sqrt(2),
 direct evaluation of the C2 probe state gives P_L - P_R = -c_n Gamma Im
@@ -32,31 +32,29 @@ from .states import PureState
 CONFIGURATIONS = ("C1", "C2")
 
 
-def _check_config(config: str) -> str:
+def _check_config(config: str) -> None:
     if config not in CONFIGURATIONS:
         raise ParameterError(f"configuration must be one of {CONFIGURATIONS}")
-    return config
 
 
-def pauli_table(psi_prime: PureState, coeff_rows, config: str) -> np.ndarray:
-    """Probe probabilities (p0, p1, p+, p-, pL, pR) as one row per basis index.
+def pauli_table(amps, weights, config: str) -> np.ndarray:
+    """Probe probabilities (p0, p1, p+, p-, pL, pR) [..., d, 6] of amplitude
+    arrays psi' [..., d] under port weights c [..., d] (states.port_weights),
+    stacked along leading axes; each table rounds as a lone one.
 
-    ``coeff_rows`` is the d x d conjugate basis of conjugate_coefficients;
-    the probes use its k = 0 state, whose port weights c_m are the real part
-    of row 0. Row n holds P_j = |<j|eta_n>|^2 for the unnormalized probe
-    state eta_n of index n; each basis pair sums to the postselection
-    success probability |eta_n|^2. It squares the probe amplitudes, where
+    Row n holds P_j = |<j|eta_n>|^2 for the unnormalized probe state eta_n
+    of index n; each basis pair sums to the postselection success
+    probability |eta_n|^2. It squares the probe amplitudes, where
     conditional_tables expands |eta_n|^2: a vanishing branch (C2's zero
     branch for the uniform state) is 0 here and a rounding residue there.
     """
     _check_config(config)
-    d = psi_prime.dim
-    if coeff_rows.shape != (d, d):
-        raise ParameterError("need the d x d conjugate basis of the state's dimension")
-    amps, magnitudes = psi_prime.amps, coeff_rows[0].real
-    gamma = np.dot(magnitudes, amps)                      # sum_m c_m psi'_m
+    amps, weights = np.asarray(amps, dtype=complex), np.asarray(weights, dtype=float)
+    if weights.shape[-1:] != amps.shape[-1:]:
+        raise ParameterError("need one port weight per basis index")
+    gamma = (weights[..., None, :] @ amps[..., :, None])[..., 0]    # sum_m c_m psi'_m
     # sqrt(2) eta_n = a0|0> + a1|1>, projected onto |0>, |1>, |+>, |->, |L>, |R>
-    a1 = magnitudes * (amps if config == "C1" else gamma)
+    a1 = weights * (amps if config == "C1" else gamma)
     a0 = (gamma if config == "C1" else amps) - a1
     probes = np.stack([a0, a1, a0 + a1, a0 - a1, a0 - 1j * a1, a0 + 1j * a1], axis=-1)
     return np.abs(probes) ** 2 * [0.5, 0.5, 0.25, 0.25, 0.25, 0.25]
@@ -65,6 +63,14 @@ def pauli_table(psi_prime: PureState, coeff_rows, config: str) -> np.ndarray:
 def nominal_coefficients(d: int) -> np.ndarray:
     """The experimenter's intended conjugate coefficients, 1/sqrt(d)."""
     return np.full(d, 1.0 / np.sqrt(d))
+
+
+def _check_nominal(nominal, d: int) -> np.ndarray:
+    """The (d,) finite, positive port weights a reconstruction divides by."""
+    nominal = nominal_coefficients(d) if nominal is None else np.asarray(nominal, dtype=float)
+    if nominal.shape != (d,) or not np.all((nominal > 0.0) & (nominal < np.inf)):
+        raise ParameterError("nominal coefficients must be finite and positive, one per index")
+    return nominal
 
 
 def reconstruct_amplitudes(prob_tables, config: str, nominal=None) -> np.ndarray:
@@ -81,11 +87,7 @@ def reconstruct_amplitudes(prob_tables, config: str, nominal=None) -> np.ndarray
     d = prob_tables.shape[-2]
     if d < 2:
         raise ParameterError("need at least two basis indices")
-    if nominal is None:
-        nominal = nominal_coefficients(d)
-    nominal = np.asarray(nominal, dtype=np.float64)
-    if nominal.shape != (d,) or np.any(nominal <= 0.0):
-        raise ParameterError("nominal coefficients must be positive, one per index")
+    nominal = _check_nominal(nominal, d)
     p1, p_plus, p_minus, p_l, p_r = np.moveaxis(prob_tables[..., 1:], -1, 0)
     sign = 1.0 if config == "C1" else -1.0
     vec = np.empty(prob_tables.shape[:-1], dtype=np.complex128)

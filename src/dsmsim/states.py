@@ -7,9 +7,9 @@ q0*4 + q1*2 + q2 and the GHZ state occupies indices 0 and d-1.
 The conjugate basis is the discrete-Fourier partner of the computational
 basis. A detector with per-port bias kappa_m resolves the distorted vectors
 |c'_k> = sum_m e^(i 2 pi m k / d) (1 + kappa_m) / M |m>, which reduce to the
-exact Fourier vectors when all kappa_m vanish. conjugate_coefficients holds
-the whole basis as one d x d array, row k the coefficients of |c'_k>; both
-protocols read their port weights c_m from the real part of row 0.
+exact Fourier vectors when all kappa_m vanish. port_weights gives the c_m
+of |c'_0>, all the pure protocol reads; conjugate_coefficients gives the
+whole basis as one d x d array, row k the coefficients of |c'_k>.
 """
 
 from __future__ import annotations
@@ -125,28 +125,29 @@ def _fourier_phases(d: int) -> np.ndarray:
     return phases
 
 
-def conjugate_coefficients(d: int, kappas=None) -> np.ndarray:
-    """The conjugate basis as one d x d array: row k holds the coeffs of |c'_k>.
-
-    Row 0 carries no phase, so its real part is the port weights
-    c_m = (1 + kappa_m) / M. ``kappas`` (None: the exact basis) may stack
-    several draws along leading axes, which the result keeps. Raises
-    DegenerateNoiseError when any 1 + kappa_m <= 0: such a draw corresponds
-    to a detector port with non-positive response and would silently bias
-    statistics if clamped.
-    """
+def port_weights(d: int, kappas=None) -> np.ndarray:
+    """Port weights c_m = (1 + kappa_m) / M of |c'_0>, one row per kappa draw
+    stacked along leading axes (kappas None: the exact basis). Raises
+    ParameterError on non-finite kappas and DegenerateNoiseError when any
+    1 + kappa_m <= 0, a detector port with non-positive response, which
+    clamping would silently turn into biased statistics."""
     if d < 2:
         raise ParameterError("dimension must be at least 2")
-    if kappas is None:
-        kappas = np.zeros(d)
-    kappas = np.asarray(kappas, dtype=np.float64)
+    kappas = np.zeros(d) if kappas is None else np.asarray(kappas, dtype=np.float64)
     if kappas.shape[-1:] != (d,):
         raise ParameterError("kappas must have one entry per basis state")
+    if not np.all(np.isfinite(kappas)):
+        raise ParameterError("kappas must be finite")
     weights = 1.0 + kappas
     if np.any(weights <= 0.0):
         raise DegenerateNoiseError("postselection noise produced 1 + kappa <= 0")
-    norm_const = np.sqrt(np.sum(weights**2, axis=-1, keepdims=True))
-    return (weights / norm_const)[..., None, :] * _fourier_phases(d)
+    return weights / np.sqrt(np.sum(weights**2, axis=-1, keepdims=True))
+
+
+def conjugate_coefficients(d: int, kappas=None) -> np.ndarray:
+    """The conjugate basis as one d x d array per kappa draw: row k holds the
+    coeffs of |c'_k>, port_weights times the phases e^(i 2 pi k m / d)."""
+    return port_weights(d, kappas)[..., None, :] * _fourier_phases(d)
 
 
 def _dicke_amplitudes(num_qubits: int, excitations: int) -> np.ndarray:

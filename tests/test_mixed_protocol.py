@@ -12,6 +12,7 @@ from dsmsim.mixed_protocol import (
     raw_reconstruction,
 )
 from dsmsim.noise import sample_kappas, white_noise_channel
+from dsmsim.pure_protocol import pauli_table
 from dsmsim.states import (
     DensityMatrix,
     PureState,
@@ -107,6 +108,8 @@ def test_pure_projector_conditional_equals_probe_outer_product(rng):
         for n in range(d):
             ref = _reference_pauli(*probe(psi.amps, coeffs[0], n))
             assert np.max(np.abs(mixed[n] - [ref[key] for key in "01+-LR"])) < 1e-12
+        # the closed form the engine evaluates instead
+        assert np.max(np.abs(mixed - pauli_table(psi.amps, coeffs[0].real, config))) < 1e-15
 
 
 def test_conditionals_are_hermitian_with_real_diagonal(rng):

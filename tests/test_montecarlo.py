@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from dsmsim.errors import DegenerateDataError, DegenerateNoiseError, ParameterEr
 from dsmsim.experiments import parse_config, run_figure
 from dsmsim.metrics import trace_distance_mixed, trace_distance_pure
 from dsmsim.mixed_protocol import conditional_tables, lambda_tables, pauli_from_conditionals
-from dsmsim.noise import white_noise_channel
+from dsmsim.noise import perturb_amplitudes, sample_kappas, white_noise_channel
 from dsmsim.montecarlo import (
     ExperimentPoint,
     _batch,
@@ -35,6 +36,7 @@ from dsmsim.states import (
     DensityMatrix,
     PureState,
     conjugate_coefficients,
+    port_weights,
     random_density_matrix,
     standard_state,
 )
@@ -44,7 +46,7 @@ GHZ = standard_state("ghz", 3)
 
 def pure_outcomes(psi, coeffs, config):
     """Outcome table of a pure repetition: one row per setting."""
-    pauli = pauli_table(psi, coeffs, config)[:, None, :]
+    pauli = pauli_table(psi.amps, coeffs[0].real, config)[:, None, :]
     return reference_outcome_table(reference_setting_rows(pauli, config))
 
 
@@ -130,7 +132,7 @@ def test_pure_estimator_consistency_with_expected_counts(config):
     copies = _split_copies(1200, probs.shape[0])
     table = reference_frequencies(probs * copies[:, None], copies, config, d)[:, 0, :]
     recon = reconstruct_pure(table, config=config)
-    analytic = reconstruct_pure(pauli_table(psi, coeffs, config), config=config)
+    analytic = reconstruct_pure(pauli_table(psi.amps, coeffs[0].real, config), config=config)
     assert trace_distance_pure(recon, analytic) < 1e-10
 
 
@@ -160,7 +162,8 @@ def test_zero_success_counts_propagate_degenerate_error():
 
 def _synthetic_sources(mode, d, reps, gen):
     """Conditional tables (m00, m01, m11) of ``reps`` repetitions: [rep, d, d]
-    (mixed) or their k = 0 column [rep, d, 1] (pure).
+    (mixed) or a k = 0 column [rep, d, 1] (pure), whose Pauli rows stand in
+    for a pure batch's probe tables.
 
     The cells of a repetition sum to one, so every setting row of either
     configuration sums to at most one; one entry is a rounding-scale
@@ -189,7 +192,8 @@ def test_one_layout_matches_two_layout_reference(mode, config, d, reps):
     source = _synthetic_sources(mode, d, reps, np.random.default_rng([d, reps]))
     pauli = reference_pauli_from_conditionals(*source)
     expected = reference_outcome_table(reference_setting_rows(pauli, config))
-    probs = montecarlo._outcome_tables(source, config)
+    # pure batches come as Pauli rows [rep, n, 6], mixed ones as conditionals
+    probs = montecarlo._outcome_tables(pauli[:, :, 0] if mode == "pure" else source, config)
     assert np.array_equal(probs, expected)
     assert probs[-1].min() == 0.0
     settings = probs.shape[1]
@@ -212,6 +216,47 @@ def test_one_layout_matches_two_layout_reference(mode, config, d, reps):
             for read, ref in zip(lambda_tables(estimates, config),
                                  reference_lambda_tables(reference, config)):
                 assert np.array_equal(read, ref)
+
+
+@pytest.mark.parametrize("config", ["C1", "C2"])
+@pytest.mark.parametrize("num_qubits", [3, 10])
+def test_pure_tables_are_lone_pauli_tables(config, num_qubits):
+    """A pure batch's probe tables are, bit for bit, the lone pauli_table of
+    each repetition's perturbed amplitudes and port weights, drawn in order
+    from its own stream."""
+    d = 2**num_qubits
+    points = [ExperimentPoint(mode="pure", config=config, state=state, num_copies=100,
+                              repetitions=3, seed_entropy=(41, index),
+                              sigma_prep=0.05 * index, sigma_post=0.05)
+              for index, state in enumerate([standard_state("ghz", num_qubits),
+                                             standard_state("haar", num_qubits, seed=5)])]
+    batch = [(points[0], 0, 3), (points[1], 1, 3)]
+    tables = montecarlo._noisy_tables(batch, montecarlo._streams(batch))
+    assert tables.shape == (5, d, 6)
+    lone = []
+    for point, start, stop in batch:
+        for rep in range(start, stop):
+            rng = np.random.default_rng(np.random.SeedSequence(point.seed_entropy + (rep,)))
+            amps = perturb_amplitudes(point.state.amps, point.sigma_prep, rng)[0]
+            lone.append(pauli_table(amps, port_weights(d, sample_kappas(d, 0.05, rng)), config))
+    assert np.array_equal(tables, lone)
+
+
+@pytest.mark.parametrize("config", ["C1", "C2"])
+def test_pure_batch_memory_grows_with_d(config):
+    """A pure d = 1024 batch builds no d x d array: one complex one alone
+    would take 16 MiB."""
+    point = ExperimentPoint(mode="pure", config=config, state=standard_state("ghz", 10),
+                            num_copies=3000, repetitions=1, seed_entropy=(3,),
+                            sigma_prep=0.01, sigma_post=0.01)
+    assert len(list(_batches([point]))) == 1
+    tracemalloc.start()
+    try:
+        _batch([(point, 0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_repetition_listing_and_single_repetition():

@@ -6,6 +6,7 @@ from dsmsim.errors import ParameterError
 from dsmsim.noise import (
     imperfect_hadamard,
     noisy_ghz_circuit,
+    perturb_amplitudes,
     perturb_pure_state,
     sample_kappas,
     white_noise_channel,
@@ -54,6 +55,17 @@ def test_perturbation_mean_fidelity_regression():
 def test_perturbation_rejects_negative_sigma(rng):
     with pytest.raises(ParameterError):
         perturb_pure_state(GHZ, -0.1, rng)
+
+
+def test_noise_draws_reject_non_finite_sigma(rng):
+    # the rule and message of ExperimentPoint, checked on every draw
+    for sigma in (np.nan, np.inf, -np.inf, -0.1):
+        with pytest.raises(ParameterError, match="sigma must be finite and nonnegative"):
+            perturb_pure_state(GHZ, sigma, rng)
+        with pytest.raises(ParameterError, match="sigma must be finite and nonnegative"):
+            perturb_amplitudes(GHZ.amps, sigma, rng)
+        with pytest.raises(ParameterError, match="sigma must be finite and nonnegative"):
+            sample_kappas(8, sigma, rng)
 
 
 class _AnnihilatingStream:

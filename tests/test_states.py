@@ -10,6 +10,7 @@ from dsmsim.states import (
     PureState,
     check_density_matrices,
     conjugate_coefficients,
+    port_weights,
     random_density_matrix,
     standard_state,
 )
@@ -204,12 +205,19 @@ def test_conjugate_basis_is_orthonormal_without_bias():
 
 
 def test_conjugate_state_validation():
-    with pytest.raises(ParameterError):
-        conjugate_coefficients(1)
-    with pytest.raises(ParameterError):
-        conjugate_coefficients(4, np.zeros(3))
-    with pytest.raises(DegenerateNoiseError):
-        conjugate_coefficients(2, np.array([-1.0, 0.0]))
+    for build in (port_weights, conjugate_coefficients):
+        with pytest.raises(ParameterError):
+            build(1)
+        with pytest.raises(ParameterError):
+            build(4, np.zeros(3))
+        with pytest.raises(DegenerateNoiseError):
+            build(2, np.array([-1.0, 0.0]))
+        # non-finite kappas, also in one draw of a stack, raise warning-free
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ParameterError, match="kappas must be finite"):
+                build(2, np.array([bad, 0.0]))
+            with pytest.raises(ParameterError, match="kappas must be finite"):
+                build(2, np.array([[0.1, 0.0], [0.0, bad]]))
 
 
 def test_conjugate_family_shares_magnitudes(rng):
@@ -222,6 +230,10 @@ def test_conjugate_family_shares_magnitudes(rng):
     stacked = conjugate_coefficients(4, np.array([kappas, -kappas]))
     assert np.array_equal(stacked[0], rows)
     assert np.array_equal(stacked[1], conjugate_coefficients(4, -kappas))
+    # row 0 is the port weights, which stack the same way
+    weights = port_weights(4, np.array([kappas, -kappas]))
+    assert np.array_equal(stacked[:, 0].real, weights)
+    assert np.array_equal(weights[1], port_weights(4, -kappas))
 
 
 def test_random_density_matrix_is_valid(rng):
