@@ -15,17 +15,17 @@ realized normalization constants instead of tomography sweeps.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
 from .errors import ConfigError, ParameterError
 from .metrics import norm_const_samples, qfi_pure
-from .montecarlo import MODES, ExperimentPoint, pool_size, run_points
+from .montecarlo import MODES, ExperimentPoint, run_points
 from .pure_protocol import CONFIGURATIONS
 from .states import PureState, standard_state
 
@@ -317,7 +317,6 @@ def run_figure(config: ExperimentConfig, threads: int = 1) -> dict:
     state = config.build_state()
     label = config.state_label()
     grid = list(enumerate(_grid(config)))
-    # built as consumed, so a serial sweep holds one point's invariants at a time
     points = (
         ExperimentPoint(
             mode=config.mode,
@@ -333,10 +332,7 @@ def run_figure(config: ExperimentConfig, threads: int = 1) -> dict:
         for index, (configuration, s_prep, s_post, eps, copies) in grid
     )
     rows = []
-    workers = pool_size(threads, len(grid) * config.repetitions)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        results = run_points(points, workers, executor=pool)
+    with contextlib.closing(run_points(points, threads)) as results:
         for index, (configuration, s_prep, s_post, eps, copies) in grid:
             base = dict(state=label, mode=config.mode, config=configuration,
                         sigma_prep=s_prep, sigma_post=s_post, epsilon=eps,
@@ -350,9 +346,6 @@ def run_figure(config: ExperimentConfig, threads: int = 1) -> dict:
                 raise FigureRunError(f"grid point {index} failed: {exc}", rows) from exc
             rows.append({**base, "mean_distance": result.mean,
                          "std_error": result.std_error, "error": ""})
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
     return {"results": rows}
 
 

@@ -424,13 +424,12 @@ def _fill(slices, sizes):
 
 
 def _batches(points):
-    """Batches of the points' repetitions, reading the points lazily.
+    """Batches of the points' repetitions.
 
     Consecutive points with one _batch_key (the same mode, configuration
     and dimension, whatever their copy budgets) form one run of
     repetitions, in order, cut into batches of at most BATCH_CELLS outcome
-    probabilities; a point may span batches. The points are read at most
-    one batch ahead.
+    probabilities; a point may span batches.
     """
     for (_, _, d), run in groupby(points, key=_batch_key):
         # the largest outcome table: 3d settings of 2d + 1 outcomes (mixed)
@@ -444,43 +443,47 @@ def _cut(batch, parts: int) -> list:
     return list(_fill(batch, iter(_split_copies(total, min(parts, total)).tolist())))
 
 
-def run_points(points, threads: int = 1, executor=None):
+def run_points(points, threads: int = 1):
     """Yield the RunResult of every grid point, in order.
 
     Consecutive points with the same mode, configuration and dimension
     share batches (_batches), so a sweep of points with few repetitions
-    each runs as few large array passes. Without an executor
-    the batches run one after another in this process, reading the points
-    one batch ahead. With one, all batches are submitted at once, cut
-    further when there are fewer batches than ``threads``, so workers never
-    wait at a grid-point boundary. Each point is yielded once its own
-    repetitions are back, and a failing repetition raises when its point is
-    reached. Distances are reassembled in repetition order, so neither the
-    worker count nor the batching changes a result.
+    each runs as few large array passes. On one worker (pool_size) the
+    batches run in this process; on more, all are submitted at once to a
+    process pool, cut finer when there are fewer batches than workers.
+    Each point is yielded once its own repetitions are back, and a failing
+    repetition raises when its point is reached. The pool is shut down when
+    the generator ends, raises or is closed, which cancels the batches that
+    have not started. Distances are reassembled in repetition order, so
+    neither the worker count nor the batching changes a result.
     """
     if threads < 1:
         raise ParameterError("threads must be positive")
-    if executor is None:
-        done = ((batch, _distances(batch)) for batch in _batches(points))
-    else:
-        batches = list(_batches(points))
-        if 0 < len(batches) < threads:
-            parts = -(-threads // len(batches))
-            batches = [run for batch in batches for run in _cut(batch, parts)]
-        futures = [executor.submit(_distances, batch) for batch in batches]
-        done = ((batch, future.result()) for batch, future in zip(batches, futures))
-    distances = []                          # of the point being assembled
-    for batch, (values, error) in done:
-        position = 0
-        for point, start, stop in batch:
-            taken = values[position:position + stop - start]
-            position += stop - start
-            distances += taken
-            if len(taken) < stop - start:
-                raise error
-            if stop == point.repetitions:
-                yield RunResult(distances=np.array(distances))
-                distances = []
+    batches = list(_batches(points))
+    workers = pool_size(threads, sum(stop - start for b in batches for _, start, stop in b))
+    if 0 < len(batches) < workers:
+        parts = -(-workers // len(batches))
+        batches = [run for batch in batches for run in _cut(batch, parts)]
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        done = (map(_distances, batches) if pool is None else
+                (future.result() for future in [pool.submit(_distances, batch)
+                                                for batch in batches]))
+        distances = []                      # of the point being assembled
+        for batch, (values, error) in zip(batches, done):
+            position = 0
+            for point, start, stop in batch:
+                taken = values[position:position + stop - start]
+                position += stop - start
+                distances += taken
+                if len(taken) < stop - start:
+                    raise error
+                if stop == point.repetitions:
+                    yield RunResult(distances=np.array(distances))
+                    distances = []
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _usable_cpus() -> int:
@@ -490,26 +493,23 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def pool_size(threads: int, tasks: int) -> int:
-    """Worker processes for ``threads`` requested workers and ``tasks`` tasks.
+def pool_size(threads: int, repetitions: int) -> int:
+    """Workers of run_points for ``threads`` requested; one runs in this process.
 
-    No more than the tasks nor the usable CPUs: under the fork start method
-    a pool starts all its workers at the first task, and more workers than
-    CPUs only compete for them.
+    No more than the ``repetitions`` nor the usable CPUs: under the fork
+    start method a pool starts all its workers at the first task, and more
+    workers than CPUs only compete for them.
     """
-    return min(threads, tasks, _usable_cpus())
+    return min(threads, repetitions, _usable_cpus())
 
 
 def run_repetitions(point: ExperimentPoint, threads: int = 1) -> RunResult:
     """All repetitions of one grid point, reduced in repetition order.
 
-    Workers are separate processes (the repetition loop is Python-bound, so
-    threads would serialize on the interpreter lock), each taking
-    contiguous batches of the repetitions; every repetition owns its
-    seed-derived stream, so the worker count never changes the result.
+    A one-point run_points: up to ``threads`` worker processes (the
+    repetition loop is Python-bound, so threads would serialize on the
+    interpreter lock), each taking contiguous batches of the repetitions;
+    every repetition owns its seed-derived stream, so the worker count
+    never changes the result.
     """
-    workers = pool_size(threads, point.repetitions)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return next(run_points([point], workers, executor=pool))
     return next(run_points([point], threads))

@@ -6,7 +6,6 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-import dsmsim.experiments as experiments
 import dsmsim.montecarlo as montecarlo
 from dsmsim.cli import PRESETS, load_preset
 from dsmsim.errors import ConfigError, ParameterError
@@ -307,6 +306,7 @@ class RecordingPool:
 
     sizes = []      # max_workers of every pool made, reset by _record_pools
     tasks = []
+    shutdowns = []  # cancel_futures of every shutdown
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -318,19 +318,12 @@ class RecordingPool:
         return future
 
     def shutdown(self, cancel_futures=False):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.shutdown()
+        self.shutdowns.append(cancel_futures)
 
 
 def _record_pools(monkeypatch, cpus):
     """Make every pool a RecordingPool, on a machine of ``cpus`` usable CPUs."""
-    RecordingPool.sizes, RecordingPool.tasks = [], []
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.sizes, RecordingPool.tasks, RecordingPool.shutdowns = [], [], []
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
 
@@ -355,6 +348,42 @@ def test_pool_capped_at_usable_cpus(monkeypatch):
     assert (montecarlo.run_repetitions(point, threads=5000).distances.tolist()
             == montecarlo.run_repetitions(point).distances.tolist())
     assert RecordingPool.sizes == [3, 3]
+
+
+def test_pool_shut_down_once_with_cancel(monkeypatch):
+    """Whether a run completes, fails or is closed early, the engine shuts
+    its pool down once, cancelling the batches that have not started."""
+    def pools_of(run):
+        _record_pools(monkeypatch, cpus=3)
+        run()
+        return RecordingPool.sizes, RecordingPool.shutdowns
+
+    small = parse_config(json.dumps({"num_qubits": 2, "configuration": "C2",
+                                     "copy_budgets": [40, 80], "repetitions": 2}))
+    assert pools_of(lambda: run_figure(small, threads=2)) == ([2], [True])
+
+    # sigma 0.4 draws a 1 + kappa <= 0 detector bias at grid point 1
+    failing = parse_config(json.dumps({"configuration": "C1", "sigma_sweep": [0.0, 0.4],
+                                       "repetitions": 20}))
+
+    def fail():
+        with pytest.raises(FigureRunError, match="grid point 1 failed"):
+            run_figure(failing, threads=2)
+
+    assert pools_of(fail) == ([2], [True])
+
+    points = [montecarlo.ExperimentPoint(mode="pure", config="C2", state=small.build_state(),
+                                         num_copies=40, repetitions=2, seed_entropy=(index,))
+              for index in range(3)]
+
+    def close_early():
+        results = montecarlo.run_points(points, 2)
+        next(results)
+        results.close()
+
+    assert pools_of(close_early) == ([2], [True])
+    five = dataclasses.replace(points[0], repetitions=5)
+    assert pools_of(lambda: montecarlo.run_repetitions(five, threads=5000)) == ([3], [True])
 
 
 def test_usable_cpus_without_affinity(monkeypatch):
