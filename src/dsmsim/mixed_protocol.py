@@ -7,17 +7,18 @@ detector resolves the conjugate index k; in C2 the interaction projects
 onto |c'_k> and the detector resolves |n>. Both configurations keep every
 postselection outcome (scan-free), so the full (n, k) table is available
 and an inverse Fourier sum over k recovers rho'_{nm} up to one overall
-constant, which the final physicalization step removes.
+constant, which the final physicalization step removes. The sum reads its
+phases from states' difference table, in O(d^2) memory per repetition.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateDataError, ParameterError
 from .pure_protocol import _check_config, _check_nominal
+from .states import _fourier_differences
 
 
 def pauli_from_conditionals(m00, m01, m11, out=None) -> np.ndarray:
@@ -95,23 +96,14 @@ def conditional_tables(rho, coeff_rows, config: str):
     return m00.real, m01, m11.real
 
 
-@lru_cache(maxsize=None)
-def _inverse_fourier_phases(d: int) -> np.ndarray:
-    """phases[n, m] = e^(i 2 pi (n - m) k / d) over k, as a read-only column."""
-    ks = np.arange(d)
-    phases = np.array([[np.exp(2j * np.pi * (n - m) * ks / d) for m in range(d)]
-                       for n in range(d)])[..., None]
-    phases.setflags(write=False)
-    return phases
-
-
 def _inverse_fourier_sum(table: np.ndarray, d: int) -> np.ndarray:
     # Entry (n, m) is row n of the table, a (1, d) matrix, times the (d, 1)
-    # phase column of (n, m). NumPy evaluates that product with the dot
-    # kernel of two vectors, so every entry rounds as one dot product
-    # whatever the leading axes; a (d, d) @ (d, d) product rounds otherwise,
-    # and the result tables are pinned bit for bit.
-    return (table[..., :, None, None, :] @ _inverse_fourier_phases(d))[..., 0, 0]
+    # phase column of j = n - m, a window of the difference table. NumPy
+    # evaluates that product with the dot kernel of two vectors, so every
+    # entry rounds as one dot product whatever the leading axes; a (d, d) @
+    # (d, d) product rounds otherwise, and the result tables are pinned.
+    windows = sliding_window_view(_fourier_differences(d), d, axis=0)[::-1]  # [n, k, m]
+    return (table[..., :, None, None, :] @ np.swapaxes(windows, -1, -2)[..., None])[..., 0, 0]
 
 
 def raw_reconstruction(off_diag, diag11, config: str, nominal=None) -> np.ndarray:

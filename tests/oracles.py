@@ -322,6 +322,44 @@ def reference_repetition(point, rep):
     return trace_distance_mixed(target, recon), recon
 
 
+# --- Reference phase tables -----------------------------------------------
+#
+# The phases written out per entry: a d x d table of the conjugate basis
+# and a d x d x d table of inverse-Fourier phase columns, one per (n, m).
+# The library reads both from one (2d - 1) x d table of phase differences
+# and must reproduce them bit for bit.
+
+def reference_fourier_phases(d):
+    """Row k holds the phases e^(i 2 pi k m / d) of |c'_k>."""
+    return np.array([np.exp(2j * np.pi * k * np.arange(d) / d) for k in range(d)])
+
+
+def reference_conjugate_coefficients(d, kappas=None):
+    """Port weights times the d x d phase table, per kappa draw."""
+    from dsmsim.states import port_weights
+
+    return port_weights(d, kappas)[..., None, :] * reference_fourier_phases(d)
+
+
+def reference_inverse_fourier_phases(d):
+    """phases[n, m] = e^(i 2 pi (n - m) k / d) over k, as a column."""
+    ks = np.arange(d)
+    return np.array([[np.exp(2j * np.pi * (n - m) * ks / d) for m in range(d)]
+                     for n in range(d)])[..., None]
+
+
+def reference_raw_reconstruction(off, diag, config):
+    """raw_reconstruction at nominal 1/sqrt(d), summed against the d x d x d
+    phase table, tables stacked along leading axes."""
+    d = off.shape[-1]
+    source = off if config == "C1" else off + diag
+    raw = (source[..., :, None, None, :] @ reference_inverse_fourier_phases(d))[..., 0, 0]
+    if config == "C1":
+        raw[..., np.arange(d), np.arange(d)] += d * diag.mean(axis=-1)
+    nominal = np.full(d, 1.0 / np.sqrt(d))
+    return raw / np.outer(nominal, nominal)
+
+
 # --- Reference table layouts ----------------------------------------------
 #
 # The two-layout composition the engine ran before it wrote outcome tables

@@ -28,6 +28,8 @@ from oracles import (
     joint_conditional_c2,
     joint_probe_c1,
     joint_probe_c2,
+    reference_conjugate_coefficients,
+    reference_raw_reconstruction,
 )
 
 JOINT = {"C1": joint_conditional_c1, "C2": joint_conditional_c2}
@@ -145,8 +147,26 @@ def test_lambda_extraction_balanced_probabilities():
     assert empty == 0.0
 
 
+@pytest.mark.parametrize("d", [2, 3, 8, 16, 64])
+def test_phase_reads_match_the_per_entry_phase_tables_bit_for_bit(d, rng):
+    """Both protocols read one (2d - 1) x d difference table; the conjugate
+    basis and the inverse Fourier sum equal the per-entry d x d and
+    d x d x d phase tables bit for bit, stacked and lone."""
+    kappas = 0.05 * rng.standard_normal((4, d))
+    for draw in (None, kappas, kappas[0]):
+        assert np.array_equal(conjugate_coefficients(d, draw).view(np.float64),
+                              reference_conjugate_coefficients(d, draw).view(np.float64))
+    off = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+    diag = rng.standard_normal((4, d, d))
+    for config in ("C1", "C2"):
+        for tables in ((off, diag), (off[0], diag[0])):
+            assert np.array_equal(raw_reconstruction(*tables, config).view(np.float64),
+                                  reference_raw_reconstruction(*tables, config)
+                                  .view(np.float64))
+
+
 @pytest.mark.parametrize("config", ["C1", "C2"])
-@pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
 def test_noiseless_fourier_reconstruction_is_proportional_to_rho(config, d, rng):
     for _ in range(10):
         rho = random_density_matrix(d, rng)

@@ -259,6 +259,23 @@ def test_pure_batch_memory_grows_with_d(config):
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("config", ["C1", "C2"])
+def test_mixed_batch_memory_grows_with_d_squared(config):
+    """A mixed d = 256 batch builds no d x d x d array: one complex one
+    alone would take 256 MiB. Its d x d tables take 1 MiB each."""
+    point = ExperimentPoint(mode="mixed", config=config, state=standard_state("ghz", 8),
+                            num_copies=3000, repetitions=1, seed_entropy=(3,),
+                            epsilon=0.3, sigma_post=0.01)
+    assert len(list(_batches([point]))) == 1
+    tracemalloc.start()
+    try:
+        _batch([(point, 0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_repetition_listing_and_single_repetition():
     point = ExperimentPoint(mode="pure", config="C2", state=GHZ, num_copies=3000,
                             repetitions=1, seed_entropy=(5,))
