@@ -75,12 +75,12 @@ def conditional_tables(rho, coeff_rows, config: str):
         raise ParameterError("need one conjugate state per index k")
     coeff_cols = np.swapaxes(coeff_rows, -1, -2)                   # [..., n, k]
     rho_v = rho @ coeff_cols                                       # (rho v_k)[n]
-    v_rho = coeff_rows.conj() @ rho                                # (v_k^dag rho)[n]
     overlaps = np.einsum("...kn,...nk->...k", coeff_rows.conj(), rho_v).real
     # |v_k[n]|^2 is k-free; row 0 carries no phase, so its real part is c_n
     weights = coeff_rows[..., 0, :].real ** 2
     diag = np.diagonal(rho, axis1=-2, axis2=-1).real
     if config == "C1":
+        v_rho = coeff_rows.conj() @ rho                            # (v_k^dag rho)[n]
         diag_weights = (diag * weights)[..., :, None]
         m11 = 0.5 * (diag_weights * np.ones(d))
         m01 = 0.5 * (np.swapaxes(v_rho, -1, -2) * coeff_cols - 2.0 * m11)

@@ -3,7 +3,7 @@
 One repetition draws fresh SPAM noise, splits the copy budget equally over
 the measurement settings, samples outcome counts per setting, turns
 frequencies into probability estimates, and reconstructs the state. Copies
-whose postselection fails still consume budget: every prepared copy counts.
+whose postselection fails still consume budget: every copy counts.
 
 Settings follow the scan-free structure of each protocol:
 
@@ -39,7 +39,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby, repeat
 
 import numpy as np
@@ -54,16 +53,10 @@ from .mixed_protocol import (
     physicalize_tables,
     raw_reconstruction,
 )
-from .noise import perturb_amplitudes, sample_kappas, white_noise_channel
+from .noise import perturb_amplitudes, sample_kappas, white_noise_matrices
 from .pure_protocol import _check_config, pauli_table, reconstruct_amplitudes
 from .sampling import outcome_table, sample_count_tables
-from .states import (
-    DensityMatrix,
-    PureState,
-    check_density_matrices,
-    conjugate_coefficients,
-    port_weights,
-)
+from .states import PureState, check_density_matrices, conjugate_coefficients, port_weights
 
 MODES = ("pure", "mixed")
 # A batch of repetitions holds at most this many outcome probabilities (and
@@ -72,9 +65,6 @@ MODES = ("pure", "mixed")
 # 1 MB at this size; twice the size ran the fig4 sweep no faster and took
 # 5% more peak memory than batches of one grid point.
 BATCH_CELLS = 1 << 15
-# Distinct targets and prepared states kept per process; a sweep needs one
-# per state and epsilon value.
-INVARIANTS = 64
 
 
 def _split_copies(total, parts: int) -> np.ndarray:
@@ -131,7 +121,12 @@ def _is_count(value) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentPoint:
-    """One grid point of a sweep: fixed state, noise, budget, and seed."""
+    """One grid point of a sweep: fixed state, noise, budget, and seed.
+
+    Mixed mode derives its matrices per batch from ``state`` and
+    ``epsilon``: the target |psi><psi| and the state it measures,
+    rho' = (1 - epsilon) |psi><psi| + epsilon I / d.
+    """
 
     mode: str
     config: str
@@ -167,32 +162,6 @@ class ExperimentPoint:
                                  "sigma_prep applies to pure mode only")
         if self.mode == "pure" and self.epsilon != 0.0:
             raise ParameterError("epsilon applies to mixed mode only")
-
-    # Mixed-state invariants of the grid point. They depend only on the
-    # state and epsilon, so they are built and validated once per process
-    # for each distinct value (_target, _prepared), not once per point.
-    @property
-    def projector(self) -> DensityMatrix:
-        """Target state |psi><psi|."""
-        return _target(self.state.amps.tobytes())
-
-    @property
-    def prepared(self) -> DensityMatrix:
-        """Prepared mixed state: the target through the white-noise channel."""
-        return _prepared(self.state.amps.tobytes(), float(self.epsilon).hex())
-
-
-# Keyed on values, not on objects: points unpickled in a worker carry fresh
-# states, and an id may be reused once its object is gone. Epsilon is keyed
-# by its bits, as 0.0 and -0.0 compare equal.
-@lru_cache(maxsize=INVARIANTS)
-def _target(amps: bytes) -> DensityMatrix:
-    return PureState(np.frombuffer(amps, dtype=np.complex128)).projector()
-
-
-@lru_cache(maxsize=INVARIANTS)
-def _prepared(amps: bytes, epsilon: str) -> DensityMatrix:
-    return white_noise_channel(_target(amps), float.fromhex(epsilon))
 
 
 @dataclass(frozen=True)
@@ -328,25 +297,29 @@ def _per_repetition(batch, values) -> np.ndarray:
     return np.repeat(np.array(values), [stop - start for _, start, stop in batch], axis=0)
 
 
-def _noisy_tables(batch, rngs):
+def _noisy_tables(batch, rngs, targets):
     """The probe tables of a batch, as _outcome_tables takes them.
 
-    Each repetition draws its noise from its own stream in ``rngs`` at the
-    noise levels of its own point: the preparation perturbation (pure mode),
-    then the detector bias. One stacked pauli_table (pure) or
-    conditional_tables (mixed) call then builds every repetition's tables.
+    ``targets`` holds each repetition's target state: amplitude vectors
+    (pure) or |psi><psi| (mixed). Each repetition draws its noise from its
+    own stream in ``rngs`` at the noise levels of its own point: the
+    perturbation of its target (pure mode), then the detector bias. Mixed
+    targets pass the white-noise channel at their point's epsilon. One
+    stacked pauli_table (pure) or conditional_tables (mixed) call then
+    builds every repetition's tables.
     """
     mode, config, d = _batch_key(batch[0][0])
     perturbed, kappas = [], []
     owners = [point for point, start, stop in batch for _ in range(start, stop)]
-    for point, rng in zip(owners, rngs):
+    for point, rng, target in zip(owners, rngs, targets):
         if mode == "pure":
-            perturbed.append(perturb_amplitudes(point.state.amps, point.sigma_prep, rng)[0])
+            perturbed.append(perturb_amplitudes(target, point.sigma_prep, rng)[0])
         kappas.append(sample_kappas(d, point.sigma_post, rng))
     if mode == "pure":
         return pauli_table(np.array(perturbed), port_weights(d, np.array(kappas)), config)
-    prepared = _per_repetition(batch, [point.prepared.elems for point, _, _ in batch])
-    return conditional_tables(prepared, conjugate_coefficients(d, np.array(kappas)), config)
+    rho_prime = white_noise_matrices(
+        targets, _per_repetition(batch, [point.epsilon for point, _, _ in batch]))
+    return conditional_tables(rho_prime, conjugate_coefficients(d, np.array(kappas)), config)
 
 
 def _batch(batch):
@@ -354,16 +327,20 @@ def _batch(batch):
 
     ``batch`` lists (point, start, stop) slices, repetitions start..stop-1
     of each point, all points sharing one _batch_key. Each stage runs once
-    on the batch's stacked tables, each repetition with the noise levels,
-    prepared state, target and copy budget of its own point. Reconstructions
-    come back as amplitude vectors (pure) or validated density matrices
-    (mixed).
+    on the batch's stacked tables, each repetition with the state, noise
+    levels and copy budget of its own point. The targets are derived per
+    batch: the stacked amplitudes (pure) or their outer products (mixed),
+    which a validated state keeps Hermitian, rank one and of unit trace.
+    Reconstructions come back as amplitude vectors (pure) or validated
+    density matrices (mixed).
     """
     mode, config, d = _batch_key(batch[0][0])
     rngs = _streams(batch)
+    amps = _per_repetition(batch, [point.state.amps for point, _, _ in batch])
+    targets = amps if mode == "pure" else amps[:, :, None] * amps.conj()[:, None, :]
     # Each stage's stacked tables are dropped once the next stage has read
     # them, which bounds the memory a batch holds at once.
-    probs = _outcome_tables(_noisy_tables(batch, rngs), config)
+    probs = _outcome_tables(_noisy_tables(batch, rngs, targets), config)
     copies = _split_copies(_per_repetition(batch, [point.num_copies for point, _, _ in batch]),
                            probs.shape[1])
     counts = sample_count_tables(probs, copies, rngs)
@@ -372,11 +349,9 @@ def _batch(batch):
     del counts
     if mode == "pure":
         recons = reconstruct_amplitudes(estimates.reshape(-1, d, 6), config)
-        targets = _per_repetition(batch, [point.state.amps for point, _, _ in batch])
         return trace_distances_pure(targets, recons), recons
     recons = physicalize_tables(raw_reconstruction(*lambda_tables(estimates, config), config))
     check_density_matrices(recons)
-    targets = _per_repetition(batch, [point.projector.elems for point, _, _ in batch])
     return trace_distances(targets, recons), recons
 
 

@@ -56,12 +56,20 @@ def sample_kappas(d: int, sigma: float, rng) -> np.ndarray:
     return sigma * rng.standard_normal(d)
 
 
+def white_noise_matrices(elems: np.ndarray, epsilon) -> np.ndarray:
+    """The matrices of white_noise_channel, unvalidated: matrices stacked
+    along leading axes, each with its own epsilon (an array of the leading
+    shape) or all with one."""
+    epsilon = np.asarray(epsilon, dtype=np.float64)[..., None, None]
+    d = elems.shape[-1]
+    return (1.0 - epsilon) * elems + (epsilon / d) * np.eye(d)
+
+
 def white_noise_channel(rho: DensityMatrix, epsilon: float) -> DensityMatrix:
     """Depolarize: (1 - epsilon) rho + epsilon I / d."""
     if not 0.0 <= epsilon <= 1.0:
         raise ParameterError("epsilon must lie in [0, 1]")
-    d = rho.dim
-    return DensityMatrix((1.0 - epsilon) * rho.elems + (epsilon / d) * np.eye(d))
+    return DensityMatrix(white_noise_matrices(rho.elems, epsilon))
 
 
 def ry(theta: float) -> np.ndarray:

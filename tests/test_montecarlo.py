@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -17,8 +16,7 @@ from oracles import (
 
 from dsmsim import montecarlo
 from dsmsim.errors import DegenerateDataError, DegenerateNoiseError, ParameterError
-from dsmsim.experiments import parse_config, run_figure
-from dsmsim.metrics import trace_distance_mixed, trace_distance_pure
+from dsmsim.metrics import trace_distance_mixed, trace_distance_pure, trace_distances
 from dsmsim.mixed_protocol import conditional_tables, lambda_tables, pauli_from_conditionals
 from dsmsim.noise import perturb_amplitudes, sample_kappas, white_noise_channel
 from dsmsim.montecarlo import (
@@ -231,7 +229,8 @@ def test_pure_tables_are_lone_pauli_tables(config, num_qubits):
               for index, state in enumerate([standard_state("ghz", num_qubits),
                                              standard_state("haar", num_qubits, seed=5)])]
     batch = [(points[0], 0, 3), (points[1], 1, 3)]
-    tables = montecarlo._noisy_tables(batch, montecarlo._streams(batch))
+    amps = [point.state.amps for point, start, stop in batch for _ in range(start, stop)]
+    tables = montecarlo._noisy_tables(batch, montecarlo._streams(batch), np.array(amps))
     assert tables.shape == (5, d, 6)
     lone = []
     for point, start, stop in batch:
@@ -326,38 +325,38 @@ def test_uneven_slices_keep_repetition_order():
     assert run_repetitions(point, threads=1).distances.tolist() == serial
 
 
-def test_point_invariants_built_once(monkeypatch):
-    point = ExperimentPoint(mode="mixed", config="C2", state=GHZ, num_copies=600,
-                            repetitions=1, seed_entropy=(3,), epsilon=0.3)
-    assert point.prepared is point.prepared
-    assert point.prepared.elems.tobytes() == (
-        white_noise_channel(GHZ.projector(), 0.3).elems.tobytes())
-    _, recon = lone_repetition(point, 0)
-    assert (trace_distance_mixed(point.projector, DensityMatrix(recon))
-            == run_repetitions(point).mean)
-    # a mixed sweep builds one target and one prepared state per epsilon,
-    # whatever the number of grid points and repetitions
-    montecarlo._target.cache_clear()
-    montecarlo._prepared.cache_clear()
-    channels, projectors = [], []
-    channel, projector = montecarlo.white_noise_channel, PureState.projector
-    monkeypatch.setattr(montecarlo, "white_noise_channel",
-                        lambda rho, eps: channels.append(eps) or channel(rho, eps))
-    monkeypatch.setattr(PureState, "projector",
-                        lambda state: projectors.append(state) or projector(state))
-    epsilons = [0.1, 0.5, 0.9]
-    config = parse_config(json.dumps({
-        "mode": "mixed", "configuration": "both", "sigma_sweep": [0.0, 0.02, 0.05],
-        "epsilon_sweep": epsilons, "copy_budgets": [300], "repetitions": 2}))
-    rows = run_figure(config)["results"]
-    assert len(rows) == 18 and not any(row["error"] for row in rows)
-    assert sorted(channels) == epsilons and len(projectors) == 1
-    monkeypatch.undo()
-    for eps in epsilons:
-        point = ExperimentPoint(mode="mixed", config="C1", state=GHZ, num_copies=300,
-                                repetitions=2, seed_entropy=(0,), epsilon=eps)
-        assert point.prepared.elems.tobytes() == (
-            white_noise_channel(GHZ.projector(), eps).elems.tobytes())
+def test_mixed_batch_derives_each_repetitions_matrices(monkeypatch):
+    """A mixed batch builds every repetition's target and prepared state from
+    its own point, bit for bit as the point's projector and the white-noise
+    channel build them one at a time; epsilon -0.0 keeps its bytes too."""
+    cases = [(standard_state("ghz", 3), 0.0), (standard_state("w", 3), 0.4),
+             (standard_state("haar", 3, seed=4), 1.0), (standard_state("ghz", 3), -0.0)]
+    seen = {}
+
+    def spy(name, fn):
+        def capture(matrices, *args):
+            seen[name] = matrices
+            return fn(matrices, *args)
+        return capture
+
+    monkeypatch.setattr(montecarlo, "conditional_tables", spy("prepared", conditional_tables))
+    monkeypatch.setattr(montecarlo, "trace_distances", spy("targets", trace_distances))
+    for config in ("C1", "C2"):
+        points = [ExperimentPoint(mode="mixed", config=config, state=state, num_copies=400,
+                                  repetitions=2, seed_entropy=(9, index), epsilon=epsilon)
+                  for index, (state, epsilon) in enumerate(cases)]
+        assert len(list(_batches(points))) == 1
+        distances, recons = _batch([(point, 0, 2) for point in points])
+        owners = [point for point in points for _ in range(2)]
+        assert len(seen["targets"]) == len(seen["prepared"]) == len(owners)
+        for rep, point in enumerate(owners):
+            target = point.state.projector()
+            assert seen["targets"][rep].tobytes() == target.elems.tobytes()
+            assert seen["prepared"][rep].tobytes() == (
+                white_noise_channel(target, point.epsilon).elems.tobytes())
+            assert distances[rep] == trace_distance_mixed(target, DensityMatrix(recons[rep]))
+        assert distances.tolist() == [lone_repetition(point, rep)[0]
+                                      for point in points for rep in range(2)]
 
 
 def test_distinct_seeds_give_distinct_samples():

@@ -10,6 +10,7 @@ from dsmsim.noise import (
     perturb_pure_state,
     sample_kappas,
     white_noise_channel,
+    white_noise_matrices,
 )
 from dsmsim.states import standard_state
 
@@ -143,6 +144,19 @@ def test_depolarizing_kraus_matches_white_noise(rng):
         via_kraus = sum(op @ rho.elems @ op.conj().T for op in shift_clock_kraus(d, eps))
         direct = white_noise_channel(rho, eps)
         assert np.max(np.abs(via_kraus - direct.elems)) < 1e-12
+
+
+def test_stacked_white_noise_matches_lone_channel(rng):
+    """The stacked channel, one epsilon per matrix, rounds each matrix as
+    the lone channel does."""
+    from dsmsim.states import random_density_matrix
+
+    rhos = [random_density_matrix(8, rng) for _ in range(3)]
+    epsilons = (0.0, 0.3, 1.0)
+    stacked = white_noise_matrices(np.array([rho.elems for rho in rhos]), np.array(epsilons))
+    assert stacked.shape == (3, 8, 8)
+    for out, rho, eps in zip(stacked, rhos, epsilons):
+        assert out.tobytes() == white_noise_channel(rho, eps).elems.tobytes()
 
 
 def test_imperfect_hadamard_reduces_to_hadamard():
