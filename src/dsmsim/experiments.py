@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError
 from .metrics import norm_const_samples, qfi_pure
-from .montecarlo import MODES, ExperimentPoint, run_points
+from .montecarlo import MODES, ExperimentPoint, _is_count, run_points
 from .pure_protocol import CONFIGURATIONS
 from .states import PureState, standard_state
 
@@ -310,8 +310,8 @@ def _grid(config: ExperimentConfig):
 
 def run_figure(config: ExperimentConfig, threads: int = 1) -> dict:
     """Execute the configured sweep; returns named tables of row dicts."""
-    if threads < 1:
-        raise ParameterError("threads must be positive")
+    if not (_is_count(threads) and threads >= 1):
+        raise ParameterError("threads must be a positive integer")
     if config.task == "qfi":
         return _run_qfi(config)
     state = config.build_state()

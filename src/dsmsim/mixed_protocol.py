@@ -7,8 +7,10 @@ detector resolves the conjugate index k; in C2 the interaction projects
 onto |c'_k> and the detector resolves |n>. Both configurations keep every
 postselection outcome (scan-free), so the full (n, k) table is available
 and an inverse Fourier sum over k recovers rho'_{nm} up to one overall
-constant, which the final physicalization step removes. The sum reads its
-phases from states' difference table, in O(d^2) memory per repetition.
+constant, which the final physicalization step removes. The tables take
+port weights, as the pure ones do, and pure_protocol.lambda_tables reads
+the probe matrix back. The sum reads its phases from states' difference
+table, in O(d^2) memory per repetition.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateDataError, ParameterError
 from .pure_protocol import _check_config, _check_nominal
-from .states import _fourier_differences
+from .states import _conjugate_rows, _fourier_differences
 
 
 def pauli_from_conditionals(m00, m01, m11, out=None) -> np.ndarray:
@@ -40,48 +42,30 @@ def pauli_from_conditionals(m00, m01, m11, out=None) -> np.ndarray:
     return cells
 
 
-def lambda_tables(pauli, config: str):
-    """Probe-matrix entries from Pauli readout probabilities, elementwise.
-
-    ``pauli`` holds Pauli cells [..., basis Z/X/Y, eigenvalue] of any
-    strides, as pauli_from_conditionals returns them; returns the measurable
-    entries as arrays over the leading axes: the off-diagonal entry,
-    Lambda''_10 in C1 and Lambda''_01 in C2, and Lambda''_11.
-    """
-    _check_config(config)
-    pauli = np.asarray(pauli, dtype=np.float64)
-    delta_y = pauli[..., 2, 0] - pauli[..., 2, 1]
-    rotated = np.empty(pauli.shape[:-2], dtype=np.complex128)
-    rotated.real = pauli[..., 1, 0] - pauli[..., 1, 1]
-    rotated.imag = delta_y if config == "C1" else -delta_y
-    return 0.5 * rotated, pauli[..., 0, 1]
-
-
-def conditional_tables(rho, coeff_rows, config: str):
+def conditional_tables(rho, weights, config: str):
     """All probe-conditional entries over (n, k) in one vectorized pass.
 
-    ``rho`` holds density-matrix entries and ``coeff_rows`` the conjugate
-    family as the d x d coefficient array of conjugate_coefficients (row k
-    holds |c'_k>); either may stack along leading axes. Returns (m00, m01,
-    m11) arrays indexed [..., n, k]: the unnormalized 2 x 2 probe matrix
-    Lambda''(n, k), whose trace is the postselection weight, for interaction
-    index n postselected onto |c'_k> (C1) or interaction |c'_k> postselected
-    onto |n> (C2). Pure batches use pauli_table, this k = 0 column in O(d).
+    ``rho`` holds density-matrix entries and ``weights`` port weights c
+    [..., d], as pauli_table takes them; either may stack along leading
+    axes. Returns (m00, m01, m11) arrays indexed [..., n, k]: the
+    unnormalized 2 x 2 probe matrix Lambda''(n, k), whose trace is the
+    postselection weight, for interaction index n postselected onto |c'_k>
+    (C1) or interaction |c'_k> postselected onto |n> (C2). Pure batches use
+    pauli_table, this k = 0 column in O(d).
     """
     _check_config(config)
-    rho = np.asarray(rho)
+    rho, weights = np.asarray(rho), np.asarray(weights, dtype=float)
     d = rho.shape[-1]
-    if coeff_rows.shape[-2:] != (d, d):
-        raise ParameterError("need one conjugate state per index k")
+    if weights.shape[-1:] != (d,):
+        raise ParameterError("need one port weight per basis index")
+    coeff_rows = _conjugate_rows(weights)                          # row k: |c'_k>
     coeff_cols = np.swapaxes(coeff_rows, -1, -2)                   # [..., n, k]
     rho_v = rho @ coeff_cols                                       # (rho v_k)[n]
     overlaps = np.einsum("...kn,...nk->...k", coeff_rows.conj(), rho_v).real
-    # |v_k[n]|^2 is k-free; row 0 carries no phase, so its real part is c_n
-    weights = coeff_rows[..., 0, :].real ** 2
     diag = np.diagonal(rho, axis1=-2, axis2=-1).real
     if config == "C1":
         v_rho = coeff_rows.conj() @ rho                            # (v_k^dag rho)[n]
-        diag_weights = (diag * weights)[..., :, None]
+        diag_weights = (diag * weights ** 2)[..., :, None]  # |v_k[n]|^2 is k-free
         m11 = 0.5 * (diag_weights * np.ones(d))
         m01 = 0.5 * (np.swapaxes(v_rho, -1, -2) * coeff_cols - 2.0 * m11)
         m00 = 0.5 * (overlaps[..., None, :]
@@ -89,7 +73,7 @@ def conditional_tables(rho, coeff_rows, config: str):
                      + diag_weights)
     else:
         cross = rho_v * coeff_cols.conj()
-        mixer = weights[..., :, None] * overlaps[..., None, :]
+        mixer = (weights ** 2)[..., :, None] * overlaps[..., None, :]
         m11 = 0.5 * mixer
         m01 = 0.5 * (cross - mixer)
         m00 = 0.5 * (diag[..., :, None] - 2.0 * cross.real + mixer)

@@ -48,15 +48,14 @@ from .errors import ParameterError
 from .metrics import trace_distances, trace_distances_pure
 from .mixed_protocol import (
     conditional_tables,
-    lambda_tables,
     pauli_from_conditionals,
     physicalize_tables,
     raw_reconstruction,
 )
 from .noise import perturb_amplitudes, sample_kappas, white_noise_matrices
-from .pure_protocol import _check_config, pauli_table, reconstruct_amplitudes
+from .pure_protocol import _check_config, lambda_tables, pauli_table, reconstruct_amplitudes
 from .sampling import outcome_table, sample_count_tables
-from .states import PureState, check_density_matrices, conjugate_coefficients, port_weights
+from .states import PureState, check_density_matrices, port_weights
 
 MODES = ("pure", "mixed")
 # A batch of repetitions holds at most this many outcome probabilities (and
@@ -152,6 +151,9 @@ class ExperimentPoint:
                 isinstance(value, (int, np.integer)) and value >= 0
                 for value in self.seed_entropy)):
             raise ParameterError("seed_entropy must be a tuple of nonnegative integers")
+        if not all(_is_count(level) or isinstance(level, (float, np.floating))
+                   for level in (self.sigma_prep, self.sigma_post, self.epsilon)):
+            raise ParameterError("noise levels must be real numbers")
         if not (0.0 <= self.sigma_prep < np.inf and 0.0 <= self.sigma_post < np.inf):
             raise ParameterError("sigma must be finite and nonnegative")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -297,29 +299,26 @@ def _per_repetition(batch, values) -> np.ndarray:
     return np.repeat(np.array(values), [stop - start for _, start, stop in batch], axis=0)
 
 
-def _noisy_tables(batch, rngs, targets):
-    """The probe tables of a batch, as _outcome_tables takes them.
+def _prepared_and_weights(batch, rngs, targets):
+    """The noisy inputs of a batch's table builder: (prepared, weights).
 
-    ``targets`` holds each repetition's target state: amplitude vectors
-    (pure) or |psi><psi| (mixed). Each repetition draws its noise from its
-    own stream in ``rngs`` at the noise levels of its own point: the
-    perturbation of its target (pure mode), then the detector bias. Mixed
-    targets pass the white-noise channel at their point's epsilon. One
-    stacked pauli_table (pure) or conditional_tables (mixed) call then
-    builds every repetition's tables.
+    ``targets`` holds each repetition's amplitudes (pure) or |psi><psi|
+    (mixed). Each repetition draws from its own stream in ``rngs``, at its
+    own point's noise levels, the perturbation of its target (pure), then
+    its detector bias. ``prepared`` stacks the perturbed amplitudes [rep, d]
+    or rho' [rep, d, d] at each point's epsilon, ``weights`` the port weights.
     """
-    mode, config, d = _batch_key(batch[0][0])
+    mode, _, d = _batch_key(batch[0][0])
     perturbed, kappas = [], []
     owners = [point for point, start, stop in batch for _ in range(start, stop)]
     for point, rng, target in zip(owners, rngs, targets):
         if mode == "pure":
             perturbed.append(perturb_amplitudes(target, point.sigma_prep, rng)[0])
         kappas.append(sample_kappas(d, point.sigma_post, rng))
+    weights = port_weights(d, np.array(kappas))
     if mode == "pure":
-        return pauli_table(np.array(perturbed), port_weights(d, np.array(kappas)), config)
-    rho_prime = white_noise_matrices(
-        targets, _per_repetition(batch, [point.epsilon for point, _, _ in batch]))
-    return conditional_tables(rho_prime, conjugate_coefficients(d, np.array(kappas)), config)
+        return np.array(perturbed), weights
+    return white_noise_matrices(targets, np.array([point.epsilon for point in owners])), weights
 
 
 def _batch(batch):
@@ -340,7 +339,8 @@ def _batch(batch):
     targets = amps if mode == "pure" else amps[:, :, None] * amps.conj()[:, None, :]
     # Each stage's stacked tables are dropped once the next stage has read
     # them, which bounds the memory a batch holds at once.
-    probs = _outcome_tables(_noisy_tables(batch, rngs, targets), config)
+    build = pauli_table if mode == "pure" else conditional_tables
+    probs = _outcome_tables(build(*_prepared_and_weights(batch, rngs, targets), config), config)
     copies = _split_copies(_per_repetition(batch, [point.num_copies for point, _, _ in batch]),
                            probs.shape[1])
     counts = sample_count_tables(probs, copies, rngs)
@@ -432,8 +432,8 @@ def run_points(points, threads: int = 1):
     have not started. Distances are reassembled in repetition order, so
     neither the worker count nor the batching changes a result.
     """
-    if threads < 1:
-        raise ParameterError("threads must be positive")
+    if not (_is_count(threads) and threads >= 1):
+        raise ParameterError("threads must be a positive integer")
     batches = list(_batches(points))
     workers = pool_size(threads, sum(stop - start for b in batches for _, start, stop in b))
     if 0 < len(batches) < workers:

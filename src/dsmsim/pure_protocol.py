@@ -11,14 +11,9 @@ onto |n>. Either way the probe ends in an unnormalized two-component state
 
 with Gamma = sum_m c_m psi'_m, and Pauli-basis probe probabilities expose
 the real and imaginary parts of psi'_n. pauli_table evaluates them, O(d)
-per table and stacked, for the Monte Carlo engine; they are also the k = 0
-column of the mixed protocol's conditional tables on |psi'><psi'|.
-
-Sign note: with |L> = (|0> + i|1>)/sqrt(2) and |R> = (|0> - i|1>)/sqrt(2),
-direct evaluation of the C2 probe state gives P_L - P_R = -c_n Gamma Im
-psi'_n, i.e. the imaginary part enters with the opposite sign to C1. The C2
-estimator below uses that sign, which is what makes the noiseless pipeline
-exact for complex amplitudes.
+per table and stacked from the port weights c, for the Monte Carlo engine;
+they are also the k = 0 column of the mixed protocol's conditional tables
+on |psi'><psi'|. lambda_tables reads the probe matrix back for both.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, ParameterError
 from .metrics import vector_norms
-from .states import PureState
+from .states import PureState, port_weights
 
 CONFIGURATIONS = ("C1", "C2")
 
@@ -60,40 +55,51 @@ def pauli_table(amps, weights, config: str) -> np.ndarray:
     return np.abs(probes) ** 2 * [0.5, 0.5, 0.25, 0.25, 0.25, 0.25]
 
 
-def nominal_coefficients(d: int) -> np.ndarray:
-    """The experimenter's intended conjugate coefficients, 1/sqrt(d)."""
-    return np.full(d, 1.0 / np.sqrt(d))
-
-
 def _check_nominal(nominal, d: int) -> np.ndarray:
-    """The (d,) finite, positive port weights a reconstruction divides by."""
-    nominal = nominal_coefficients(d) if nominal is None else np.asarray(nominal, dtype=float)
+    """Finite, positive port weights (d,) to divide by; None: port_weights(d)."""
+    nominal = port_weights(d) if nominal is None else np.asarray(nominal, dtype=float)
     if nominal.shape != (d,) or not np.all((nominal > 0.0) & (nominal < np.inf)):
         raise ParameterError("nominal coefficients must be finite and positive, one per index")
     return nominal
+
+
+def lambda_tables(pauli, config: str):
+    """Probe-matrix entries of Pauli cells [..., basis Z/X/Y, eigenvalue] of
+    any strides, elementwise: the off-diagonal entry (Lambda''_10 in C1,
+    Lambda''_01 in C2) and Lambda''_11, as arrays over the leading axes.
+
+    Sign note: with |L> = (|0> + i|1>)/sqrt(2) and |R> = (|0> - i|1>)/sqrt(2),
+    the C2 probe state gives P_L - P_R = -c_n Gamma Im psi'_n, the opposite
+    sign to C1. Both reconstructions read it here, which is what makes the
+    noiseless pipeline exact for complex amplitudes.
+    """
+    _check_config(config)
+    pauli = np.asarray(pauli, dtype=np.float64)
+    delta_y = pauli[..., 2, 0] - pauli[..., 2, 1]
+    rotated = np.empty(pauli.shape[:-2], dtype=np.complex128)
+    rotated.real = pauli[..., 1, 0] - pauli[..., 1, 1]
+    rotated.imag = delta_y if config == "C1" else -delta_y
+    return 0.5 * rotated, pauli[..., 0, 1]
 
 
 def reconstruct_amplitudes(prob_tables, config: str, nominal=None) -> np.ndarray:
     """Amplitude estimates [..., d] of Pauli tables [..., d, 6] stacked along
     leading axes, each rounded as a lone table is.
 
-    Each table is laid out as pauli_table returns it. Forms
-    v_n = (P_+ - P_- + 2 P_1) +/- i (P_L - P_R) (sign per configuration),
-    divides by the nominal conjugate coefficients, and drops the unknown
-    overall factor by renormalizing. The global phase is fixed by making the
-    largest-magnitude amplitude real and positive.
+    Each table is laid out as pauli_table returns it. Forms v_n = 2
+    (Lambda''_off + Lambda''_11) = (P_+ - P_- + 2 P_1) +/- i (P_L - P_R) with
+    lambda_tables, divides by the nominal port weights, and renormalizes.
+    The global phase is fixed by making the largest-magnitude amplitude
+    real and positive.
     """
     _check_config(config)
     d = prob_tables.shape[-2]
     if d < 2:
         raise ParameterError("need at least two basis indices")
     nominal = _check_nominal(nominal, d)
-    p1, p_plus, p_minus, p_l, p_r = np.moveaxis(prob_tables[..., 1:], -1, 0)
-    sign = 1.0 if config == "C1" else -1.0
-    vec = np.empty(prob_tables.shape[:-1], dtype=np.complex128)
-    vec.real = p_plus - p_minus + 2.0 * p1
-    vec.imag = sign * (p_l - p_r)
-    vec = vec / nominal
+    off_diag, diag11 = lambda_tables(prob_tables.reshape(*prob_tables.shape[:-1], 3, 2), config)
+    # halving and doubling are exact, so v rounds as P_+ - P_- + 2 P_1 does
+    vec = 2.0 * (off_diag + diag11) / nominal
     if not np.all(np.any(vec, axis=-1)):
         raise DegenerateDataError("reconstructed amplitudes are all zero")
     peak = np.take_along_axis(vec, np.argmax(np.abs(vec), axis=-1)[..., None], axis=-1)

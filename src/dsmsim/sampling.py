@@ -188,6 +188,8 @@ def sample_count_tables(probs, copies, rngs) -> np.ndarray:
     tables, with many row by row in fixed-size chunks.
     """
     probs = np.asarray(probs, dtype=np.float64)
+    if np.asarray(copies).dtype.kind not in "iu":   # a cast would count 2.5 copies as 2
+        raise ParameterError("copy counts must be integers")
     copies = np.asarray(copies, dtype=np.int64)
     if probs.ndim != 3 or copies.shape not in (probs.shape[1:2], probs.shape[:2]):
         raise ParameterError("need one copy count per table row")

@@ -8,7 +8,7 @@ The conjugate basis is the discrete-Fourier partner of the computational
 basis. A detector with per-port bias kappa_m resolves the distorted vectors
 |c'_k> = sum_m e^(i 2 pi m k / d) (1 + kappa_m) / M |m>, which reduce to the
 exact Fourier vectors when all kappa_m vanish. port_weights gives the c_m
-of |c'_0>, all the pure protocol reads; conjugate_coefficients gives the
+of |c'_0>, the noise both tables take; conjugate_coefficients gives the
 whole basis as one d x d array, row k the coefficients of |c'_k>. It and
 the mixed inverse Fourier sum read one cached (2d - 1) x d phase table.
 """
@@ -148,10 +148,16 @@ def port_weights(d: int, kappas=None) -> np.ndarray:
     return weights / np.sqrt(np.sum(weights**2, axis=-1, keepdims=True))
 
 
+def _conjugate_rows(weights: np.ndarray) -> np.ndarray:
+    """Rows k = c_m e^(i 2 pi k m / d), the |c'_k>, of port weights c [..., d]."""
+    d = weights.shape[-1]
+    return weights[..., None, :] * _fourier_differences(d)[d - 1::-1]
+
+
 def conjugate_coefficients(d: int, kappas=None) -> np.ndarray:
     """The conjugate basis as one d x d array per kappa draw: row k holds the
     coeffs of |c'_k>, port_weights times the phases e^(i 2 pi k m / d)."""
-    return port_weights(d, kappas)[..., None, :] * _fourier_differences(d)[d - 1::-1]
+    return _conjugate_rows(port_weights(d, kappas))
 
 
 def _dicke_amplitudes(num_qubits: int, excitations: int) -> np.ndarray:

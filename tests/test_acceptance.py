@@ -18,18 +18,18 @@ from dsmsim.metrics import (
 )
 from dsmsim.mixed_protocol import (
     conditional_tables,
-    lambda_tables,
     pauli_from_conditionals,
     physicalize_tables,
     raw_reconstruction,
 )
 from dsmsim.montecarlo import ExperimentPoint, run_repetitions
 from dsmsim.noise import noisy_ghz_circuit, sample_kappas
-from dsmsim.pure_protocol import pauli_table, reconstruct_pure
+from dsmsim.pure_protocol import lambda_tables, pauli_table, reconstruct_pure
 from dsmsim.states import (
     DensityMatrix,
     PureState,
     conjugate_coefficients,
+    port_weights,
     random_density_matrix,
     standard_state,
 )
@@ -93,20 +93,20 @@ def test_criterion_01_analytic_exactness():
     rng = np.random.default_rng(SEED)
     worst_pure = 0.0
     for d in (2, 4, 8):
-        coeffs = conjugate_coefficients(d)
+        weights = port_weights(d)
         for _ in range(100):
             psi = standard_state("haar", int(np.log2(d)), seed=int(rng.integers(1 << 31)))
             for config in CONFIGS:
-                table = pauli_table(psi.amps, coeffs[0].real, config)
+                table = pauli_table(psi.amps, weights, config)
                 recon = reconstruct_pure(table, config=config)
                 worst_pure = max(worst_pure, trace_distance_pure(psi, recon))
     worst_mixed = 0.0
     for d in (2, 4, 8):
-        coeffs = conjugate_coefficients(d)
+        weights = port_weights(d)
         for _ in range(50):
             rho = random_density_matrix(d, rng)
             for config in CONFIGS:
-                pauli = pauli_from_conditionals(*conditional_tables(rho.elems, coeffs, config))
+                pauli = pauli_from_conditionals(*conditional_tables(rho.elems, weights, config))
                 raw = raw_reconstruction(*lambda_tables(pauli, config), config)
                 linear = DensityMatrix(raw / np.trace(raw).real)
                 worst_mixed = max(worst_mixed, trace_distance_mixed(rho, linear))
@@ -128,12 +128,12 @@ def test_criterion_02_oracle_equivalence():
             psi = standard_state("haar", qubits, seed=int(rng.integers(1 << 31)))
             rho = random_density_matrix(d, rng)
             kappas = sample_kappas(d, 0.1, rng)
-            coeffs = conjugate_coefficients(d, kappas)
+            weights, coeffs = port_weights(d, kappas), conjugate_coefficients(d, kappas)
             for config, joint_probe, joint_conditional in (
                     ("C1", joint_probe_c1, joint_conditional_c1),
                     ("C2", joint_probe_c2, joint_conditional_c2)):
-                table = pauli_table(psi.amps, coeffs[0].real, config)
-                m00, m01, m11 = conditional_tables(rho.elems, coeffs, config)
+                table = pauli_table(psi.amps, weights, config)
+                m00, m01, m11 = conditional_tables(rho.elems, weights, config)
                 for n in range(d):
                     ref = _reference_pauli(*joint_probe(psi.amps, coeffs[0], n))
                     worst = max(worst, float(np.max(np.abs(

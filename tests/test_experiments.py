@@ -396,10 +396,11 @@ def test_usable_cpus_without_affinity(monkeypatch):
 def test_nonpositive_threads_rejected():
     config = parse_config(json.dumps({"num_qubits": 1, "copy_budgets": [20],
                                       "repetitions": 1}))
-    for threads in (0, -2):
-        with pytest.raises(ParameterError, match="threads must be positive"):
+    # counts only: a float or a bool is not a worker count
+    for threads in (0, -2, 2.0, 1.5, True):
+        with pytest.raises(ParameterError, match="threads must be a positive integer"):
             run_figure(config, threads=threads)
-        with pytest.raises(ParameterError, match="threads must be positive"):
+        with pytest.raises(ParameterError, match="threads must be a positive integer"):
             next(montecarlo.run_points([], threads))
 
 

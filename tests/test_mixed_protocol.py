@@ -6,18 +6,18 @@ from dsmsim.errors import DegenerateDataError
 from dsmsim.metrics import trace_distance_mixed
 from dsmsim.mixed_protocol import (
     conditional_tables,
-    lambda_tables,
     pauli_from_conditionals,
     physicalize_tables,
     raw_reconstruction,
 )
 from dsmsim.noise import sample_kappas, white_noise_channel
-from dsmsim.pure_protocol import pauli_table
+from dsmsim.pure_protocol import lambda_tables, pauli_table
 from dsmsim.states import (
     DensityMatrix,
     PureState,
     check_density_matrices,
     conjugate_coefficients,
+    port_weights,
     random_density_matrix,
     standard_state,
 )
@@ -47,23 +47,23 @@ def probe_matrices(m00, m01, m11) -> np.ndarray:
 
 def exact_lambda(rho: DensityMatrix, config: str, kappas=None):
     """Unsampled lambda tables over (n, k), as the engine derives them."""
-    tables = conditional_tables(rho.elems, conjugate_coefficients(rho.dim, kappas), config)
+    tables = conditional_tables(rho.elems, port_weights(rho.dim, kappas), config)
     return lambda_tables(pauli_from_conditionals(*tables), config)
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_conditional_entries_for_maximally_mixed_input(d):
-    coeffs = conjugate_coefficients(d)
+    weights = port_weights(d)
     rho = maximally_mixed(d).elems
     for config in ("C1", "C2"):
-        _, _, m11 = conditional_tables(rho, coeffs, config)
+        _, _, m11 = conditional_tables(rho, weights, config)
         assert np.max(np.abs(m11 - 1 / (2 * d**2))) < 1e-14
 
 
 def test_c2_zero_branch_vanishes_for_matching_interaction():
     d = 4
     rho = PureState(np.full(d, 0.5)).projector().elems
-    m00, _, _ = conditional_tables(rho, conjugate_coefficients(d), "C2")
+    m00, _, _ = conditional_tables(rho, port_weights(d), "C2")
     assert np.all(m00[:, 0] < 1e-14)
     assert np.all(m00[:, 1] > 1e-3)
 
@@ -72,9 +72,10 @@ def test_c2_zero_branch_vanishes_for_matching_interaction():
 def test_conditionals_match_joint_evolution_oracle(d, rng):
     for trial in range(8):
         rho = random_density_matrix(d, rng)
-        coeffs = conjugate_coefficients(d, sample_kappas(d, 0.08, rng))
+        kappas = sample_kappas(d, 0.08, rng)
+        coeffs = conjugate_coefficients(d, kappas)
         for config, joint in JOINT.items():
-            got = probe_matrices(*conditional_tables(rho.elems, coeffs, config))
+            got = probe_matrices(*conditional_tables(rho.elems, port_weights(d, kappas), config))
             for n in range(d):
                 for k in range(d):
                     ref = joint(rho.elems, coeffs[k], n)
@@ -87,8 +88,9 @@ def test_vectorized_tables_match_per_cell_entries(config, d, rng):
     """Tables stacked along a leading axis, as a batch of repetitions holds
     them, match the joint-evolution oracle cell by cell."""
     rhos = np.array([random_density_matrix(d, rng).elems for _ in range(3)])
-    coeffs = conjugate_coefficients(d, 0.1 * rng.standard_normal((3, d)))
-    got = probe_matrices(*conditional_tables(rhos, coeffs, config))
+    kappas = 0.1 * rng.standard_normal((3, d))
+    coeffs = conjugate_coefficients(d, kappas)
+    got = probe_matrices(*conditional_tables(rhos, port_weights(d, kappas), config))
     assert got.shape == (3, d, d, 2, 2)
     for rep in range(3):
         for n in range(d):
@@ -103,23 +105,23 @@ def test_pure_projector_conditional_equals_probe_outer_product(rng):
     d = 8
     psi = standard_state("haar", 3, seed=31)
     kappas = sample_kappas(d, 0.05, rng)
-    coeffs = conjugate_coefficients(d, kappas)
+    weights, coeffs = port_weights(d, kappas), conjugate_coefficients(d, kappas)
     for config, probe in (("C1", joint_probe_c1), ("C2", joint_probe_c2)):
-        tables = conditional_tables(psi.projector().elems, coeffs, config)
+        tables = conditional_tables(psi.projector().elems, weights, config)
         mixed = pauli_from_conditionals(*tables)[:, 0].reshape(d, 6)
         for n in range(d):
             ref = _reference_pauli(*probe(psi.amps, coeffs[0], n))
             assert np.max(np.abs(mixed[n] - [ref[key] for key in "01+-LR"])) < 1e-12
         # the closed form the engine evaluates instead
-        assert np.max(np.abs(mixed - pauli_table(psi.amps, coeffs[0].real, config))) < 1e-15
+        assert np.max(np.abs(mixed - pauli_table(psi.amps, weights, config))) < 1e-15
 
 
 def test_conditionals_are_hermitian_with_real_diagonal(rng):
     d = 4
     rho = random_density_matrix(d, rng)
-    coeffs = conjugate_coefficients(d, sample_kappas(d, 0.1, rng))
+    weights = port_weights(d, sample_kappas(d, 0.1, rng))
     for config in ("C1", "C2"):
-        m00, m01, m11 = conditional_tables(rho.elems, coeffs, config)
+        m00, m01, m11 = conditional_tables(rho.elems, weights, config)
         assert m00.dtype == m11.dtype == np.float64
         # each probe matrix is PSD with trace (its postselection weight) <= 1
         assert np.linalg.eigvalsh(probe_matrices(m00, m01, m11)).min() > -1e-12
@@ -129,9 +131,9 @@ def test_conditionals_are_hermitian_with_real_diagonal(rng):
 def test_lambda_extraction_recovers_known_matrix(rng):
     d = 4
     rho = random_density_matrix(d, rng)
-    coeffs = conjugate_coefficients(d, sample_kappas(d, 0.05, rng))
+    weights = port_weights(d, sample_kappas(d, 0.05, rng))
     for config in ("C1", "C2"):
-        m00, m01, m11 = conditional_tables(rho.elems, coeffs, config)
+        m00, m01, m11 = conditional_tables(rho.elems, weights, config)
         off, diag = lambda_tables(pauli_from_conditionals(m00, m01, m11), config)
         # the measurable off-diagonal entry: Lambda''_10 in C1, Lambda''_01 in C2
         expected = m01.conj() if config == "C1" else m01

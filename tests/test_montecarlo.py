@@ -17,7 +17,7 @@ from oracles import (
 from dsmsim import montecarlo
 from dsmsim.errors import DegenerateDataError, DegenerateNoiseError, ParameterError
 from dsmsim.metrics import trace_distance_mixed, trace_distance_pure, trace_distances
-from dsmsim.mixed_protocol import conditional_tables, lambda_tables, pauli_from_conditionals
+from dsmsim.mixed_protocol import conditional_tables, pauli_from_conditionals
 from dsmsim.noise import perturb_amplitudes, sample_kappas, white_noise_channel
 from dsmsim.montecarlo import (
     ExperimentPoint,
@@ -28,12 +28,11 @@ from dsmsim.montecarlo import (
     run_points,
     run_repetitions,
 )
-from dsmsim.pure_protocol import pauli_table, reconstruct_pure
+from dsmsim.pure_protocol import lambda_tables, pauli_table, reconstruct_pure
 from dsmsim.sampling import sample_count_tables
 from dsmsim.states import (
     DensityMatrix,
     PureState,
-    conjugate_coefficients,
     port_weights,
     random_density_matrix,
     standard_state,
@@ -42,15 +41,15 @@ from dsmsim.states import (
 GHZ = standard_state("ghz", 3)
 
 
-def pure_outcomes(psi, coeffs, config):
+def pure_outcomes(psi, weights, config):
     """Outcome table of a pure repetition: one row per setting."""
-    pauli = pauli_table(psi.amps, coeffs[0].real, config)[:, None, :]
+    pauli = pauli_table(psi.amps, weights, config)[:, None, :]
     return reference_outcome_table(reference_setting_rows(pauli, config))
 
 
-def mixed_outcomes(rho, coeffs, config):
+def mixed_outcomes(rho, weights, config):
     """Outcome table of a mixed repetition: one row per setting."""
-    pauli = pauli_from_conditionals(*conditional_tables(rho.elems, coeffs, config))
+    pauli = pauli_from_conditionals(*conditional_tables(rho.elems, weights, config))
     rows = reference_setting_rows(pauli.reshape(*pauli.shape[:2], 6), config)
     return reference_outcome_table(rows)
 
@@ -67,14 +66,14 @@ def lone_repetition(point, rep):
 
 def test_setting_enumeration_counts():
     psi = standard_state("haar", 3, seed=1)
-    coeffs = conjugate_coefficients(8)
-    assert pure_outcomes(psi, coeffs, "C2").shape == (3, 2 * 8 + 1)
-    assert pure_outcomes(psi, coeffs, "C1").shape == (24, 3)
+    weights = port_weights(8)
+    assert pure_outcomes(psi, weights, "C2").shape == (3, 2 * 8 + 1)
+    assert pure_outcomes(psi, weights, "C1").shape == (24, 3)
     rho = random_density_matrix(4, np.random.default_rng(2))
     for config in ("C1", "C2"):
-        assert mixed_outcomes(rho, conjugate_coefficients(4), config).shape == (12, 9)
+        assert mixed_outcomes(rho, port_weights(4), config).shape == (12, 9)
     with pytest.raises(ParameterError):
-        pure_outcomes(psi, coeffs, "C3")
+        pure_outcomes(psi, weights, "C3")
 
 
 def test_copy_allocation_rules():
@@ -88,7 +87,7 @@ def test_copy_allocation_rules():
 
 def test_pure_c1_hand_distribution():
     psi = PureState(np.array([1.0, 0.0]))
-    probs = pure_outcomes(psi, conjugate_coefficients(2), "C1")
+    probs = pure_outcomes(psi, port_weights(2), "C1")
     # setting (n = 0, Z): outcomes 0, 1, failed postselection
     assert_allclose(probs[0], [0.0, 0.25, 0.75], atol=1e-14)
 
@@ -96,7 +95,7 @@ def test_pure_c1_hand_distribution():
 def test_pure_c2_uniform_state_distribution_is_postselection_uniform():
     d = 8
     psi = PureState(np.full(d, 1 / np.sqrt(d)))
-    probs = pure_outcomes(psi, conjugate_coefficients(d), "C2")
+    probs = pure_outcomes(psi, port_weights(d), "C2")
     # setting X: (n, +), (n, -) pairs over n, failed postselection last
     joint = probs[1, :-1].reshape(d, 2)
     assert_allclose(joint.sum(axis=1), np.full(d, 1 / (2 * d)), atol=1e-14)
@@ -109,10 +108,10 @@ def test_distributions_sum_to_one(mode, config, rng):
     kappas = 0.1 * rng.standard_normal(d)
     if mode == "pure":
         psi = standard_state("haar", 2, seed=8)
-        probs = pure_outcomes(psi, conjugate_coefficients(d, kappas), config)
+        probs = pure_outcomes(psi, port_weights(d, kappas), config)
     else:
         probs = mixed_outcomes(random_density_matrix(d, rng),
-                               conjugate_coefficients(d, kappas), config)
+                               port_weights(d, kappas), config)
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
     if mode == "mixed" or config == "C2":
         # scan-free: every postselection branch appears in each setting
@@ -125,12 +124,12 @@ def test_pure_estimator_consistency_with_expected_counts(config):
     """Feeding exact expected frequencies reproduces the analytic pipeline."""
     d = 4
     psi = standard_state("haar", 2, seed=21)
-    coeffs = conjugate_coefficients(d)
-    probs = pure_outcomes(psi, coeffs, config)
+    weights = port_weights(d)
+    probs = pure_outcomes(psi, weights, config)
     copies = _split_copies(1200, probs.shape[0])
     table = reference_frequencies(probs * copies[:, None], copies, config, d)[:, 0, :]
     recon = reconstruct_pure(table, config=config)
-    analytic = reconstruct_pure(pauli_table(psi.amps, coeffs[0].real, config), config=config)
+    analytic = reconstruct_pure(pauli_table(psi.amps, weights, config), config=config)
     assert trace_distance_pure(recon, analytic) < 1e-10
 
 
@@ -138,12 +137,12 @@ def test_pure_estimator_consistency_with_expected_counts(config):
 def test_mixed_estimator_consistency_with_expected_counts(config, rng):
     d = 4
     rho = random_density_matrix(d, rng)
-    coeffs = conjugate_coefficients(d)
-    probs = mixed_outcomes(rho, coeffs, config)
+    weights = port_weights(d)
+    probs = mixed_outcomes(rho, weights, config)
     copies = _split_copies(2400, probs.shape[0])
     estimates = reference_frequencies(probs * copies[:, None], copies, config, d)
     off, diag = lambda_tables(estimates.reshape(d, d, 3, 2), config)
-    m00, m01, m11 = conditional_tables(rho.elems, coeffs, config)
+    m00, m01, m11 = conditional_tables(rho.elems, weights, config)
     assert np.max(np.abs(off - (m01.conj() if config == "C1" else m01))) < 1e-12
     assert np.max(np.abs(diag - m11)) < 1e-12
 
@@ -216,12 +215,23 @@ def test_one_layout_matches_two_layout_reference(mode, config, d, reps):
                 assert np.array_equal(read, ref)
 
 
+def lone_draws(point, rep, d):
+    """(prepared, port weights) of one repetition drawn alone from its stream:
+    perturbed amplitudes (pure) or the white-noise channel's matrix (mixed)."""
+    rng = np.random.default_rng(np.random.SeedSequence(point.seed_entropy + (rep,)))
+    if point.mode == "pure":
+        prepared = perturb_amplitudes(point.state.amps, point.sigma_prep, rng)[0]
+    else:
+        prepared = white_noise_channel(point.state.projector(), point.epsilon).elems
+    return prepared, port_weights(d, sample_kappas(d, point.sigma_post, rng))
+
+
 @pytest.mark.parametrize("config", ["C1", "C2"])
 @pytest.mark.parametrize("num_qubits", [3, 10])
 def test_pure_tables_are_lone_pauli_tables(config, num_qubits):
-    """A pure batch's probe tables are, bit for bit, the lone pauli_table of
-    each repetition's perturbed amplitudes and port weights, drawn in order
-    from its own stream."""
+    """A pure batch's perturbed amplitudes and port weights are, bit for bit,
+    each repetition's drawn in order from its own stream, and its probe
+    tables the lone pauli_table of each pair."""
     d = 2**num_qubits
     points = [ExperimentPoint(mode="pure", config=config, state=state, num_copies=100,
                               repetitions=3, seed_entropy=(41, index),
@@ -230,15 +240,37 @@ def test_pure_tables_are_lone_pauli_tables(config, num_qubits):
                                              standard_state("haar", num_qubits, seed=5)])]
     batch = [(points[0], 0, 3), (points[1], 1, 3)]
     amps = [point.state.amps for point, start, stop in batch for _ in range(start, stop)]
-    tables = montecarlo._noisy_tables(batch, montecarlo._streams(batch), np.array(amps))
-    assert tables.shape == (5, d, 6)
-    lone = []
-    for point, start, stop in batch:
-        for rep in range(start, stop):
-            rng = np.random.default_rng(np.random.SeedSequence(point.seed_entropy + (rep,)))
-            amps = perturb_amplitudes(point.state.amps, point.sigma_prep, rng)[0]
-            lone.append(pauli_table(amps, port_weights(d, sample_kappas(d, 0.05, rng)), config))
-    assert np.array_equal(tables, lone)
+    prepared, weights = montecarlo._prepared_and_weights(
+        batch, montecarlo._streams(batch), np.array(amps))
+    assert prepared.shape == weights.shape == (5, d)
+    lone_amps, lone_weights = zip(*(lone_draws(point, rep, d) for point, start, stop in batch
+                                    for rep in range(start, stop)))
+    assert prepared.tobytes() == np.array(lone_amps).tobytes()
+    assert weights.tobytes() == np.array(lone_weights).tobytes()
+    assert np.array_equal(pauli_table(prepared, weights, config),
+                          [pauli_table(*pair, config) for pair in zip(lone_amps, lone_weights)])
+
+
+def test_mixed_inputs_are_lone_draws():
+    """A mixed batch's prepared states and port weights are, bit for bit,
+    each repetition's white-noise channel at its own epsilon and its detector
+    draw from its own stream."""
+    points = [ExperimentPoint(mode="mixed", config="C2", state=state, num_copies=100,
+                              repetitions=3, seed_entropy=(43, index),
+                              epsilon=0.3 * index, sigma_post=0.05 * (index + 1))
+              for index, state in enumerate([standard_state("ghz", 3),
+                                             standard_state("haar", 3, seed=5)])]
+    batch = [(points[0], 0, 3), (points[1], 1, 3)]
+    amps = np.array([point.state.amps for point, start, stop in batch
+                     for _ in range(start, stop)])
+    targets = amps[:, :, None] * amps.conj()[:, None, :]
+    prepared, weights = montecarlo._prepared_and_weights(
+        batch, montecarlo._streams(batch), targets)
+    assert prepared.shape == (5, 8, 8) and weights.shape == (5, 8)
+    lone_rhos, lone_weights = zip(*(lone_draws(point, rep, 8) for point, start, stop in batch
+                                    for rep in range(start, stop)))
+    assert prepared.tobytes() == np.array(lone_rhos).tobytes()
+    assert weights.tobytes() == np.array(lone_weights).tobytes()
 
 
 @pytest.mark.parametrize("config", ["C1", "C2"])
@@ -405,6 +437,10 @@ def test_experiment_point_validation():
                  ("mixed", dict(epsilon=1.5)), ("mixed", dict(epsilon=-0.1)),
                  ("pure", dict(num_copies=0)), ("pure", dict(num_copies=100.5)),
                  ("pure", dict(repetitions=True))]
+    # noise levels that are bools (run as 1) or not real numbers
+    invalid += [("pure", dict(sigma_prep=True)), ("pure", dict(sigma_post=np.True_)),
+                ("mixed", dict(epsilon=True)), ("pure", dict(sigma_post="0.1")),
+                ("mixed", dict(epsilon=None)), ("pure", dict(sigma_prep=0.1j))]
     # seed entropy that is not a tuple, or holds a negative value, a float,
     # a string or None
     invalid += [("pure", dict(seed_entropy=entropy))
@@ -415,9 +451,13 @@ def test_experiment_point_validation():
                       repetitions=1, seed_entropy=(1,))
         with pytest.raises(ParameterError):
             ExperimentPoint(**{**kwargs, **fields})
-    # the noise that belongs to the mode is accepted
+    # the noise that belongs to the mode is accepted, as ints and NumPy reals too
     ExperimentPoint(mode="mixed", config="C1", state=GHZ, num_copies=10, repetitions=1,
                     seed_entropy=(1,), sigma_post=0.1, epsilon=1.0)
+    ExperimentPoint(mode="mixed", config="C1", state=GHZ, num_copies=10, repetitions=1,
+                    seed_entropy=(1,), sigma_post=np.float64(0.1), epsilon=1)
+    ExperimentPoint(mode="pure", config="C1", state=GHZ, num_copies=10, repetitions=1,
+                    seed_entropy=(1,), sigma_prep=np.int64(0), sigma_post=np.float32(0.1))
     ExperimentPoint(mode="pure", config="C1", state=GHZ, num_copies=10, repetitions=1,
                     seed_entropy=(1,), sigma_prep=0.1, sigma_post=0.1)
     # as is every integer SeedSequence takes, bools and NumPy integers included

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from dsmsim.errors import DegenerateDataError, ParameterError
 from dsmsim.metrics import trace_distance_pure
-from dsmsim.mixed_protocol import raw_reconstruction
+from dsmsim.mixed_protocol import conditional_tables, raw_reconstruction
 from dsmsim.noise import perturb_pure_state, sample_kappas
 from dsmsim.pure_protocol import pauli_table, reconstruct_amplitudes, reconstruct_pure
 from dsmsim.states import PureState, conjugate_coefficients, port_weights, standard_state
@@ -53,19 +53,22 @@ def test_probe_c2_uniform_state_has_empty_zero_branch():
 def test_probe_c2_basis_state_hand_values():
     # n = 0: a0 = (1 - 0.5) / sqrt 2, a1 = 1 / (2 sqrt 2)
     psi = PureState(np.array([1.0, 0.0]))
-    coeffs = conjugate_coefficients(2)
+    weights = port_weights(2)
     # Gamma = sum_m c_m psi_m = 1 / sqrt 2
-    assert_allclose(np.dot(coeffs[0].real, psi.amps), 1 / SQRT2, atol=1e-15)
-    table = pauli_table(psi.amps, coeffs[0].real, "C2")
+    assert_allclose(np.dot(weights, psi.amps), 1 / SQRT2, atol=1e-15)
+    table = pauli_table(psi.amps, weights, "C2")
     assert_allclose(table[0], [0.125, 0.125, 0.25, 0.0, 0.125, 0.125], atol=1e-15)
 
 
 def test_probe_index_validation():
     psi = PureState(np.array([1.0, 0.0]))
-    # weight vectors of another length, alone or stacked
+    # weight vectors of another length, alone or stacked, for both builders
     for weights in (port_weights(4), np.full(3, 0.5), port_weights(4, np.zeros((3, 4)))):
         with pytest.raises(ParameterError):
             pauli_table(psi.amps, weights, "C2")
+        for config in ("C1", "C2"):
+            with pytest.raises(ParameterError):
+                conditional_tables(psi.projector().elems, weights, config)
     with pytest.raises(ParameterError):
         pauli_table(psi.amps, port_weights(2), "C3")
 
@@ -88,9 +91,10 @@ def test_stacked_probe_tables_round_as_lone_tables(config, rng):
 def test_probe_states_match_joint_evolution_oracle(d, rng):
     for trial in range(25):
         psi, _ = perturb_pure_state(haar(d, 100 + trial), 0.1, rng)
-        coeffs = conjugate_coefficients(d, sample_kappas(d, 0.1, rng))
+        kappas = sample_kappas(d, 0.1, rng)
+        weights, coeffs = port_weights(d, kappas), conjugate_coefficients(d, kappas)
         for config, joint in JOINT.items():
-            table = pauli_table(psi.amps, coeffs[0].real, config)
+            table = pauli_table(psi.amps, weights, config)
             for n in range(d):
                 ref = _reference_pauli(*joint(psi.amps, coeffs[0], n))
                 assert np.max(np.abs(table[n] - [ref[key] for key in KEYS])) < 1e-12
@@ -112,23 +116,24 @@ def test_pauli_probabilities_zero_branch_cases():
 
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_pauli_probabilities_match_closed_forms(d, rng):
-    coeffs = conjugate_coefficients(d, sample_kappas(d, 0.08, rng))
+    weights = port_weights(d, sample_kappas(d, 0.08, rng))
     for _ in range(20):
-        amps = real_overlap_state(rng, d, coeffs[0].real)
+        amps = real_overlap_state(rng, d, weights)
         psi = PureState(amps)
         for config, forms in (("C1", closed_form_probs_c1), ("C2", closed_form_probs_c2)):
-            table = pauli_table(psi.amps, coeffs[0].real, config)
+            table = pauli_table(psi.amps, weights, config)
             for n in range(d):
-                ref = forms(psi.amps, coeffs[0].real, n)
+                ref = forms(psi.amps, weights, n)
                 assert np.max(np.abs(table[n] - [ref[key] for key in KEYS])) < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_basis_pair_sums_equal_success_probability(d, rng):
-    coeffs = conjugate_coefficients(d, sample_kappas(d, 0.1, rng))
+    kappas = sample_kappas(d, 0.1, rng)
+    weights, coeffs = port_weights(d, kappas), conjugate_coefficients(d, kappas)
     psi, _ = perturb_pure_state(haar(d, 9), 0.05, rng)
     for config, joint in JOINT.items():
-        table = pauli_table(psi.amps, coeffs[0].real, config)
+        table = pauli_table(psi.amps, weights, config)
         for n in range(d):
             norm = float(np.sum(np.abs(joint(psi.amps, coeffs[0], n)) ** 2))
             assert np.max(np.abs(table[n].reshape(3, 2).sum(axis=1) - norm)) < 1e-12
@@ -138,13 +143,13 @@ def test_basis_pair_sums_equal_success_probability(d, rng):
 def test_amplitude_ratio_identities_with_true_coefficients(d, rng):
     """With the true coefficients and a real overlap, the Pauli combinations
     divide out to the exact amplitude parts (imaginary sign flips in C2)."""
-    coeffs = conjugate_coefficients(d, sample_kappas(d, 0.05, rng))
+    weights = port_weights(d, sample_kappas(d, 0.05, rng))
     for _ in range(10):
-        psi = PureState(real_overlap_state(rng, d, coeffs[0].real))
-        gamma = np.dot(coeffs[0].real, psi.amps).real
-        scale = coeffs[0].real * gamma
+        psi = PureState(real_overlap_state(rng, d, weights))
+        gamma = np.dot(weights, psi.amps).real
+        scale = weights * gamma
         for config, sign in (("C1", 1.0), ("C2", -1.0)):
-            _, p1, p_plus, p_minus, p_l, p_r = pauli_table(psi.amps, coeffs[0].real, config).T
+            _, p1, p_plus, p_minus, p_l, p_r = pauli_table(psi.amps, weights, config).T
             assert np.max(np.abs((p_plus - p_minus + 2 * p1) / scale
                                  - psi.amps.real)) < 1e-12
             assert np.max(np.abs(sign * (p_l - p_r) / scale - psi.amps.imag)) < 1e-12
@@ -153,36 +158,36 @@ def test_amplitude_ratio_identities_with_true_coefficients(d, rng):
 @pytest.mark.parametrize("config", ["C1", "C2"])
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_noiseless_reconstruction_is_identity(config, d):
-    coeffs = conjugate_coefficients(d)
+    weights = port_weights(d)
     for trial in range(100):
         psi = haar(d, 1000 + trial)
-        recon = reconstruct_pure(pauli_table(psi.amps, coeffs[0].real, config), config=config)
+        recon = reconstruct_pure(pauli_table(psi.amps, weights, config), config=config)
         assert trace_distance_pure(psi, recon) < 1e-10
 
 
 def test_configurations_coincide_in_exact_limit(rng):
     d = 8
-    coeffs = conjugate_coefficients(d)
+    weights = port_weights(d)
     for trial in range(20):
         psi = haar(d, 2000 + trial)
-        rec1 = reconstruct_pure(pauli_table(psi.amps, coeffs[0].real, "C1"), config="C1")
-        rec2 = reconstruct_pure(pauli_table(psi.amps, coeffs[0].real, "C2"), config="C2")
+        rec1 = reconstruct_pure(pauli_table(psi.amps, weights, "C1"), config="C1")
+        rec2 = reconstruct_pure(pauli_table(psi.amps, weights, "C2"), config="C2")
         assert trace_distance_pure(rec1, rec2) < 1e-10
 
 
 def test_noiseless_ghz_reconstruction_exact_amplitudes():
     ghz = standard_state("ghz", 3)
-    coeffs = conjugate_coefficients(8)
-    recon = reconstruct_pure(pauli_table(ghz.amps, coeffs[0].real, "C1"), config="C1")
+    weights = port_weights(8)
+    recon = reconstruct_pure(pauli_table(ghz.amps, weights, "C1"), config="C1")
     assert_allclose(recon.amps, ghz.amps, atol=1e-12)
 
 
 def test_biased_postselection_shifts_reconstruction(rng):
     psi = haar(8, 77)
-    biased = conjugate_coefficients(8, sample_kappas(8, 0.2, rng))
-    clean = conjugate_coefficients(8)
-    rec_biased = reconstruct_pure(pauli_table(psi.amps, biased[0].real, "C1"), config="C1")
-    rec_clean = reconstruct_pure(pauli_table(psi.amps, clean[0].real, "C1"), config="C1")
+    biased = port_weights(8, sample_kappas(8, 0.2, rng))
+    clean = port_weights(8)
+    rec_biased = reconstruct_pure(pauli_table(psi.amps, biased, "C1"), config="C1")
+    rec_clean = reconstruct_pure(pauli_table(psi.amps, clean, "C1"), config="C1")
     assert trace_distance_pure(psi, rec_clean) < 1e-10
     assert trace_distance_pure(psi, rec_biased) > 1e-4
 
@@ -233,8 +238,8 @@ def test_reconstruction_rejects_all_zero_tables():
 
 def test_reconstruction_phase_convention():
     ghz = standard_state("ghz", 3)
-    coeffs = conjugate_coefficients(8)
-    recon = reconstruct_pure(pauli_table(ghz.amps, coeffs[0].real, "C2"), config="C2")
+    weights = port_weights(8)
+    recon = reconstruct_pure(pauli_table(ghz.amps, weights, "C2"), config="C2")
     peak = int(np.argmax(np.abs(recon.amps)))
     assert recon.amps[peak].imag == pytest.approx(0.0, abs=1e-12)
     assert recon.amps[peak].real > 0

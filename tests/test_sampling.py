@@ -188,6 +188,12 @@ def test_tables_with_their_own_copies_match_lone_tables():
     assert [stream.random() for stream in together] == [stream.random() for stream in alone]
     with pytest.raises(ParameterError):
         sample_count_tables(probs, copies[:-1], together)
+    # copy counts that are not integers: a cast would count 2.5 as 2 and
+    # True as 1, and NaN would raise a bare ValueError
+    for bad in (copies + 0.5, copies > 0, np.full(copies.shape, np.nan),
+                (copies[0] + 0.5).tolist()):
+        with pytest.raises(ParameterError):
+            sample_count_tables(probs, bad, together)
 
 
 @pytest.mark.parametrize("layout", sorted(PASSES))
