@@ -93,7 +93,7 @@ def _write_tables(tables: dict, out: str):
     paths = output_paths(out, tables)
     for name, rows in tables.items():
         path = paths[name]
-        writer = export_json if path.suffix == ".json" else export_csv
+        writer = export_json if path.suffix.lower() == ".json" else export_csv
         writer(rows, table_fieldnames(name), path)
         print(f"wrote {len(rows)} rows to {path}")
 

@@ -22,16 +22,17 @@ independent of worker count, and reductions happen in repetition order.
 
 Repetitions run in batches. Consecutive grid points that share mode,
 configuration and dimension pool their repetitions, in order, and the pool
-is cut into batches of a bounded size, so a sweep of many points with few
-repetitions each runs as a few large batches; worker processes take whole
-batches. Each repetition draws its noise and its uniforms from its own
-stream, in the order of a lone repetition, and takes its noise levels,
-states and copy budget from its own point; every other stage runs
-once per batch on arrays with a leading repetition axis, in forms that
-round each repetition exactly as a lone one does, so no distance depends
-on how repetitions are batched. A batch that raises is replayed one
-repetition at a time, so the error is the one a lone repetition loop meets
-first, and the points before it keep their results.
+is cut into batches of a bounded size and of at most each worker's share
+of the sweep's repetitions, so a sweep of many points with few repetitions
+each runs as a few large batches; worker processes take whole batches.
+Each repetition draws its noise and its uniforms from its own stream, in
+the order of a lone repetition, and takes its noise levels, states and
+copy budget from its own point; every other stage runs once per batch on
+arrays with a leading repetition axis, in forms that round each
+repetition exactly as a lone one does, so no distance depends on how
+repetitions are batched. A batch that raises is replayed one repetition at
+a time, so the error is the one a lone repetition loop meets first, and
+the points before it keep their results.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import groupby
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -377,45 +378,33 @@ def _distances(batch) -> tuple:
         return distances, None
 
 
-def _fill(slices, sizes):
-    """Regroup (point, start, stop) slices, in order, into batches.
-
-    Batch i holds the next ``sizes[i]`` repetitions; ``sizes`` is an
-    iterator that covers every repetition. Each batch is yielded as soon as
-    it is full, so the slices are read no further ahead than that.
-    """
-    batch, room = [], next(sizes)
-    for point, start, stop in slices:
-        while start < stop:
-            end = min(stop, start + room)
-            batch.append((point, start, end))
-            room -= end - start
-            start = end
-            if room == 0:
-                yield batch
-                batch, room = [], next(sizes, 0)
-    if batch:
-        yield batch
-
-
-def _batches(points):
-    """Batches of the points' repetitions.
+def _batches(points, share: int) -> list:
+    """Batches of the points' repetitions, in order.
 
     Consecutive points with one _batch_key (the same mode, configuration
     and dimension, whatever their copy budgets) form one run of
-    repetitions, in order, cut into batches of at most BATCH_CELLS outcome
-    probabilities; a point may span batches.
+    repetitions, packed in order into batches of at most ``share``
+    repetitions and at most BATCH_CELLS outcome probabilities; a point may
+    span batches.
     """
+    batches = []
     for (_, _, d), run in groupby(points, key=_batch_key):
         # the largest outcome table: 3d settings of 2d + 1 outcomes (mixed)
-        size = max(1, BATCH_CELLS // (3 * d * (2 * d + 1)))
-        yield from _fill(((point, 0, point.repetitions) for point in run), repeat(size))
-
-
-def _cut(batch, parts: int) -> list:
-    """Split a batch into ``parts`` contiguous, near-equal batches."""
-    total = sum(stop - start for _, start, stop in batch)
-    return list(_fill(batch, iter(_split_copies(total, min(parts, total)).tolist())))
+        size = min(share, max(1, BATCH_CELLS // (3 * d * (2 * d + 1))))
+        batch, room = [], size
+        for point in run:
+            start = 0
+            while start < point.repetitions:
+                end = min(point.repetitions, start + room)
+                batch.append((point, start, end))
+                room -= end - start
+                start = end
+                if room == 0:
+                    batches.append(batch)
+                    batch, room = [], size
+        if batch:
+            batches.append(batch)
+    return batches
 
 
 def run_points(points, threads: int = 1):
@@ -423,27 +412,29 @@ def run_points(points, threads: int = 1):
 
     Consecutive points with the same mode, configuration and dimension
     share batches (_batches), so a sweep of points with few repetitions
-    each runs as few large array passes. On one worker (pool_size) the
-    batches run in this process; on more, all are submitted at once to a
-    process pool, cut finer when there are fewer batches than workers.
-    Each point is yielded once its own repetitions are back, and a failing
-    repetition raises when its point is reached. The pool is shut down when
-    the generator ends, raises or is closed, which cancels the batches that
-    have not started. Distances are reassembled in repetition order, so
-    neither the worker count nor the batching changes a result.
+    each runs as few large array passes. No batch holds more than each
+    worker's share of the sweep's repetitions, ceil(total / workers), so a
+    sweep of few batches still spreads over the workers. On one worker the
+    batches run in this process; on more, all are mapped at once over a
+    process pool. Each point is yielded once its own repetitions are back,
+    and a failing repetition raises when its point is reached. The pool is
+    shut down when the generator ends, raises or is closed, which cancels
+    the batches that have not started. Distances are reassembled in
+    repetition order, so neither the worker count nor the batching changes
+    a result.
     """
     if not (_is_count(threads) and threads >= 1):
         raise ParameterError("threads must be a positive integer")
-    batches = list(_batches(points))
-    workers = pool_size(threads, sum(stop - start for b in batches for _, start, stop in b))
-    if 0 < len(batches) < workers:
-        parts = -(-workers // len(batches))
-        batches = [run for batch in batches for run in _cut(batch, parts)]
+    points = list(points)
+    total = sum(point.repetitions for point in points)
+    # no more workers than repetitions nor usable CPUs: under the fork start
+    # method a pool starts all its workers at the first task, and more
+    # workers than CPUs only compete for them
+    workers = min(threads, total, _usable_cpus())
+    batches = _batches(points, -(-total // max(workers, 1)))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        done = (map(_distances, batches) if pool is None else
-                (future.result() for future in [pool.submit(_distances, batch)
-                                                for batch in batches]))
+        done = map(_distances, batches) if pool is None else pool.map(_distances, batches)
         distances = []                      # of the point being assembled
         for batch, (values, error) in zip(batches, done):
             position = 0
@@ -466,16 +457,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def pool_size(threads: int, repetitions: int) -> int:
-    """Workers of run_points for ``threads`` requested; one runs in this process.
-
-    No more than the ``repetitions`` nor the usable CPUs: under the fork
-    start method a pool starts all its workers at the first task, and more
-    workers than CPUs only compete for them.
-    """
-    return min(threads, repetitions, _usable_cpus())
 
 
 def run_repetitions(point: ExperimentPoint, threads: int = 1) -> RunResult:

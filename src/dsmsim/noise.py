@@ -30,6 +30,9 @@ def perturb_amplitudes(amps: np.ndarray, sigma: float, rng) -> tuple[np.ndarray,
         delta = sigma * (draws[:, 0] + 1j * draws[:, 1])
         vec = amps + delta
         norm = float(np.linalg.norm(vec))
+        # an overflowed norm would scale every amplitude to zero or NaN
+        if not np.isfinite(norm):
+            raise DegenerateNoiseError(f"perturbed state has norm {norm}")
         if norm > 0.0:
             return vec / norm, norm
         draws = rng.standard_normal((amps.shape[0], 2))
@@ -43,7 +46,8 @@ def perturb_pure_state(psi: PureState, sigma: float, rng) -> tuple[PureState, fl
     normalized state together with the realized normalization constant N.
     The draw is consumed even for sigma = 0 so random streams stay aligned
     across noise settings; in that case the input is returned unchanged.
-    An annihilated state is redrawn once before DegenerateNoiseError.
+    An annihilated state is redrawn once before DegenerateNoiseError; a
+    norm that overflows raises it at once.
     """
     amps, norm = perturb_amplitudes(psi.amps, sigma, rng)
     return (psi if sigma == 0.0 else PureState(amps)), norm

@@ -6,6 +6,10 @@ Monte Carlo criteria share module-scoped runs under one frozen seed, so
 every number below is reproducible.
 """
 
+import csv
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,6 +50,8 @@ SEED = 20260811
 GHZ = standard_state("ghz", 3)
 CONFIGS = ("C1", "C2")
 THREADS = 4
+# preset tables as the engine wrote them on one worker, to compare across commits
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def report(num: int, description: str, passed: bool, detail: str = ""):
@@ -252,15 +258,42 @@ def test_criterion_08_noisy_circuit():
            worst < 1e-12, f"worst deviation {worst:.2e}")
 
 
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _matches_golden(produced: Path, golden: Path) -> bool:
+    """Text cells equal, numbers within a relative 1e-12: the last bits a
+    host's math library may change."""
+    tables = []
+    for path in (produced, golden):
+        with path.open(newline="") as handle:
+            tables.append([[_cell(text) for text in row] for row in csv.reader(handle)])
+    ours, theirs = tables
+    return len(ours) == len(theirs) and all(
+        len(row) == len(other) and all(
+            math.isclose(a, b, rel_tol=1e-12) if isinstance(a, float) and isinstance(b, float)
+            else a == b for a, b in zip(row, other))
+        for row, other in zip(ours, theirs))
+
+
 @pytest.mark.parametrize("preset", ["fig2", "fig4", "fig5", "fig6"])
 def test_criterion_09_preset_determinism(preset, tmp_path):
-    outputs = {}
+    outputs, produced = {}, {}
     for threads in (1, 4):
         out = tmp_path / f"{preset}_t{threads}.csv"
         code = main(["preset", preset, "--threads", str(threads), "--out", str(out)])
         assert code == 0
-        produced = sorted(tmp_path.glob(f"{preset}_t{threads}*.csv"))
-        outputs[threads] = [path.read_bytes() for path in produced]
+        produced[threads] = sorted(tmp_path.glob(f"{preset}_t{threads}*.csv"))
+        outputs[threads] = [path.read_bytes() for path in produced[threads]]
     identical = outputs[1] == outputs[4] and len(outputs[1]) >= 1
-    report(9, f"preset {preset} output is byte-identical across thread counts",
-           identical, f"{len(outputs[1])} file(s)")
+    golden = sorted(GOLDEN.glob(f"{preset}*.csv"))
+    pinned = ([path.name for path in golden]
+              == [path.name.replace("_t1", "") for path in produced[1]]
+              and all(map(_matches_golden, produced[1], golden)))
+    report(9, f"preset {preset} output is byte-identical across thread counts "
+              "and matches tests/golden", identical and pinned,
+           f"{len(outputs[1])} file(s)")

@@ -62,6 +62,12 @@ def test_run_json_output(tiny_config, tmp_path):
     assert rows[0]["epsilon"] is None
 
 
+def test_json_suffix_ignores_case(tiny_config, tmp_path):
+    out = tmp_path / "out.JSON"
+    assert main(["run", str(tiny_config), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())[0]["config"] == "C2"
+
+
 def test_negative_seed_is_validation_error(tiny_config, tmp_path):
     out = tmp_path / "neg.csv"
     assert main(["run", str(tiny_config), "--seed", "-1", "--out", str(out)]) == 1

@@ -1,14 +1,14 @@
 import dataclasses
 import json
 import os
-from concurrent.futures import Future
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
 
 import dsmsim.montecarlo as montecarlo
 from dsmsim.cli import PRESETS, load_preset
-from dsmsim.errors import ConfigError, ParameterError
+from dsmsim.errors import ConfigError, DegenerateNoiseError, ParameterError
 from dsmsim.experiments import (
     CURVE_FIELDS,
     QFI_SIGMA_PREP,
@@ -216,7 +216,8 @@ def test_failure_rows_independent_of_workers():
     # sigma 2.0 makes 1 + kappa <= 0 detector draws, which fail a later
     # point. On 1 worker each case runs as one batch, so the failing point
     # shares a batch with the points before it: case 1's batch spans both
-    # copy budgets. More workers cut that batch into near-equal parts.
+    # copy budgets. More workers cap each batch at their share of the
+    # repetitions, which cuts it into near-equal parts.
     cases = [
         ({"num_qubits": 2, "configuration": "C1",
           "sigma_sweep": [0.0, 0.05, 2.0, 0.0], "copy_budgets": [50, 60],
@@ -237,6 +238,18 @@ def test_failure_rows_independent_of_workers():
         assert failures[0][0].startswith(message)
         assert error in failures[0][1][-1]["error"]
         assert failures[1] == failures[0] and failures[2] == failures[0]
+
+
+@pytest.mark.parametrize("sigma", [1e160, 1e308])
+def test_overflowing_preparation_noise_names_the_norm(sigma):
+    config = parse_config(json.dumps({"num_qubits": 2, "configuration": "C2",
+                                      "sigma_prep": sigma, "copy_budgets": [100],
+                                      "repetitions": 1}))
+    # the draw's norm overflows on purpose
+    with np.errstate(over="ignore"), pytest.raises(FigureRunError) as excinfo:
+        run_figure(config)
+    assert isinstance(excinfo.value.__cause__, DegenerateNoiseError)
+    assert "perturbed state has norm inf" in excinfo.value.rows[0]["error"]
 
 
 def _per_repetition_results(config, rows) -> list:
@@ -301,8 +314,9 @@ def test_batches_across_points_match_lone_repetitions(mode, monkeypatch):
             assert run_figure(config, threads=3)["results"] == serial
 
 
-class RecordingPool:
-    """Runs each task in this process; starts no worker."""
+class RecordingPool(Executor):
+    """Runs each task in this process; starts no worker. Executor.map
+    submits every task through submit."""
 
     sizes = []      # max_workers of every pool made, reset by _record_pools
     tasks = []
@@ -348,6 +362,41 @@ def test_pool_capped_at_usable_cpus(monkeypatch):
     assert (montecarlo.run_repetitions(point, threads=5000).distances.tolist()
             == montecarlo.run_repetitions(point).distances.tolist())
     assert RecordingPool.sizes == [3, 3]
+
+
+def test_batches_bounded_by_each_workers_share(monkeypatch):
+    """One pass bounds every batch by the BATCH_CELLS cap and by each
+    worker's share of the sweep's repetitions, ceil(total / workers)."""
+    sizes = []
+    real = montecarlo._distances
+
+    def spy(batch):
+        sizes.append(sum(stop - start for _, start, stop in batch))
+        return real(batch)
+
+    monkeypatch.setattr(montecarlo, "_distances", spy)
+    _record_pools(monkeypatch, cpus=2)
+    state = parse_config(json.dumps({"num_qubits": 2})).build_state()
+    # two runs, C1 and C2, of 40 and 4 repetitions: a share of 22 cuts the
+    # first run in two, so both workers get a task
+    points = [montecarlo.ExperimentPoint(mode="pure", config=config, state=state,
+                                         num_copies=100, repetitions=reps,
+                                         seed_entropy=(index,), sigma_prep=0.05)
+              for index, (config, reps) in enumerate([("C1", 40), ("C2", 4)])]
+    pooled = [result.distances.tolist() for result in montecarlo.run_points(points, 2)]
+    assert sizes == [22, 18, 4] and RecordingPool.sizes == [2]
+    assert len(RecordingPool.tasks) == 3
+    assert pooled == [result.distances.tolist() for result in montecarlo.run_points(points)]
+
+    # fig4 at 4 repetitions: 484 per configuration, well above a share, so
+    # the cap of 80 d = 8 repetitions alone cuts each run
+    config = dataclasses.replace(load_preset("fig4"), repetitions=4)
+    tables = {}
+    for threads in (1, 2):
+        sizes.clear()
+        tables[threads] = run_figure(config, threads=threads)
+        assert sizes == ([80] * 6 + [4]) * 2
+    assert tables[2] == tables[1]
 
 
 def test_pool_shut_down_once_with_cancel(monkeypatch):

@@ -280,7 +280,7 @@ def test_pure_batch_memory_grows_with_d(config):
     point = ExperimentPoint(mode="pure", config=config, state=standard_state("ghz", 10),
                             num_copies=3000, repetitions=1, seed_entropy=(3,),
                             sigma_prep=0.01, sigma_post=0.01)
-    assert len(list(_batches([point]))) == 1
+    assert len(_batches([point], 1)) == 1
     tracemalloc.start()
     try:
         _batch([(point, 0, 1)])
@@ -297,7 +297,7 @@ def test_mixed_batch_memory_grows_with_d_squared(config):
     point = ExperimentPoint(mode="mixed", config=config, state=standard_state("ghz", 8),
                             num_copies=3000, repetitions=1, seed_entropy=(3,),
                             epsilon=0.3, sigma_post=0.01)
-    assert len(list(_batches([point]))) == 1
+    assert len(_batches([point], 1)) == 1
     tracemalloc.start()
     try:
         _batch([(point, 0, 1)])
@@ -377,7 +377,7 @@ def test_mixed_batch_derives_each_repetitions_matrices(monkeypatch):
         points = [ExperimentPoint(mode="mixed", config=config, state=state, num_copies=400,
                                   repetitions=2, seed_entropy=(9, index), epsilon=epsilon)
                   for index, (state, epsilon) in enumerate(cases)]
-        assert len(list(_batches(points))) == 1
+        assert len(_batches(points, sum(p.repetitions for p in points))) == 1
         distances, recons = _batch([(point, 0, 2) for point in points])
         owners = [point for point in points for _ in range(2)]
         assert len(seen["targets"]) == len(seen["prepared"]) == len(owners)
@@ -543,7 +543,7 @@ def test_batch_takes_state_and_noise_from_each_point(mode):
         points.append(ExperimentPoint(mode=mode, config="C2", state=state, num_copies=400,
                                       repetitions=2, seed_entropy=(9, index),
                                       sigma_post=0.02 * index, **noise))
-    assert len(list(_batches(points))) == 1
+    assert len(_batches(points, sum(p.repetitions for p in points))) == 1
     results = [result.distances.tolist() for result in run_points(points)]
     assert results == [[lone_repetition(point, rep)[0] for rep in range(2)]
                        for point in points]
@@ -561,7 +561,7 @@ def test_batches_span_copy_budgets_not_configurations():
               point(100, config="C2"), point(100, config="C2", state=standard_state("ghz", 2)),
               point(600, config="C2", state=standard_state("ghz", 2)),
               point(100, config="C2", mode="mixed")]
-    runs = [[id(point) for point, _, _ in batch] for batch in _batches(points)]
+    runs = [[id(point) for point, _, _ in batch] for batch in _batches(points, 16)]
     assert runs == [[id(point) for point in run]
                     for run in (points[:3], points[3:5], points[5:7], points[7:])]
 
@@ -613,7 +613,7 @@ def test_batch_of_mixed_seed_widths_matches_lone_repetitions(mode):
     points = [ExperimentPoint(mode=mode, config="C1", state=GHZ, num_copies=1000,
                               repetitions=3, seed_entropy=entropy, **noise)
               for entropy in [(5,), (2**40, 3), (2**64 + 1, True, np.int64(2), 2**100)]]
-    assert len(list(_batches(points))) == 1
+    assert len(_batches(points, sum(p.repetitions for p in points))) == 1
     distances, recons = _batch([(point, 0, 3) for point in points])
     lone = [lone_repetition(point, rep) for point in points for rep in range(3)]
     assert distances.tolist() == [distance for distance, _ in lone]
