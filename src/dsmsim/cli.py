@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from importlib import resources
 from pathlib import Path
@@ -72,15 +71,14 @@ def load_preset(name: str, full_scale: bool = False) -> ExperimentConfig:
     if full_scale and name != "fig2":
         raise ConfigError("--full-scale applies to the fig2 preset only")
     text = resources.files("dsmsim").joinpath(f"presets/{name}.json").read_text("utf-8")
+    config = parse_config(text)
     if full_scale:
-        doc = json.loads(text)
-        if FULL_SCALE_BUDGET not in doc["copy_budgets"]:
-            doc["copy_budgets"].append(FULL_SCALE_BUDGET)
-        text = json.dumps(doc)
-    return parse_config(text)
+        config = dataclasses.replace(
+            config, copy_budgets=config.copy_budgets + (FULL_SCALE_BUDGET,))
+    return config
 
 
-def output_paths(out: str, tables) -> dict:
+def output_paths(out, tables) -> dict:
     """One file per table; single-table runs write exactly to ``out``."""
     base = Path(out)
     if len(tables) == 1:
@@ -89,7 +87,7 @@ def output_paths(out: str, tables) -> dict:
     return {name: base.with_name(f"{stem}_{name}{suffix}") for name in tables}
 
 
-def _write_tables(tables: dict, out: str):
+def _write_tables(tables: dict, out: Path):
     paths = output_paths(out, tables)
     for name, rows in tables.items():
         path = paths[name]
@@ -98,10 +96,9 @@ def _write_tables(tables: dict, out: str):
         print(f"wrote {len(rows)} rows to {path}")
 
 
-def _execute(config: ExperimentConfig, args) -> int:
-    out = args.out or config.output_path
+def _execute(config: ExperimentConfig, out: Path, threads: int) -> int:
     try:
-        tables = run_figure(config, threads=args.threads)
+        tables = run_figure(config, threads=threads)
     except FigureRunError as exc:
         _write_tables({"results": exc.rows}, out)
         print(f"error: {exc}", file=sys.stderr)
@@ -125,11 +122,17 @@ def main(argv=None) -> int:
             config = dataclasses.replace(config, master_seed=args.seed)
         if args.threads < 1:
             raise ConfigError("--threads must be positive")
+        # checked before the sweep, which may run for hours
+        out = Path(args.out or config.output_path)
+        if out.is_dir():
+            raise ConfigError(f"output path {out} is a directory")
+        if not out.parent.is_dir():
+            raise ConfigError(f"output directory {out.parent} does not exist")
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _execute(config, args)
+        return _execute(config, out, args.threads)
     except Exception as exc:  # runtime failures map to exit code 2
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

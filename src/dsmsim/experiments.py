@@ -5,9 +5,9 @@ configuration(s), noise grids, copy budgets, repetition count, and master
 seed. ``ExperimentConfig`` holds every default and every value rule, so a
 config built in Python or by ``dataclasses.replace`` is held to the same
 rules as a parsed one; ``parse_config`` adds only the rules that need the
-document itself (unknown, null and conflicting keys). ``run_figure``
-executes the full parameter grid deterministically (one Monte Carlo run
-per grid point) and returns named tables of rows;
+document itself (unknown, null and conflicting keys). ``_points`` forms
+the sweep's grid points once; ``run_figure`` runs them deterministically
+(one Monte Carlo run per point) and returns named tables of rows;
 ``export_csv``/``export_json`` write them byte-stably. The "qfi" task
 produces the variance-versus-normalization curves and the histogram of
 realized normalization constants instead of tomography sweeps.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields as dataclass_fields
@@ -171,6 +172,8 @@ class ExperimentConfig:
         else:
             _require(self.dicke_excitations is None,
                      "dicke_excitations applies to the dicke state only")
+        _require(self.state_kind != "w" or self.num_qubits >= 2,
+                 "the w state needs num_qubits >= 2")
         if self.state_kind == "custom":
             store("custom_amplitudes",
                   _amplitudes(self.custom_amplitudes, self.num_qubits))
@@ -283,60 +286,50 @@ class FigureRunError(RuntimeError):
         self.rows = rows
 
 
-def _grid(config: ExperimentConfig):
-    """Deterministic grid order: configuration, sigma, epsilon, copies."""
+def _points(config: ExperimentConfig) -> list:
+    """The sweep's grid points in order: configuration, sigma, epsilon,
+    copies. Point ``index`` draws from the entropy (master_seed, index)."""
     configurations = (("C1", "C2") if config.configuration == "both"
                       else (config.configuration,))
-    if config.sigma_sweep is not None:
-        if config.mode == "pure":
-            # pure-state sweeps drive preparation and postselection with one
-            # shared noise level; set sigma_prep/sigma_post, with no sweep,
-            # for asymmetry
-            sigmas = [(value, value) for value in config.sigma_sweep]
-        else:
-            sigmas = [(0.0, value) for value in config.sigma_sweep]
-    else:
+    if config.sigma_sweep is None:
         sigmas = [(config.sigma_prep, config.sigma_post)]
-    if config.mode == "mixed":
-        epsilons = list(config.epsilon_sweep or (config.epsilon,))
+    elif config.mode == "pure":
+        # pure-state sweeps drive preparation and postselection with one
+        # shared noise level; set sigma_prep/sigma_post, with no sweep,
+        # for asymmetry
+        sigmas = [(value, value) for value in config.sigma_sweep]
     else:
-        epsilons = [None]
-    for configuration in configurations:
-        for sigma_prep, sigma_post in sigmas:
-            for epsilon in epsilons:
-                for num_copies in config.copy_budgets:
-                    yield configuration, sigma_prep, sigma_post, epsilon, num_copies
+        sigmas = [(0.0, value) for value in config.sigma_sweep]
+    # a pure config holds epsilon 0 and no epsilon_sweep
+    grid = itertools.product(configurations, sigmas,
+                             config.epsilon_sweep or (config.epsilon,),
+                             config.copy_budgets)
+    state = config.build_state()
+    return [ExperimentPoint(mode=config.mode, config=configuration, state=state,
+                            num_copies=copies, repetitions=config.repetitions,
+                            seed_entropy=(config.master_seed, index),
+                            sigma_prep=sigma_prep, sigma_post=sigma_post,
+                            epsilon=epsilon)
+            for index, (configuration, (sigma_prep, sigma_post), epsilon, copies)
+            in enumerate(grid)]
 
 
 def run_figure(config: ExperimentConfig, threads: int = 1) -> dict:
-    """Execute the configured sweep; returns named tables of row dicts."""
+    """Execute the configured sweep; returns named tables of row dicts,
+    each row's parameters read from its point of ``_points``."""
     if not (_is_count(threads) and threads >= 1):
         raise ParameterError("threads must be a positive integer")
     if config.task == "qfi":
         return _run_qfi(config)
-    state = config.build_state()
+    points = _points(config)
     label = config.state_label()
-    grid = list(enumerate(_grid(config)))
-    points = (
-        ExperimentPoint(
-            mode=config.mode,
-            config=configuration,
-            state=state,
-            num_copies=copies,
-            repetitions=config.repetitions,
-            seed_entropy=(config.master_seed, index),
-            sigma_prep=s_prep,
-            sigma_post=s_post,
-            epsilon=0.0 if eps is None else eps,
-        )
-        for index, (configuration, s_prep, s_post, eps, copies) in grid
-    )
     rows = []
     with contextlib.closing(run_points(points, threads)) as results:
-        for index, (configuration, s_prep, s_post, eps, copies) in grid:
-            base = dict(state=label, mode=config.mode, config=configuration,
-                        sigma_prep=s_prep, sigma_post=s_post, epsilon=eps,
-                        num_copies=copies, repetitions=config.repetitions,
+        for index, point in enumerate(points):
+            base = dict(state=label, mode=point.mode, config=point.config,
+                        sigma_prep=point.sigma_prep, sigma_post=point.sigma_post,
+                        epsilon=None if point.mode == "pure" else point.epsilon,
+                        num_copies=point.num_copies, repetitions=point.repetitions,
                         seed=config.master_seed)
             try:
                 result = next(results)

@@ -432,6 +432,8 @@ def run_points(points, threads: int = 1):
     # workers than CPUs only compete for them
     workers = min(threads, total, _usable_cpus())
     batches = _batches(points, -(-total // max(workers, 1)))
+    # shares round up, so a sweep may cut into fewer batches than workers
+    workers = min(workers, len(batches))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         done = map(_distances, batches) if pool is None else pool.map(_distances, batches)

@@ -280,7 +280,7 @@ def _matches_golden(produced: Path, golden: Path) -> bool:
         for row, other in zip(ours, theirs))
 
 
-@pytest.mark.parametrize("preset", ["fig2", "fig4", "fig5", "fig6"])
+@pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4", "fig5", "fig6"])
 def test_criterion_09_preset_determinism(preset, tmp_path):
     outputs, produced = {}, {}
     for threads in (1, 4):

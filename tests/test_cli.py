@@ -82,6 +82,22 @@ def test_nonpositive_threads_is_validation_error(tiny_config, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_rejected_before_the_sweep(tiny_config, tmp_path, capsys,
+                                                  monkeypatch, where):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("dsmsim.cli.run_figure", no_sweep)
+    if where == "missing-directory":
+        out, message = tmp_path / "nodir" / "x.csv", "does not exist"
+    else:
+        out, message = tmp_path, "is a directory"
+    assert main(["run", str(tiny_config), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [tiny_config]
+
+
 def test_seed_override_changes_results(tiny_config, tmp_path):
     base, other, repeat = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
     main(["run", str(tiny_config), "--out", str(base)])

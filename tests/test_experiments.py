@@ -15,6 +15,7 @@ from dsmsim.experiments import (
     RESULT_FIELDS,
     ExperimentConfig,
     FigureRunError,
+    _points,
     export_csv,
     export_json,
     parse_config,
@@ -98,6 +99,7 @@ def test_sigma_prep_rejected_in_mixed_mode():
     '{"sigma_post": 0.2, "sigma_sweep": [0.0]}',
     '{"mode": "mixed", "epsilon": 0.1, "epsilon_sweep": [0.0]}',
     '{"sigma_sweep": null}',
+    '{"state_kind": "w", "num_qubits": 1}',
     pytest.param('{"sigma_post": 1%s}' % ("0" * 400), id="sigma_post-beyond-float"),
 ])
 def test_invalid_documents_rejected(doc):
@@ -158,6 +160,46 @@ def test_grid_row_count_and_order():
     assert all(0.0 <= row["mean_distance"] <= 1.0 for row in rows)
     assert all(row["std_error"] >= 0.0 for row in rows)
     assert all(row["error"] == "" for row in rows)
+
+
+@pytest.mark.parametrize("mode", ["mixed", "pure"])
+def test_points_order_entropy_and_rows(mode):
+    """_points forms each grid point once, in configuration, sigma, epsilon,
+    copies order, point ``index`` on the entropy (master_seed, index), and
+    every row's parameter columns are its point's fields."""
+    if mode == "mixed":
+        config = parse_config(json.dumps({
+            "mode": "mixed", "num_qubits": 2, "configuration": "both",
+            "sigma_sweep": [0.0, 0.05], "epsilon_sweep": [0.1, 0.4],
+            "copy_budgets": [200, 400], "repetitions": 2, "master_seed": 13}))
+        grid = [(configuration, 0.0, sigma, epsilon, copies)
+                for configuration in ("C1", "C2") for sigma in (0.0, 0.05)
+                for epsilon in (0.1, 0.4) for copies in (200, 400)]
+    else:
+        # asymmetric scalar noise: with no sweep, one (sigma_prep, sigma_post)
+        config = parse_config(json.dumps({
+            "num_qubits": 2, "configuration": "both", "sigma_prep": 0.02,
+            "sigma_post": 0.07, "copy_budgets": [200, 400], "repetitions": 2,
+            "master_seed": 13}))
+        grid = [(configuration, 0.02, 0.07, 0.0, copies)
+                for configuration in ("C1", "C2") for copies in (200, 400)]
+    points = _points(config)
+    assert [(point.config, point.sigma_prep, point.sigma_post, point.epsilon,
+             point.num_copies) for point in points] == grid
+    assert [point.seed_entropy for point in points] == [(13, i) for i in range(len(grid))]
+    assert all(point.state is points[0].state for point in points)
+    assert {(point.mode, point.repetitions) for point in points} == {(mode, 2)}
+
+    rows = run_figure(config)["results"]
+    assert [row["mean_distance"] for row in rows] == [
+        result.mean for result in montecarlo.run_points(points)]
+    for row, point in zip(rows, points, strict=True):
+        columns = dict(state="ghz2", mode=point.mode, config=point.config,
+                       sigma_prep=point.sigma_prep, sigma_post=point.sigma_post,
+                       epsilon=point.epsilon if mode == "mixed" else None,
+                       num_copies=point.num_copies, repetitions=point.repetitions,
+                       seed=point.seed_entropy[0], error="")
+        assert {key: row[key] for key in columns} == columns
 
 
 def test_mixed_grid_uses_epsilon_sweep():
@@ -349,6 +391,14 @@ def test_pool_capped_at_repetition_count(monkeypatch):
     assert run_figure(parse_config(doc), threads=32) == run_figure(parse_config(doc))
     assert RecordingPool.sizes == [6]
     assert len(RecordingPool.tasks) == 6
+    # and at the batch count: 5 repetitions in shares of ceil(5 / 4) = 2 make
+    # 3 batches (2, 2, 1), so a fourth worker would get no task
+    _record_pools(monkeypatch, cpus=64)
+    doc = json.dumps({"num_qubits": 2, "configuration": "C2",
+                      "copy_budgets": [40], "repetitions": 5})
+    assert run_figure(parse_config(doc), threads=4) == run_figure(parse_config(doc))
+    assert RecordingPool.sizes == [3]
+    assert len(RecordingPool.tasks) == 3
 
 
 def test_pool_capped_at_usable_cpus(monkeypatch):
