@@ -44,7 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker processes (at least 1, at most the "
                             "usable CPUs); each takes batches of Monte Carlo "
                             "repetitions, which span consecutive grid points "
-                            "with the same mode, configuration and dimension")
+                            "with the same mode, configuration and dimension. "
+                            "1 runs in this process with no pool; pool "
+                            "workers run BLAS on one thread each, so they "
+                            "do not oversubscribe the CPUs")
         p.add_argument("--out", type=str, default=None,
                        help="output path (.csv or .json); overrides the "
                             "configuration's output_path")

@@ -33,12 +33,18 @@ repetition exactly as a lone one does, so no distance depends on how
 repetitions are batched. A batch that raises is replayed one repetition at
 a time, so the error is the one a lone repetition loop meets first, and
 the points before it keep their results.
+
+On one worker the batches run in this process, and the process pool,
+with concurrent.futures and multiprocessing, is never imported (_pool).
+Pool workers run OpenBLAS on one thread each: the workers already share
+out the CPUs, and at d >= 48 two-threaded BLAS in each of two workers
+made the sweep several times slower than one worker.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -434,7 +440,7 @@ def run_points(points, threads: int = 1):
     batches = _batches(points, -(-total // max(workers, 1)))
     # shares round up, so a sweep may cut into fewer batches than workers
     workers = min(workers, len(batches))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = _pool(workers) if workers > 1 else None
     try:
         done = map(_distances, batches) if pool is None else pool.map(_distances, batches)
         distances = []                      # of the point being assembled
@@ -452,6 +458,46 @@ def run_points(points, threads: int = 1):
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+
+
+def _pool(workers: int):
+    """A process pool of ``workers`` workers, each running BLAS on one
+    thread. The executor, and the multiprocessing stack it needs, is
+    imported here, so a sweep on one worker never loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread,
+                               initargs=(_blas_thread_count(),))
+
+
+def _blas_thread_count():
+    """OpenBLAS's thread count of this process as a ctypes int, or None.
+
+    The counter is found in the OpenBLAS library this process has loaded,
+    read from /proc/self/maps; None where there is no /proc, no OpenBLAS
+    or no such counter (other BLAS builds).
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            path = next(line.split(maxsplit=5)[5].strip() for line in maps
+                        if "openblas" in line.rpartition("/")[2].lower())
+        return ctypes.c_int.in_dll(ctypes.CDLL(path), "blas_cpu_number")
+    except (OSError, ValueError, StopIteration):
+        return None
+
+
+def _one_blas_thread(count) -> None:
+    """Pool initializer: set OpenBLAS's thread count to 1 in this worker.
+
+    ``count`` is resolved in the parent; a forked worker shares its address,
+    so the write reaches the worker's BLAS, and the parent keeps its own
+    count. Under a start method that pickles ``count`` the write reaches a
+    copy and changes nothing. Calling OpenBLAS's set_num_threads instead
+    would restart its thread pool after the fork, whose new thread spins
+    for about 0.1 s.
+    """
+    if count is not None:
+        count.value = 1
 
 
 def _usable_cpus() -> int:

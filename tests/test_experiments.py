@@ -380,7 +380,7 @@ class RecordingPool(Executor):
 def _record_pools(monkeypatch, cpus):
     """Make every pool a RecordingPool, on a machine of ``cpus`` usable CPUs."""
     RecordingPool.sizes, RecordingPool.tasks, RecordingPool.shutdowns = [], [], []
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo, "_pool", RecordingPool)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
 
 
@@ -483,6 +483,24 @@ def test_pool_shut_down_once_with_cancel(monkeypatch):
     assert pools_of(close_early) == ([2], [True])
     five = dataclasses.replace(points[0], repetitions=5)
     assert pools_of(lambda: montecarlo.run_repetitions(five, threads=5000)) == ([3], [True])
+
+
+def test_one_worker_builds_no_pool(monkeypatch):
+    """A sweep that comes down to one worker runs its batches in this
+    process: asked for one, capped at one usable CPU or at one repetition,
+    or given no points."""
+    config = parse_config(json.dumps({"num_qubits": 2, "configuration": "C2",
+                                      "copy_budgets": [40, 80], "repetitions": 2}))
+    point = montecarlo.ExperimentPoint(mode="pure", config="C2", state=config.build_state(),
+                                       num_copies=40, repetitions=1, seed_entropy=(0,))
+    for cpus, runs in [(4, [lambda: run_figure(config),
+                            lambda: montecarlo.run_repetitions(point, threads=4),
+                            lambda: list(montecarlo.run_points([], 4))]),
+                       (1, [lambda: run_figure(config, threads=4)])]:
+        _record_pools(monkeypatch, cpus=cpus)
+        for run in runs:
+            run()
+        assert RecordingPool.sizes == [] and RecordingPool.tasks == []
 
 
 def test_usable_cpus_without_affinity(monkeypatch):

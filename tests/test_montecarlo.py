@@ -1,4 +1,11 @@
+import io
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +27,7 @@ from dsmsim.metrics import trace_distance_mixed, trace_distance_pure, trace_dist
 from dsmsim.mixed_protocol import conditional_tables, pauli_from_conditionals
 from dsmsim.noise import perturb_amplitudes, sample_kappas, white_noise_channel
 from dsmsim.montecarlo import (
+    MODES,
     ExperimentPoint,
     _batch,
     _batches,
@@ -647,3 +655,75 @@ def test_batch_raises_first_error_of_repetition_loop(mode, num_copies):
             _run_slice(point, 0, point.repetitions)
         assert (excinfo.type, str(excinfo.value)) == expected
     assert kinds == {DegenerateDataError, DegenerateNoiseError}
+
+
+_IMPORTS_AFTER_SWEEP = """
+import json, sys
+from dsmsim import montecarlo
+from dsmsim.experiments import parse_config, run_figure
+montecarlo._usable_cpus = lambda: 2
+config = parse_config('{"num_qubits": 2, "copy_budgets": [100], "repetitions": 2}')
+run_figure(config, threads=int(sys.argv[1]))
+print(json.dumps([name in sys.modules for name in ("multiprocessing", "concurrent.futures")]))
+"""
+
+
+@pytest.mark.parametrize("threads,loaded", [(1, False), (2, True)])
+def test_pool_modules_load_only_for_a_pool(threads, loaded):
+    """A one-worker sweep in a fresh interpreter imports neither the
+    executor nor multiprocessing; a two-worker sweep imports both."""
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _IMPORTS_AFTER_SWEEP, str(threads)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [loaded, loaded]
+
+
+_BARRIER = None   # set before a pool forks, so every forked worker shares it
+
+
+def _worker_blas_threads(_):
+    """A pool task: wait until every worker holds one, then read its count."""
+    _BARRIER.wait(timeout=60)
+    return montecarlo._blas_thread_count().value
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    count = montecarlo._blas_thread_count()
+    if count is None:
+        pytest.skip("this process has no OpenBLAS thread counter")
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("only forked workers share the parent's counter address")
+    before = count.value
+    monkeypatch.setattr(sys.modules[__name__], "_BARRIER", multiprocessing.Barrier(2))
+    pool = montecarlo._pool(2)
+    try:
+        assert list(pool.map(_worker_blas_threads, range(2), timeout=120)) == [1, 1]
+    finally:
+        pool.shutdown()
+    assert montecarlo._blas_thread_count().value == before
+
+
+@pytest.mark.parametrize("maps", [
+    "7f0000000000-7f0000001000 r-xp 00000000 08:01 1 /usr/lib/libc.so.6\n[heap]\n",
+    "7f0000000000-7f0000001000 r-xp 00000000 08:01 1 /nowhere/libopenblas.so.0\n",
+    None,
+])
+def test_pool_without_blas_counter_runs_as_before(monkeypatch, maps):
+    """No OpenBLAS in the maps, an OpenBLAS that cannot be loaded, or no
+    /proc: no counter is found, and a pool still runs the sweep."""
+    def fake_open(path, *args, **kwargs):
+        assert path == "/proc/self/maps"
+        if maps is None:
+            raise FileNotFoundError(path)
+        return io.StringIO(maps)
+
+    monkeypatch.setattr(montecarlo, "open", fake_open, raising=False)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    assert montecarlo._blas_thread_count() is None
+    points = [ExperimentPoint(mode=mode, config="C1", state=standard_state("ghz", 2),
+                              num_copies=200, repetitions=3, seed_entropy=(index,))
+              for index, mode in enumerate(MODES)]
+    assert ([result.distances.tolist() for result in run_points(points, 2)]
+            == [result.distances.tolist() for result in run_points(points)])
