@@ -100,14 +100,14 @@ def _cells(table: np.ndarray, config: str) -> np.ndarray:
 
 
 def _outcome_tables(tables, config: str) -> np.ndarray:
-    """Validated outcome tables [rep, setting, outcome] of Pauli tables [rep,
-    n, 6] (pure, k = 0) or of conditional tables (m00, m01, m11) [rep, n, k]."""
+    """Validated outcome tables [rep, setting, outcome] of Pauli cells [rep,
+    n, 3, 2] (pure, k = 0) or of conditional tables (m00, m01, m11) [rep, n, k]."""
     pure = isinstance(tables, np.ndarray)
     reps, d, k = (*tables.shape[:2], 1) if pure else tables[0].shape
     fixed, branches = (d, k) if config == "C1" else (k, d)
     table = np.empty((reps, 3 * fixed, 2 * branches + 1))
     if pure:
-        _cells(table, config)[:, :, 0] = tables.reshape(reps, d, 3, 2)
+        _cells(table, config)[:, :, 0] = tables
     else:
         pauli_from_conditionals(*tables, out=_cells(table, config))
     return outcome_table(table)
@@ -301,23 +301,17 @@ def _batch_key(point: ExperimentPoint) -> tuple:
     return point.mode, point.config, point.state.dim
 
 
-def _per_repetition(batch, values) -> np.ndarray:
-    """Stack one value per slice of a batch into one entry per repetition."""
-    return np.repeat(np.array(values), [stop - start for _, start, stop in batch], axis=0)
-
-
-def _prepared_and_weights(batch, rngs, targets):
+def _prepared_and_weights(owners, rngs, targets):
     """The noisy inputs of a batch's table builder: (prepared, weights).
 
-    ``targets`` holds each repetition's amplitudes (pure) or |psi><psi|
-    (mixed). Each repetition draws from its own stream in ``rngs``, at its
-    own point's noise levels, the perturbation of its target (pure), then
+    ``owners`` holds each repetition's point, ``targets`` its amplitudes
+    (pure) or |psi><psi| (mixed). Each draws from its own stream in ``rngs``,
+    at its point's noise levels, the perturbation of its target (pure), then
     its detector bias. ``prepared`` stacks the perturbed amplitudes [rep, d]
     or rho' [rep, d, d] at each point's epsilon, ``weights`` the port weights.
     """
-    mode, _, d = _batch_key(batch[0][0])
+    mode, _, d = _batch_key(owners[0])
     perturbed, kappas = [], []
-    owners = [point for point, start, stop in batch for _ in range(start, stop)]
     for point, rng, target in zip(owners, rngs, targets):
         if mode == "pure":
             perturbed.append(perturb_amplitudes(target, point.sigma_prep, rng)[0])
@@ -340,24 +334,26 @@ def _batch(batch):
     Reconstructions come back as amplitude vectors (pure) or validated
     density matrices (mixed).
     """
-    mode, config, d = _batch_key(batch[0][0])
+    owners = [point for point, start, stop in batch for _ in range(start, stop)]
+    mode, config, _ = _batch_key(owners[0])
     rngs = _streams(batch)
-    amps = _per_repetition(batch, [point.state.amps for point, _, _ in batch])
+    amps = np.array([point.state.amps for point in owners])
     targets = amps if mode == "pure" else amps[:, :, None] * amps.conj()[:, None, :]
     # Each stage's stacked tables are dropped once the next stage has read
     # them, which bounds the memory a batch holds at once.
     build = pauli_table if mode == "pure" else conditional_tables
-    probs = _outcome_tables(build(*_prepared_and_weights(batch, rngs, targets), config), config)
-    copies = _split_copies(_per_repetition(batch, [point.num_copies for point, _, _ in batch]),
-                           probs.shape[1])
+    probs = _outcome_tables(build(*_prepared_and_weights(owners, rngs, targets), config), config)
+    copies = _split_copies(np.array([point.num_copies for point in owners]), probs.shape[1])
     counts = sample_count_tables(probs, copies, rngs)
     del probs
     estimates = _frequencies(counts, copies, config)
     del counts
+    # the probe entries [rep, n, k] of the frequency cells, read in place
+    off_diag, diag11 = lambda_tables(estimates, config)
     if mode == "pure":
-        recons = reconstruct_amplitudes(estimates.reshape(-1, d, 6), config)
+        recons = reconstruct_amplitudes(off_diag[..., 0], diag11[..., 0])
         return trace_distances_pure(targets, recons), recons
-    recons = physicalize_tables(raw_reconstruction(*lambda_tables(estimates, config), config))
+    recons = physicalize_tables(raw_reconstruction(off_diag, diag11, config))
     check_density_matrices(recons)
     return trace_distances(targets, recons), recons
 
@@ -462,12 +458,17 @@ def run_points(points, threads: int = 1):
 
 def _pool(workers: int):
     """A process pool of ``workers`` workers, each running BLAS on one
-    thread. The executor, and the multiprocessing stack it needs, is
-    imported here, so a sweep on one worker never loads it."""
+    thread: forked where an OpenBLAS counter is found, whatever the default
+    start method, as only a forked worker shares its address. The executor,
+    and the multiprocessing stack it needs, is imported here, so a sweep on
+    one worker never loads it."""
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread,
-                               initargs=(_blas_thread_count(),))
+    count = _blas_thread_count()
+    context = None if count is None else multiprocessing.get_context("fork")
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                               initializer=_one_blas_thread, initargs=(count,))
 
 
 def _blas_thread_count():
@@ -489,12 +490,11 @@ def _blas_thread_count():
 def _one_blas_thread(count) -> None:
     """Pool initializer: set OpenBLAS's thread count to 1 in this worker.
 
-    ``count`` is resolved in the parent; a forked worker shares its address,
-    so the write reaches the worker's BLAS, and the parent keeps its own
-    count. Under a start method that pickles ``count`` the write reaches a
-    copy and changes nothing. Calling OpenBLAS's set_num_threads instead
-    would restart its thread pool after the fork, whose new thread spins
-    for about 0.1 s.
+    ``count`` is resolved in the parent, and _pool forks the workers: a
+    forked worker shares its address, so the write reaches the worker's
+    BLAS and the parent keeps its own count. Calling OpenBLAS's
+    set_num_threads instead would restart its thread pool after the fork,
+    whose new thread spins for about 0.1 s.
     """
     if count is not None:
         count.value = 1

@@ -11,9 +11,9 @@ onto |n>. Either way the probe ends in an unnormalized two-component state
 
 with Gamma = sum_m c_m psi'_m, and Pauli-basis probe probabilities expose
 the real and imaginary parts of psi'_n. pauli_table evaluates them, O(d)
-per table and stacked from the port weights c, for the Monte Carlo engine;
-they are also the k = 0 column of the mixed protocol's conditional tables
-on |psi'><psi'|. lambda_tables reads the probe matrix back for both.
+per table, as Pauli cells: the k = 0 column of the mixed protocol's cells
+on |psi'><psi'|. lambda_tables reads the probe entries back from both, and
+reconstruct_amplitudes takes them as raw_reconstruction does.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ def _check_config(config: str) -> None:
 
 
 def pauli_table(amps, weights, config: str) -> np.ndarray:
-    """Probe probabilities (p0, p1, p+, p-, pL, pR) [..., d, 6] of amplitude
-    arrays psi' [..., d] under port weights c [..., d] (states.port_weights),
-    stacked along leading axes; each table rounds as a lone one.
+    """Probe probabilities of amplitude arrays psi' [..., d] under port
+    weights c [..., d] (states.port_weights), as Pauli cells [..., d, basis
+    Z/X/Y, eigenvalue], the layout lambda_tables reads: (p0, p1), (p+, p-),
+    (pL, pR). Stacked along leading axes; each table rounds as a lone one.
 
-    Row n holds P_j = |<j|eta_n>|^2 for the unnormalized probe state eta_n
+    Cell n holds P_j = |<j|eta_n>|^2 for the unnormalized probe state eta_n
     of index n; each basis pair sums to the postselection success
     probability |eta_n|^2. It squares the probe amplitudes, where
     conditional_tables expands |eta_n|^2: a vanishing branch (C2's zero
@@ -52,7 +53,7 @@ def pauli_table(amps, weights, config: str) -> np.ndarray:
     a1 = weights * (amps if config == "C1" else gamma)
     a0 = (gamma if config == "C1" else amps) - a1
     probes = np.stack([a0, a1, a0 + a1, a0 - a1, a0 - 1j * a1, a0 + 1j * a1], axis=-1)
-    return np.abs(probes) ** 2 * [0.5, 0.5, 0.25, 0.25, 0.25, 0.25]
+    return (np.abs(probes) ** 2 * [0.5, 0.5, 0.25, 0.25, 0.25, 0.25]).reshape(*a0.shape, 3, 2)
 
 
 def _check_nominal(nominal, d: int) -> np.ndarray:
@@ -82,22 +83,20 @@ def lambda_tables(pauli, config: str):
     return 0.5 * rotated, pauli[..., 0, 1]
 
 
-def reconstruct_amplitudes(prob_tables, config: str, nominal=None) -> np.ndarray:
-    """Amplitude estimates [..., d] of Pauli tables [..., d, 6] stacked along
-    leading axes, each rounded as a lone table is.
+def reconstruct_amplitudes(off_diag, diag11, nominal=None) -> np.ndarray:
+    """Amplitude estimates [..., d] of the probe entries [..., d] that
+    lambda_tables reads, stacked along leading axes, each rounded alone.
 
-    Each table is laid out as pauli_table returns it. Forms v_n = 2
-    (Lambda''_off + Lambda''_11) = (P_+ - P_- + 2 P_1) +/- i (P_L - P_R) with
-    lambda_tables, divides by the nominal port weights, and renormalizes.
+    Forms v_n = 2 (Lambda''_off + Lambda''_11) = (P_+ - P_- + 2 P_1) +/- i
+    (P_L - P_R), divides by the nominal port weights, and renormalizes.
     The global phase is fixed by making the largest-magnitude amplitude
     real and positive.
     """
-    _check_config(config)
-    d = prob_tables.shape[-2]
-    if d < 2:
-        raise ParameterError("need at least two basis indices")
+    off_diag, diag11 = np.asarray(off_diag, dtype=complex), np.asarray(diag11, dtype=float)
+    d = off_diag.shape[-1] if off_diag.ndim else 0
+    if d < 2 or diag11.shape != off_diag.shape:
+        raise ParameterError("need both probe entries of at least two basis indices")
     nominal = _check_nominal(nominal, d)
-    off_diag, diag11 = lambda_tables(prob_tables.reshape(*prob_tables.shape[:-1], 3, 2), config)
     # halving and doubling are exact, so v rounds as P_+ - P_- + 2 P_1 does
     vec = 2.0 * (off_diag + diag11) / nominal
     if not np.all(np.any(vec, axis=-1)):
@@ -110,5 +109,5 @@ def reconstruct_amplitudes(prob_tables, config: str, nominal=None) -> np.ndarray
 
 
 def reconstruct_pure(prob_table, config: str, nominal=None) -> PureState:
-    """reconstruct_amplitudes of one table, as a validated state."""
-    return PureState(reconstruct_amplitudes(prob_table, config, nominal))
+    """reconstruct_amplitudes of one table of Pauli cells [d, 3, 2], a state."""
+    return PureState(reconstruct_amplitudes(*lambda_tables(prob_table, config), nominal))

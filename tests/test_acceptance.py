@@ -143,7 +143,7 @@ def test_criterion_02_oracle_equivalence():
                 for n in range(d):
                     ref = _reference_pauli(*joint_probe(psi.amps, coeffs[0], n))
                     worst = max(worst, float(np.max(np.abs(
-                        table[n] - [ref[key] for key in "01+-LR"]))))
+                        table[n].ravel() - [ref[key] for key in "01+-LR"]))))
                     for k in range(d):
                         got = np.array([[m00[n, k], m01[n, k]],
                                         [np.conj(m01[n, k]), m11[n, k]]])

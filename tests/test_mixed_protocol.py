@@ -113,7 +113,7 @@ def test_pure_projector_conditional_equals_probe_outer_product(rng):
             ref = _reference_pauli(*probe(psi.amps, coeffs[0], n))
             assert np.max(np.abs(mixed[n] - [ref[key] for key in "01+-LR"])) < 1e-12
         # the closed form the engine evaluates instead
-        assert np.max(np.abs(mixed - pauli_table(psi.amps, weights, config))) < 1e-15
+        assert np.max(np.abs(mixed - pauli_table(psi.amps, weights, config).reshape(d, 6))) < 1e-15
 
 
 def test_conditionals_are_hermitian_with_real_diagonal(rng):

@@ -51,7 +51,7 @@ GHZ = standard_state("ghz", 3)
 
 def pure_outcomes(psi, weights, config):
     """Outcome table of a pure repetition: one row per setting."""
-    pauli = pauli_table(psi.amps, weights, config)[:, None, :]
+    pauli = pauli_table(psi.amps, weights, config).reshape(-1, 1, 6)
     return reference_outcome_table(reference_setting_rows(pauli, config))
 
 
@@ -136,7 +136,7 @@ def test_pure_estimator_consistency_with_expected_counts(config):
     probs = pure_outcomes(psi, weights, config)
     copies = _split_copies(1200, probs.shape[0])
     table = reference_frequencies(probs * copies[:, None], copies, config, d)[:, 0, :]
-    recon = reconstruct_pure(table, config=config)
+    recon = reconstruct_pure(table.reshape(d, 3, 2), config=config)
     analytic = reconstruct_pure(pauli_table(psi.amps, weights, config), config=config)
     assert trace_distance_pure(recon, analytic) < 1e-10
 
@@ -160,14 +160,14 @@ def test_zero_success_counts_propagate_degenerate_error():
     copies = _split_copies(6, 3 * d)
     counts = np.zeros((3 * d, 3), dtype=np.int64)
     counts[:, -1] = copies                  # every copy failed postselection
-    table = reference_frequencies(counts, copies, "C1", d)[:, 0, :]
+    table = reference_frequencies(counts, copies, "C1", d)[:, 0, :].reshape(d, 3, 2)
     with pytest.raises(DegenerateDataError):
         reconstruct_pure(table, config="C1")
 
 
 def _synthetic_sources(mode, d, reps, gen):
     """Conditional tables (m00, m01, m11) of ``reps`` repetitions: [rep, d, d]
-    (mixed) or a k = 0 column [rep, d, 1] (pure), whose Pauli rows stand in
+    (mixed) or a k = 0 column [rep, d, 1] (pure), whose Pauli cells stand in
     for a pure batch's probe tables.
 
     The cells of a repetition sum to one, so every setting row of either
@@ -197,8 +197,9 @@ def test_one_layout_matches_two_layout_reference(mode, config, d, reps):
     source = _synthetic_sources(mode, d, reps, np.random.default_rng([d, reps]))
     pauli = reference_pauli_from_conditionals(*source)
     expected = reference_outcome_table(reference_setting_rows(pauli, config))
-    # pure batches come as Pauli rows [rep, n, 6], mixed ones as conditionals
-    probs = montecarlo._outcome_tables(pauli[:, :, 0] if mode == "pure" else source, config)
+    # pure batches come as Pauli cells [rep, n, 3, 2], mixed ones as conditionals
+    probs = montecarlo._outcome_tables(
+        pauli[:, :, 0].reshape(reps, d, 3, 2) if mode == "pure" else source, config)
     assert np.array_equal(probs, expected)
     assert probs[-1].min() == 0.0
     settings = probs.shape[1]
@@ -217,10 +218,10 @@ def test_one_layout_matches_two_layout_reference(mode, config, d, reps):
         assert not np.any(reference_setting_rows(reference, config)[:, copies == 0])
         if mode == "pure":
             assert np.array_equal(estimates.reshape(-1, d, 6), reference[:, :, 0, :])
-        else:
-            for read, ref in zip(lambda_tables(estimates, config),
-                                 reference_lambda_tables(reference, config)):
-                assert np.array_equal(read, ref)
+        # both modes read their probe entries from these cells
+        for read, ref in zip(lambda_tables(estimates, config),
+                             reference_lambda_tables(reference, config)):
+            assert np.array_equal(read, ref)
 
 
 def lone_draws(point, rep, d):
@@ -247,9 +248,9 @@ def test_pure_tables_are_lone_pauli_tables(config, num_qubits):
               for index, state in enumerate([standard_state("ghz", num_qubits),
                                              standard_state("haar", num_qubits, seed=5)])]
     batch = [(points[0], 0, 3), (points[1], 1, 3)]
-    amps = [point.state.amps for point, start, stop in batch for _ in range(start, stop)]
+    owners = [point for point, start, stop in batch for _ in range(start, stop)]
     prepared, weights = montecarlo._prepared_and_weights(
-        batch, montecarlo._streams(batch), np.array(amps))
+        owners, montecarlo._streams(batch), np.array([point.state.amps for point in owners]))
     assert prepared.shape == weights.shape == (5, d)
     lone_amps, lone_weights = zip(*(lone_draws(point, rep, d) for point, start, stop in batch
                                     for rep in range(start, stop)))
@@ -269,11 +270,11 @@ def test_mixed_inputs_are_lone_draws():
               for index, state in enumerate([standard_state("ghz", 3),
                                              standard_state("haar", 3, seed=5)])]
     batch = [(points[0], 0, 3), (points[1], 1, 3)]
-    amps = np.array([point.state.amps for point, start, stop in batch
-                     for _ in range(start, stop)])
+    owners = [point for point, start, stop in batch for _ in range(start, stop)]
+    amps = np.array([point.state.amps for point in owners])
     targets = amps[:, :, None] * amps.conj()[:, None, :]
     prepared, weights = montecarlo._prepared_and_weights(
-        batch, montecarlo._streams(batch), targets)
+        owners, montecarlo._streams(batch), targets)
     assert prepared.shape == (5, 8, 8) and weights.shape == (5, 8)
     lone_rhos, lone_weights = zip(*(lone_draws(point, rep, 8) for point, start, stop in batch
                                     for rep in range(start, stop)))
@@ -703,6 +704,53 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     finally:
         pool.shutdown()
     assert montecarlo._blas_thread_count().value == before
+
+
+_WORKER_PROBE = """
+from dsmsim import montecarlo
+
+BARRIER = None   # set before the pool forks; a spawned worker has none
+
+
+def blas_threads(_):
+    if BARRIER is not None:
+        BARRIER.wait(timeout=60)
+    return montecarlo._blas_thread_count().value
+"""
+
+_COUNTS_UNDER_START_METHOD = """
+import json, multiprocessing, sys
+import probe
+from dsmsim import montecarlo
+multiprocessing.set_start_method(sys.argv[1], force=True)
+before = montecarlo._blas_thread_count().value
+probe.BARRIER = multiprocessing.get_context("fork").Barrier(2)
+pool = montecarlo._pool(2)
+try:
+    counts = list(pool.map(probe.blas_threads, range(2), timeout=120))
+finally:
+    pool.shutdown()
+print(json.dumps([before, counts, montecarlo._blas_thread_count().value]))
+"""
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_pool_workers_run_one_blas_thread_under_any_start_method(method, tmp_path):
+    """Under a default start method that pickles the pool's initializer
+    arguments (forkserver, Linux's default from Python 3.14, and spawn),
+    every worker still runs one BLAS thread and the parent keeps its own."""
+    if montecarlo._blas_thread_count() is None:
+        pytest.skip("this process has no OpenBLAS thread counter")
+    (tmp_path / "probe.py").write_text(_WORKER_PROBE)
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(tmp_path), src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _COUNTS_UNDER_START_METHOD, method],
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=300).stdout
+    before, counts, after = json.loads(out)
+    assert counts == [1, 1]
+    assert after == before
 
 
 @pytest.mark.parametrize("maps", [
