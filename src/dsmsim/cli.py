@@ -3,7 +3,7 @@
 Subcommands: ``run`` executes a JSON sweep configuration, ``preset`` runs
 one of the packaged figure configurations, ``validate`` checks a
 configuration without running it. Exit codes: 0 success, 1 validation
-error, 2 runtime error.
+error (a malformed command line included), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -111,7 +111,12 @@ def _execute(config: ExperimentConfig, out: Path, threads: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a malformed command line, a validation error
+        # here, and 0 after --help
+        return 1 if exc.code else 0
     try:
         if args.command == "validate":
             load_config(args.config)

@@ -244,15 +244,25 @@ _DEFAULTS = {
 }
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, rejecting a key given twice, which
+    ``json.loads`` would otherwise resolve silently to its last value."""
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    _require(not repeated, f"keys given more than once: {repeated}")
+    return dict(pairs)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Strict parse of a flat JSON key-value document; unknown keys fail.
 
     Value rules belong to ``ExperimentConfig``; this adds the rules that
-    need the document: no unknown or null key, no noise key of the other
-    mode and no scalar beside the sweep that replaces it, even at 0.
+    need the document: no repeated, unknown or null key, no noise key of
+    the other mode and no scalar beside the sweep that replaces it, even
+    at 0.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "configuration must be a JSON object")
@@ -275,7 +285,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as handle:
-        return parse_config(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"configuration is not UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 class FigureRunError(RuntimeError):

@@ -116,8 +116,8 @@ def qfi_noisy(psi: PureState, deltas) -> QfiReport:
 
 def norm_const_samples(psi: PureState, sigma: float, reps: int, rng) -> np.ndarray:
     """Realized normalization constants under real per-amplitude noise."""
-    if sigma < 0:
-        raise ParameterError("sigma must be nonnegative")
+    if not 0.0 <= sigma < np.inf:
+        raise ParameterError("sigma must be finite and nonnegative")
     if reps < 1:
         raise ParameterError("need at least one draw")
     deltas = sigma * rng.standard_normal((reps, psi.dim))

@@ -16,13 +16,15 @@ counting passes compare them in.
 
 Two layouts count the same copies, chosen by the copy count alone. Tables
 may split their copies differently; consecutive tables that split them
-alike are counted as one run. Settings with many copies are counted one at
-a time in fixed-size chunks. Settings with few copies are counted for all
-tables of a run together, in passes over blocks of consecutive copy slots:
-each pass compares those slots' variates of every row of a group of tables
-with all its edges at once. The block width follows from the shape alone:
-a few slots when the group has many rows and edges (the fig4 sweep), up to
-every slot when it has few.
+alike are counted as one run. Either layout counts a run of tables into
+that run's rows of one [table, setting, edge] array, which each call
+allocates once. Settings with many copies are counted one at a time in
+fixed-size chunks. Settings with few copies are counted for all tables of
+a run together, in passes over blocks of consecutive copy slots: each pass
+compares those slots' variates of every row of a group of tables with all
+its edges at once. The block width follows from the shape alone: a few
+slots when the group has many rows and edges (the fig4 sweep), up to every
+slot when it has few.
 """
 
 from __future__ import annotations
@@ -97,8 +99,9 @@ def _block_shape(tables, settings, width, count) -> tuple:
     return size, min(width, max(1, CHUNK // (size * settings * (count + 8))))
 
 
-def _below_blocks(probs, copies, rngs) -> np.ndarray:
-    """Copies below each edge of stacked tables, for settings with few copies each.
+def _below_blocks(probs, copies, rngs, below) -> None:
+    """Copies below each edge of a run of tables, written into ``below``,
+    for settings with few copies each.
 
     Groups of tables are counted together. Each table draws all its copies
     from its stream in one call; a pass then gathers a block of consecutive
@@ -106,8 +109,11 @@ def _below_blocks(probs, copies, rngs) -> np.ndarray:
     which lies below no edge) and compares them with every edge of the
     group at once, taken as the group's running sums [edge, row].
     """
-    tables, settings, count = probs[..., :-1].shape
-    width, total = int(copies.max()), int(copies.sum())
+    tables, settings, count = below.shape
+    width, total = int(copies.max(initial=0)), int(copies.sum())
+    if width == 0:
+        below[...] = 0
+        return
     size, step = _block_shape(tables, settings, width, count)
     # slot j of setting s reads draw starts[s] + j of its table, or the +inf
     # past the table's draws; the group's table t starts offsets[t] into the
@@ -120,7 +126,6 @@ def _below_blocks(probs, copies, rngs) -> np.ndarray:
     draws[:, total] = np.inf
     # no count exceeds the width, so the narrowest type that holds it will do
     tally = np.min_scalar_type(width)
-    below = np.empty((tables, settings, count), dtype=np.int64)
     for start in range(0, tables, size):
         stop = min(start + size, tables)
         rows = (stop - start) * settings
@@ -134,37 +139,27 @@ def _below_blocks(probs, copies, rngs) -> np.ndarray:
             block = draws.take(cells).reshape(-1, 1, rows)
             counted += np.less(block, group).view(np.uint8).sum(axis=0, dtype=tally)
         below[start:stop] = counted.T.reshape(stop - start, settings, count)
-    return below
 
 
-def _below_chunked(edges, copies, rng) -> np.ndarray:
-    """Copies below each edge [edge, setting] of a table, one setting at a
-    time in fixed-size chunks; returns [setting, edge]."""
-    below = np.zeros(edges.shape[::-1], dtype=np.int64)
+def _below_chunked(probs, copies, rngs, below) -> None:
+    """Copies below each edge of a run of tables, written into ``below``,
+    one table and setting at a time in fixed-size chunks."""
+    below[...] = 0
     size = min(CHUNK, int(copies.max()))
     variates = np.empty(size)
     mask = np.empty(size, dtype=bool)
-    for row, count in enumerate(copies.tolist()):
-        while count > 0:
-            step = min(count, size)
-            chunk, hits = variates[:step], mask[:step]
-            rng.random(out=chunk)
-            for col, edge in enumerate(edges[:, row].tolist()):
-                np.less(chunk, edge, out=hits)
-                below[row, col] += np.count_nonzero(hits)
-            count -= step
-    return below
-
-
-def _below_run(probs, copies, rngs) -> np.ndarray:
-    """Copies below each edge of stacked tables whose rows all take
-    ``copies``, in slot blocks or in chunks."""
-    if not copies.any():
-        return np.zeros(probs[..., :-1].shape, dtype=np.int64)
-    if int(copies.max()) > BATCH_COPIES:
-        return np.array([_below_chunked(_running_sums(table[:, :-1]), copies, rng)
-                         for table, rng in zip(probs, rngs)])
-    return _below_blocks(probs, copies, rngs)
+    copies = copies.tolist()
+    for table, rng, counted in zip(probs, rngs, below):
+        edges = _running_sums(table[:, :-1])
+        for row, count in enumerate(copies):
+            while count > 0:
+                step = min(count, size)
+                chunk, hits = variates[:step], mask[:step]
+                rng.random(out=chunk)
+                for col, edge in enumerate(edges[:, row].tolist()):
+                    np.less(chunk, edge, out=hits)
+                    counted[row, col] += np.count_nonzero(hits)
+                count -= step
 
 
 def _runs(copies):
@@ -184,8 +179,9 @@ def sample_count_tables(probs, copies, rngs) -> np.ndarray:
     equal the per-copy inverse-CDF lookup of those variates, so any split of
     the rows or tables into calls gives the same counts from the same
     streams. Consecutive tables that split their copies alike are counted
-    together: with few copies per row in blocks of copy slots across the
-    tables, with many row by row in fixed-size chunks.
+    together, into their rows of one array: with few copies per row in
+    blocks of copy slots across the tables, with many row by row in
+    fixed-size chunks.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if np.asarray(copies).dtype.kind not in "iu":   # a cast would count 2.5 copies as 2
@@ -199,11 +195,11 @@ def sample_count_tables(probs, copies, rngs) -> np.ndarray:
         raise ParameterError("copy count must be nonnegative")
     copies = np.broadcast_to(copies, probs.shape[:2])
     # the last edge, +inf, is left out: every remaining copy lands on the
-    # last outcome. A lone run's array is taken as it is, so a call whose
-    # tables all split their copies alike builds no second one.
-    below = [_below_run(probs[start:stop], copies[start], rngs[start:stop])
-             for start, stop in _runs(copies)]
-    below = below[0] if len(below) == 1 else np.concatenate(below)
+    # last outcome. Each run counts into its own rows of one array.
+    below = np.empty(probs[..., :-1].shape, dtype=np.int64)
+    for start, stop in _runs(copies):
+        layout = _below_chunked if copies[start].max(initial=0) > BATCH_COPIES else _below_blocks
+        layout(probs[start:stop], copies[start], rngs[start:stop], below[start:stop])
     # outcome j holds the copies below edge j and not below edge j - 1
     counts = np.empty(probs.shape, dtype=np.int64)
     counts[..., :-1] = below

@@ -82,6 +82,27 @@ def test_nonpositive_threads_is_validation_error(tiny_config, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_utf8_config_is_validation_error(tmp_path, capsys, command):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["run", "tiny.json", "--threads", "abc"], 1),
+    (["preset", "fig9"], 1),
+    ([], 1),
+    (["--help"], 0),
+], ids=["threads-not-int", "unknown-preset", "no-subcommand", "help"])
+def test_command_line_exit_codes(capsys, argv, code):
+    assert main(argv) == code
+    assert ("error:" in capsys.readouterr().err) == bool(code)
+
+
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_unwritable_out_rejected_before_the_sweep(tiny_config, tmp_path, capsys,
                                                   monkeypatch, where):

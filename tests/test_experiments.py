@@ -100,6 +100,7 @@ def test_sigma_prep_rejected_in_mixed_mode():
     '{"mode": "mixed", "epsilon": 0.1, "epsilon_sweep": [0.0]}',
     '{"sigma_sweep": null}',
     '{"state_kind": "w", "num_qubits": 1}',
+    '{"repetitions": 5, "repetitions": 7}',
     pytest.param('{"sigma_post": 1%s}' % ("0" * 400), id="sigma_post-beyond-float"),
 ])
 def test_invalid_documents_rejected(doc):

@@ -173,6 +173,12 @@ def test_qfi_noisy_matches_finite_differences(rng):
             assert abs(fd - report.per_component[n]) / report.per_component[n] < 1e-5
 
 
+@pytest.mark.parametrize("sigma", [-0.1, np.nan, np.inf])
+def test_norm_const_samples_rejects_bad_sigma(sigma):
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
+        norm_const_samples(GHZ, sigma, 10, np.random.default_rng(0))
+
+
 def test_norm_const_samples_zero_sigma_and_reproducibility():
     psi = standard_state("haar", 3, seed=11)
     values = norm_const_samples(psi, 0.0, 100, np.random.default_rng(0))

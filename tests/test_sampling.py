@@ -35,6 +35,8 @@ def test_distribution_validation():
 
 def test_zero_copies_gives_zero_counts(rng):
     assert np.array_equal(one_row_counts(COIN, 0, rng), np.zeros(2, dtype=np.int64))
+    # a one-outcome table has no edges, and here no copies either
+    assert one_row_counts([1.0], 0, rng).tolist() == [0]
 
 
 def test_deterministic_outcome(rng):
