@@ -196,8 +196,8 @@ class ExperimentConfig:
                      f"{key} does not apply to {self.mode} mode")
 
         budgets = _nonempty(self.copy_budgets, "copy_budgets")
-        _require(all(_is_int(n) and n >= 1 for n in budgets),
-                 "copy_budgets entries must be positive integers")
+        _require(all(_is_int(n) and 1 <= n <= np.iinfo(np.int64).max for n in budgets),
+                 "copy_budgets entries must be positive integers below 2**63")
         store("copy_budgets", budgets)
         _require(isinstance(self.norm_grid, (list, tuple)) and len(self.norm_grid) == 3,
                  "norm_grid must be [low, high, points]")

@@ -148,10 +148,13 @@ class ExperimentPoint:
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}")
         _check_config(self.config)
+        if not isinstance(self.state, PureState):
+            raise ParameterError("state must be a PureState")
         if not (_is_count(self.repetitions) and self.repetitions >= 1):
             raise ParameterError("repetitions must be a positive integer")
-        if not (_is_count(self.num_copies) and self.num_copies >= 1):
-            raise ParameterError("copy budget must be a positive integer")
+        # the sampler counts copies in int64
+        if not (_is_count(self.num_copies) and 1 <= self.num_copies <= np.iinfo(np.int64).max):
+            raise ParameterError("copy budget must be a positive integer below 2**63")
         # what SeedSequence accepts as integer entropy, bools included; a
         # negative value or a float would break the split into 32-bit words
         if not (isinstance(self.seed_entropy, tuple) and all(

@@ -17,14 +17,15 @@ counting passes compare them in.
 Two layouts count the same copies, chosen by the copy count alone. Tables
 may split their copies differently; consecutive tables that split them
 alike are counted as one run. Either layout counts a run of tables into
-that run's rows of one [table, setting, edge] array, which each call
-allocates once. Settings with many copies are counted one at a time in
-fixed-size chunks. Settings with few copies are counted for all tables of
-a run together, in passes over blocks of consecutive copy slots: each pass
-compares those slots' variates of every row of a group of tables with all
-its edges at once. The block width follows from the shape alone: a few
-slots when the group has many rows and edges (the fig4 sweep), up to every
-slot when it has few.
+that run's rows of the edge columns of the [table, setting, outcome] array
+the call returns, and one in-place difference of neighbouring columns then
+turns those edge tallies into outcome counts. Settings with many copies
+are counted one at a time in fixed-size chunks. Settings with few copies
+are counted for all tables of a run together, in passes over blocks of
+consecutive copy slots: each pass compares those slots' variates of every
+row of a group of tables with all its edges at once. The block width
+follows from the shape alone: a few slots when the group has many rows and
+edges (the fig4 sweep), up to every slot when it has few.
 """
 
 from __future__ import annotations
@@ -51,14 +52,14 @@ def _checked(probs: np.ndarray) -> np.ndarray:
     """The checks of check_outcome_table, clamping ``probs`` in place."""
     if not np.all(np.isfinite(probs)):
         raise PhysicsError("outcome probabilities must be finite")
-    low = float(probs.min())
+    low = float(probs.min(initial=0.0))
     if low < PROB_NEG_ATOL:
         raise PhysicsError(f"negative outcome probability: {low!r}")
     np.clip(probs, 0.0, None, out=probs)
     totals = probs.sum(axis=-1).ravel()
-    worst = int(np.argmax(np.abs(totals - 1.0)))
-    if abs(totals[worst] - 1.0) > PROB_SUM_ATOL:
-        raise PhysicsError(f"outcome probabilities sum to {float(totals[worst])!r}, not 1")
+    gaps = np.abs(totals - 1.0)
+    if gaps.max(initial=0.0) > PROB_SUM_ATOL:
+        raise PhysicsError(f"outcome probabilities sum to {float(totals[gaps.argmax()])!r}, not 1")
     return probs
 
 
@@ -162,12 +163,6 @@ def _below_chunked(probs, copies, rngs, below) -> None:
                 count -= step
 
 
-def _runs(copies):
-    """(start, stop) of every run of consecutive tables with equal copies."""
-    cuts = (np.flatnonzero((copies[1:] != copies[:-1]).any(axis=1)) + 1).tolist()
-    return zip([0, *cuts], [*cuts, len(copies)])
-
-
 def sample_count_tables(probs, copies, rngs) -> np.ndarray:
     """Outcome counts for every row of stacked, validated probability tables.
 
@@ -179,9 +174,9 @@ def sample_count_tables(probs, copies, rngs) -> np.ndarray:
     equal the per-copy inverse-CDF lookup of those variates, so any split of
     the rows or tables into calls gives the same counts from the same
     streams. Consecutive tables that split their copies alike are counted
-    together, into their rows of one array: with few copies per row in
-    blocks of copy slots across the tables, with many row by row in
-    fixed-size chunks.
+    together, into their rows of the returned array's edge columns: with
+    few copies per row in blocks of copy slots across the tables, with many
+    row by row in fixed-size chunks. A stack of zero tables gives zero rows.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if np.asarray(copies).dtype.kind not in "iu":   # a cast would count 2.5 copies as 2
@@ -194,15 +189,17 @@ def sample_count_tables(probs, copies, rngs) -> np.ndarray:
     if np.any(copies < 0):
         raise ParameterError("copy count must be nonnegative")
     copies = np.broadcast_to(copies, probs.shape[:2])
-    # the last edge, +inf, is left out: every remaining copy lands on the
-    # last outcome. Each run counts into its own rows of one array.
-    below = np.empty(probs[..., :-1].shape, dtype=np.int64)
-    for start, stop in _runs(copies):
-        layout = _below_chunked if copies[start].max(initial=0) > BATCH_COPIES else _below_blocks
-        layout(probs[start:stop], copies[start], rngs[start:stop], below[start:stop])
-    # outcome j holds the copies below edge j and not below edge j - 1
+    # the last edge, +inf, is left out: every copy lies below it. Each run
+    # counts into its own rows of the edge columns; a run starts wherever a
+    # table splits its copies unlike the one before (copies are nonnegative,
+    # so the first table always starts one)
     counts = np.empty(probs.shape, dtype=np.int64)
-    counts[..., :-1] = below
     counts[..., -1] = copies
-    counts[..., 1:] -= below
+    starts = np.flatnonzero(np.diff(copies, axis=0, prepend=-1).any(axis=1)).tolist()
+    for start, stop in zip(starts, [*starts[1:], len(copies)]):
+        layout = _below_chunked if copies[start].max(initial=0) > BATCH_COPIES else _below_blocks
+        layout(probs[start:stop], copies[start], rngs[start:stop], counts[start:stop, :, :-1])
+    # outcome j holds the copies below edge j and not below edge j - 1; the
+    # overlapping operands make NumPy subtract a copy of the edge columns
+    counts[..., 1:] -= counts[..., :-1]
     return counts

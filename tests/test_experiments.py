@@ -86,6 +86,8 @@ def test_sigma_prep_rejected_in_mixed_mode():
     '{"repetitions": true}',
     '{"master_seed": -3}',
     '{"copy_budgets": [true]}',
+    '{"copy_budgets": [100000000000000000000], "num_qubits": 1, "repetitions": 1}',
+    '{"copy_budgets": [9223372036854775808]}',
     '{"sigma_post": Infinity}',
     '{"sigma_sweep": [Infinity]}',
     '{"task": "qfi", "norm_grid": [0.5, Infinity, 10]}',
@@ -113,8 +115,9 @@ def test_invalid_documents_rejected(doc):
     lambda: dataclasses.replace(parse_config("{}"), repetitions=0),
     lambda: ExperimentConfig(mode="mixed", sigma_prep=0.2),
     lambda: ExperimentConfig(task="qfi", copy_budgets=(10,)),
+    lambda: ExperimentConfig(copy_budgets=(2**63,)),
 ], ids=["scalar-beside-sweep", "replace-repetitions", "mixed-sigma-prep",
-        "other-task-key"])
+        "other-task-key", "copy-budget-beyond-int64"])
 def test_direct_construction_held_to_document_rules(build):
     with pytest.raises(ConfigError):
         build()

@@ -439,13 +439,16 @@ def test_experiment_point_validation():
                         repetitions=0, seed_entropy=(1,))
     # the other mode's preparation noise, which the engine would ignore,
     # negative or infinite noise, epsilon outside [0, 1], an empty copy
-    # budget and counts that are not integers
+    # budget, one the sampler's int64 counts cannot hold, counts that are
+    # not integers and a state that is not a PureState
     invalid = [("mixed", dict(sigma_prep=0.3)), ("pure", dict(epsilon=0.9)),
                  ("pure", dict(sigma_prep=-0.1)), ("mixed", dict(sigma_post=-0.1)),
                  ("pure", dict(sigma_prep=np.inf)), ("pure", dict(sigma_post=np.inf)),
                  ("mixed", dict(epsilon=1.5)), ("mixed", dict(epsilon=-0.1)),
                  ("pure", dict(num_copies=0)), ("pure", dict(num_copies=100.5)),
-                 ("pure", dict(repetitions=True))]
+                 ("pure", dict(repetitions=True)), ("pure", dict(num_copies=2**63)),
+                 ("pure", dict(num_copies=10**20)), ("pure", dict(state=GHZ.amps)),
+                 ("mixed", dict(state=GHZ.amps))]
     # noise levels that are bools (run as 1) or not real numbers
     invalid += [("pure", dict(sigma_prep=True)), ("pure", dict(sigma_post=np.True_)),
                 ("mixed", dict(epsilon=True)), ("pure", dict(sigma_post="0.1")),
@@ -469,6 +472,9 @@ def test_experiment_point_validation():
                     seed_entropy=(1,), sigma_prep=np.int64(0), sigma_post=np.float32(0.1))
     ExperimentPoint(mode="pure", config="C1", state=GHZ, num_copies=10, repetitions=1,
                     seed_entropy=(1,), sigma_prep=0.1, sigma_post=0.1)
+    # so is the largest budget int64 holds
+    ExperimentPoint(mode="pure", config="C1", state=GHZ, num_copies=2**63 - 1,
+                    repetitions=1, seed_entropy=(1,))
     # as is every integer SeedSequence takes, bools and NumPy integers included
     for entropy in ((), (0,), (True, False), (np.int64(7), np.uint64(2**64 - 1)),
                     (2**100,)):

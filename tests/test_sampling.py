@@ -31,6 +31,10 @@ def test_distribution_validation():
         check_outcome_table([np.nan, 1.0])
     # rounding-scale negatives are clamped
     assert check_outcome_table([1.0 + 5e-13, -5e-13])[0, 1] == 0.0
+    # a stack of no rows is valid; a row of no outcomes sums to 0, not 1
+    assert check_outcome_table(np.zeros((0, 3))).shape == (0, 3)
+    with pytest.raises(PhysicsError):
+        check_outcome_table([])
 
 
 def test_zero_copies_gives_zero_counts(rng):
@@ -42,6 +46,19 @@ def test_zero_copies_gives_zero_counts(rng):
 def test_deterministic_outcome(rng):
     assert one_row_counts([1.0], 7, rng).tolist() == [7]
     assert one_row_counts([1.0], BATCH_COPIES + 1, rng).tolist() == [BATCH_COPIES + 1]
+
+
+def test_empty_stacks_give_empty_counts():
+    # zero tables, with copies per row or per setting
+    for copies in (np.zeros((0, 3), dtype=np.int64), np.array([5, 0, BATCH_COPIES + 1])):
+        counts = sample_count_tables(np.zeros((0, 3, 2)), copies, [])
+        assert counts.shape == (0, 3, 2) and counts.dtype == np.int64
+    # tables of zero settings draw nothing from their streams
+    streams = [np.random.default_rng(seed) for seed in range(2)]
+    counts = sample_count_tables(np.zeros((2, 0, 3)), np.zeros((2, 0), dtype=np.int64), streams)
+    assert counts.shape == (2, 0, 3)
+    assert [stream.random() for stream in streams] == [
+        np.random.default_rng(seed).random() for seed in range(2)]
 
 
 @pytest.mark.parametrize("width", [7, BATCH_COPIES + 1])
