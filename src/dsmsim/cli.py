@@ -41,13 +41,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the configuration's master seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker processes (at least 1, at most the "
-                            "usable CPUs); each takes batches of Monte Carlo "
-                            "repetitions, which span consecutive grid points "
-                            "with the same mode, configuration and dimension. "
-                            "1 runs in this process with no pool; pool "
-                            "workers run BLAS on one thread each, so they "
-                            "do not oversubscribe the CPUs")
+                       help="workers (at least 1, at most the usable "
+                            "CPUs): this process and one helper process per "
+                            "further worker, each claiming the next batch of "
+                            "Monte Carlo repetitions, which span consecutive "
+                            "grid points with the same mode, configuration "
+                            "and dimension. 1 runs in this process alone; on "
+                            "more, every worker, this process included, runs "
+                            "BLAS on one thread, so they do not "
+                            "oversubscribe the CPUs")
         p.add_argument("--out", type=str, default=None,
                        help="output path (.csv or .json); overrides the "
                             "configuration's output_path")

@@ -162,6 +162,10 @@ class ExperimentConfig:
             value = getattr(self, key)
             _require(_is_int(value) and value >= minimum,
                      f"{key} must be an integer >= {minimum}")
+        # the state's 2**n complex128 amplitudes need a byte count NumPy can
+        # index: n <= 58 where np.intp has 64 bits
+        most = (np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize).bit_length() - 1
+        _require(self.num_qubits <= most, f"num_qubits must be at most {most}")
         _require(isinstance(self.output_path, str) and self.output_path,
                  "output_path must be a nonempty string")
 

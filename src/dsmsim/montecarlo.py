@@ -24,7 +24,7 @@ Repetitions run in batches. Consecutive grid points that share mode,
 configuration and dimension pool their repetitions, in order, and the pool
 is cut into batches of a bounded size and of at most each worker's share
 of the sweep's repetitions, so a sweep of many points with few repetitions
-each runs as a few large batches; worker processes take whole batches.
+each runs as a few large batches; workers take whole batches.
 Each repetition draws its noise and its uniforms from its own stream, in
 the order of a lone repetition, and takes its noise levels, states and
 copy budget from its own point; every other stage runs once per batch on
@@ -34,15 +34,19 @@ repetitions are batched. A batch that raises is replayed one repetition at
 a time, so the error is the one a lone repetition loop meets first, and
 the points before it keep their results.
 
-On one worker the batches run in this process, and the process pool,
-with concurrent.futures and multiprocessing, is never imported (_pool).
-Pool workers run OpenBLAS on one thread each: the workers already share
-out the CPUs, and at d >= 48 two-threaded BLAS in each of two workers
-made the sweep several times slower than one worker.
+On one worker the batches run in this process, and multiprocessing is
+never imported. On more, this process is one of the workers: it and
+workers - 1 helper processes each claim the next batch from one shared
+counter, and the helpers send their distances back over pipes (_shared).
+Every worker, this process included, runs OpenBLAS on one thread while it
+runs batches: the workers already share out the CPUs, and at d >= 48
+two-threaded BLAS in each of two workers made the sweep several times
+slower than one worker.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 from dataclasses import dataclass
@@ -362,7 +366,7 @@ def _batch(batch):
 
 
 def _distances(batch) -> tuple:
-    """Distances of a batch's repetitions; the task sent to a worker.
+    """Distances of a batch's repetitions; what a worker runs per batch.
 
     Returns (distances, None), or, when a repetition raises, the distances
     of the repetitions before it and its exception: returning the error
@@ -420,28 +424,25 @@ def run_points(points, threads: int = 1):
     each runs as few large array passes. No batch holds more than each
     worker's share of the sweep's repetitions, ceil(total / workers), so a
     sweep of few batches still spreads over the workers. On one worker the
-    batches run in this process; on more, all are mapped at once over a
-    process pool. Each point is yielded once its own repetitions are back,
-    and a failing repetition raises when its point is reached. The pool is
-    shut down when the generator ends, raises or is closed, which cancels
-    the batches that have not started. Distances are reassembled in
-    repetition order, so neither the worker count nor the batching changes
-    a result.
+    batches run in this process, one after another; on more, this process
+    and helper processes claim them from one shared counter (_shared).
+    Each point is yielded once its own repetitions are back, and a failing
+    repetition raises when its point is reached. Distances are reassembled
+    in repetition order, so neither the worker count nor the batching
+    changes a result.
     """
     if not (_is_count(threads) and threads >= 1):
         raise ParameterError("threads must be a positive integer")
     points = list(points)
     total = sum(point.repetitions for point in points)
-    # no more workers than repetitions nor usable CPUs: under the fork start
-    # method a pool starts all its workers at the first task, and more
-    # workers than CPUs only compete for them
+    # no more workers than repetitions nor usable CPUs: more workers than
+    # CPUs only compete for them
     workers = min(threads, total, _usable_cpus())
     batches = _batches(points, -(-total // max(workers, 1)))
     # shares round up, so a sweep may cut into fewer batches than workers
     workers = min(workers, len(batches))
-    pool = _pool(workers) if workers > 1 else None
+    done = _shared(batches, workers) if workers > 1 else map(_distances, batches)
     try:
-        done = map(_distances, batches) if pool is None else pool.map(_distances, batches)
         distances = []                      # of the point being assembled
         for batch, (values, error) in zip(batches, done):
             position = 0
@@ -455,23 +456,106 @@ def run_points(points, threads: int = 1):
                     yield RunResult(distances=np.array(distances))
                     distances = []
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        if workers > 1:
+            done.close()
 
 
-def _pool(workers: int):
-    """A process pool of ``workers`` workers, each running BLAS on one
-    thread: forked where an OpenBLAS counter is found, whatever the default
-    start method, as only a forked worker shares its address. The executor,
-    and the multiprocessing stack it needs, is imported here, so a sweep on
-    one worker never loads it."""
+def _shared(batches, workers: int):
+    """Yield _distances of every batch, in batch order, run by this process
+    and ``workers - 1`` helper processes.
+
+    Each process claims the next batch from one shared counter, so whoever
+    is free takes it, and a helper sends (index, distances) over its own
+    pipe. A failed batch, or a helper that exits with an error, moves the
+    counter past the last batch, so nothing more is claimed; a batch that a
+    helper took with it raises when it is reached, naming the helper's exit
+    code. Every process runs BLAS on one thread while it runs batches: the
+    workers already share out the CPUs, and at d >= 48 two-threaded BLAS in
+    each of two workers made the sweep several times slower than one.
+    Helpers are forked where an OpenBLAS counter is found, whatever the
+    default start method, as only a forked helper shares its address;
+    elsewhere the default context starts them. multiprocessing is imported
+    here, so a sweep on one worker never loads it. When the generator ends,
+    raises or is closed, helpers still alive are terminated and every
+    helper is joined.
+    """
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.connection import wait
 
     count = _blas_thread_count()
-    context = None if count is None else multiprocessing.get_context("fork")
-    return ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                               initializer=_one_blas_thread, initargs=(count,))
+    context = multiprocessing.get_context(None if count is None else "fork")
+    claims = context.Value("q", 0)          # the next batch to claim
+    total = len(batches)
+    helpers = {}                            # result pipe -> helper process
+    results = {}                            # batch index -> _distances
+    failed = 0                              # exit code of a helper that failed
+    try:
+        _start_helpers(helpers, workers - 1, context, (batches, claims, count))
+        for index in range(total):
+            while index not in results:
+                own = _claim(claims, total)
+                if own is None and not helpers:
+                    # every helper has exited, one of them with this batch
+                    raise RuntimeError(f"a worker process exited with code {failed} "
+                                       f"before returning its batch")
+                arrived = []
+                if own is not None:
+                    with _one_blas_thread(count):
+                        arrived.append((own, _distances(batches[own])))
+                for pipe in wait(list(helpers), timeout=None if own is None else 0):
+                    try:
+                        arrived.append(pipe.recv())
+                    except EOFError:        # the helper has exited
+                        helper = helpers.pop(pipe)
+                        pipe.close()
+                        helper.join()
+                        if helper.exitcode:
+                            failed = helper.exitcode
+                            _claim(claims, total, last=True)
+                for got, result in arrived:
+                    results[got] = result
+                    if result[1] is not None:
+                        _claim(claims, total, last=True)
+            yield results.pop(index)
+    finally:
+        for helper in helpers.values():
+            if helper.is_alive():
+                helper.terminate()
+        for pipe, helper in helpers.items():
+            helper.join()
+            pipe.close()
+
+
+def _start_helpers(helpers: dict, number: int, context, args: tuple) -> None:
+    """Start ``number`` helper processes running _helper(*args, pipe), each
+    with the write end of its own one-way pipe, and enter each in
+    ``helpers`` under the read end once it runs. This process closes its
+    copy of the write end at once: a helper that exits then ends its
+    pipe, and no later fork inherits it."""
+    for _ in range(number):
+        reader, writer = context.Pipe(duplex=False)
+        helper = context.Process(target=_helper, args=(*args, writer), daemon=True)
+        helper.start()
+        helpers[reader] = helper
+        writer.close()
+
+
+def _helper(batches, claims, count, pipe) -> None:
+    """A helper process: on one BLAS thread, claim batches from the shared
+    counter and send each one's (index, _distances) until none is left."""
+    with _one_blas_thread(count):
+        while (index := _claim(claims, len(batches))) is not None:
+            pipe.send((index, _distances(batches[index])))
+
+
+def _claim(claims, total: int, last: bool = False):
+    """The next batch index from the shared counter, or None once all
+    ``total`` are claimed; ``last`` claims all that are left, so none is
+    run after a failure."""
+    with claims.get_lock():
+        index = claims.value
+        claims.value = total if last else min(index + 1, total)
+    return index if index < total else None
 
 
 def _blas_thread_count():
@@ -490,17 +574,24 @@ def _blas_thread_count():
         return None
 
 
-def _one_blas_thread(count) -> None:
-    """Pool initializer: set OpenBLAS's thread count to 1 in this worker.
+@contextlib.contextmanager
+def _one_blas_thread(count):
+    """OpenBLAS runs on one thread inside the block, and on its old count after.
 
-    ``count`` is resolved in the parent, and _pool forks the workers: a
-    forked worker shares its address, so the write reaches the worker's
-    BLAS and the parent keeps its own count. Calling OpenBLAS's
-    set_num_threads instead would restart its thread pool after the fork,
-    whose new thread spins for about 0.1 s.
+    ``count`` is resolved in the calling process, and _shared forks its
+    helpers wherever it is found: a forked helper shares its address, so
+    the write reaches the helper's BLAS and the caller keeps its own count.
+    Calling OpenBLAS's set_num_threads instead would restart its thread
+    pool after the fork, whose new thread spins for about 0.1 s.
     """
-    if count is not None:
-        count.value = 1
+    if count is None:
+        yield
+        return
+    old, count.value = count.value, 1
+    try:
+        yield
+    finally:
+        count.value = old
 
 
 def _usable_cpus() -> int:
@@ -513,10 +604,10 @@ def _usable_cpus() -> int:
 def run_repetitions(point: ExperimentPoint, threads: int = 1) -> RunResult:
     """All repetitions of one grid point, reduced in repetition order.
 
-    A one-point run_points: up to ``threads`` worker processes (the
-    repetition loop is Python-bound, so threads would serialize on the
-    interpreter lock), each taking contiguous batches of the repetitions;
-    every repetition owns its seed-derived stream, so the worker count
-    never changes the result.
+    A one-point run_points on up to ``threads`` workers: this process and
+    helper processes (the repetition loop is Python-bound, so threads would
+    serialize on the interpreter lock), each claiming contiguous batches of
+    the repetitions and running BLAS on one thread; every repetition owns
+    its seed-derived stream, so the worker count never changes the result.
     """
     return next(run_points([point], threads))

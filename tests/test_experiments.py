@@ -1,7 +1,7 @@
 import dataclasses
 import json
+import multiprocessing
 import os
-from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -83,6 +83,7 @@ def test_sigma_prep_rejected_in_mixed_mode():
     '{"num_qubits": 0}',
     '{"state_kind": "custom"}',
     '{"num_qubits": true}',
+    '{"num_qubits": 59, "copy_budgets": [100], "repetitions": 1}',
     '{"repetitions": true}',
     '{"master_seed": -3}',
     '{"copy_budgets": [true]}',
@@ -116,8 +117,9 @@ def test_invalid_documents_rejected(doc):
     lambda: ExperimentConfig(mode="mixed", sigma_prep=0.2),
     lambda: ExperimentConfig(task="qfi", copy_budgets=(10,)),
     lambda: ExperimentConfig(copy_budgets=(2**63,)),
+    lambda: ExperimentConfig(num_qubits=59),
 ], ids=["scalar-beside-sweep", "replace-repetitions", "mixed-sigma-prep",
-        "other-task-key", "copy-budget-beyond-int64"])
+        "other-task-key", "copy-budget-beyond-int64", "state-beyond-intp"])
 def test_direct_construction_held_to_document_rules(build):
     with pytest.raises(ConfigError):
         build()
@@ -360,53 +362,44 @@ def test_batches_across_points_match_lone_repetitions(mode, monkeypatch):
             assert run_figure(config, threads=3)["results"] == serial
 
 
-class RecordingPool(Executor):
-    """Runs each task in this process; starts no worker. Executor.map
-    submits every task through submit."""
+def _record_helpers(monkeypatch, cpus) -> tuple:
+    """On a machine of ``cpus`` usable CPUs, start no helper process and
+    record how many each multi-worker sweep asks for, so this process
+    claims every batch itself: returns (helper counts, batches run)."""
+    started, batches = [], []
+    real = montecarlo._distances
 
-    sizes = []      # max_workers of every pool made, reset by _record_pools
-    tasks = []
-    shutdowns = []  # cancel_futures of every shutdown
+    def spy(batch):
+        batches.append(batch)
+        return real(batch)
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def submit(self, fn, *args):
-        self.tasks.append(args)
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-    def shutdown(self, cancel_futures=False):
-        self.shutdowns.append(cancel_futures)
-
-
-def _record_pools(monkeypatch, cpus):
-    """Make every pool a RecordingPool, on a machine of ``cpus`` usable CPUs."""
-    RecordingPool.sizes, RecordingPool.tasks, RecordingPool.shutdowns = [], [], []
-    monkeypatch.setattr(montecarlo, "_pool", RecordingPool)
+    monkeypatch.setattr(montecarlo, "_start_helpers",
+                        lambda helpers, number, context, args: started.append(number))
+    monkeypatch.setattr(montecarlo, "_distances", spy)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    return started, batches
 
 
 def test_pool_capped_at_repetition_count(monkeypatch):
-    _record_pools(monkeypatch, cpus=64)
+    started, batches = _record_helpers(monkeypatch, cpus=64)
     doc = json.dumps({"num_qubits": 2, "configuration": "C2",
                       "copy_budgets": [40, 80], "repetitions": 3})
-    assert run_figure(parse_config(doc), threads=32) == run_figure(parse_config(doc))
-    assert RecordingPool.sizes == [6]
-    assert len(RecordingPool.tasks) == 6
+    pooled = run_figure(parse_config(doc), threads=32)
+    # 6 workers: this process and 5 helpers, one batch each
+    assert started == [5] and len(batches) == 6
+    assert pooled == run_figure(parse_config(doc))
     # and at the batch count: 5 repetitions in shares of ceil(5 / 4) = 2 make
-    # 3 batches (2, 2, 1), so a fourth worker would get no task
-    _record_pools(monkeypatch, cpus=64)
+    # 3 batches (2, 2, 1), so a fourth worker would get no batch
+    started, batches = _record_helpers(monkeypatch, cpus=64)
     doc = json.dumps({"num_qubits": 2, "configuration": "C2",
                       "copy_budgets": [40], "repetitions": 5})
-    assert run_figure(parse_config(doc), threads=4) == run_figure(parse_config(doc))
-    assert RecordingPool.sizes == [3]
-    assert len(RecordingPool.tasks) == 3
+    pooled = run_figure(parse_config(doc), threads=4)
+    assert started == [2] and len(batches) == 3
+    assert pooled == run_figure(parse_config(doc))
 
 
 def test_pool_capped_at_usable_cpus(monkeypatch):
-    _record_pools(monkeypatch, cpus=3)
+    started, _ = _record_helpers(monkeypatch, cpus=3)
     config = parse_config(json.dumps({"num_qubits": 2, "configuration": "C2",
                                       "copy_budgets": [40, 80], "repetitions": 4}))
     assert run_figure(config, threads=5000) == run_figure(config)
@@ -415,31 +408,26 @@ def test_pool_capped_at_usable_cpus(monkeypatch):
                                        repetitions=5, seed_entropy=(3,))
     assert (montecarlo.run_repetitions(point, threads=5000).distances.tolist()
             == montecarlo.run_repetitions(point).distances.tolist())
-    assert RecordingPool.sizes == [3, 3]
+    assert started == [2, 2]
 
 
 def test_batches_bounded_by_each_workers_share(monkeypatch):
     """One pass bounds every batch by the BATCH_CELLS cap and by each
     worker's share of the sweep's repetitions, ceil(total / workers)."""
-    sizes = []
-    real = montecarlo._distances
+    started, batches = _record_helpers(monkeypatch, cpus=2)
 
-    def spy(batch):
-        sizes.append(sum(stop - start for _, start, stop in batch))
-        return real(batch)
+    def sizes():
+        return [sum(stop - start for _, start, stop in batch) for batch in batches]
 
-    monkeypatch.setattr(montecarlo, "_distances", spy)
-    _record_pools(monkeypatch, cpus=2)
     state = parse_config(json.dumps({"num_qubits": 2})).build_state()
     # two runs, C1 and C2, of 40 and 4 repetitions: a share of 22 cuts the
-    # first run in two, so both workers get a task
+    # first run in two, so both workers get a batch
     points = [montecarlo.ExperimentPoint(mode="pure", config=config, state=state,
                                          num_copies=100, repetitions=reps,
                                          seed_entropy=(index,), sigma_prep=0.05)
               for index, (config, reps) in enumerate([("C1", 40), ("C2", 4)])]
     pooled = [result.distances.tolist() for result in montecarlo.run_points(points, 2)]
-    assert sizes == [22, 18, 4] and RecordingPool.sizes == [2]
-    assert len(RecordingPool.tasks) == 3
+    assert sizes() == [22, 18, 4] and started == [1]
     assert pooled == [result.distances.tolist() for result in montecarlo.run_points(points)]
 
     # fig4 at 4 repetitions: 484 per configuration, well above a share, so
@@ -447,23 +435,24 @@ def test_batches_bounded_by_each_workers_share(monkeypatch):
     config = dataclasses.replace(load_preset("fig4"), repetitions=4)
     tables = {}
     for threads in (1, 2):
-        sizes.clear()
+        batches.clear()
         tables[threads] = run_figure(config, threads=threads)
-        assert sizes == ([80] * 6 + [4]) * 2
+        assert sizes() == ([80] * 6 + [4]) * 2
     assert tables[2] == tables[1]
 
 
 def test_pool_shut_down_once_with_cancel(monkeypatch):
-    """Whether a run completes, fails or is closed early, the engine shuts
-    its pool down once, cancelling the batches that have not started."""
-    def pools_of(run):
-        _record_pools(monkeypatch, cpus=3)
+    """Whether a run on real helper processes completes, fails or is closed
+    early, no helper outlives it."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+
+    def leaves_no_process(run):
         run()
-        return RecordingPool.sizes, RecordingPool.shutdowns
+        return multiprocessing.active_children() == []
 
     small = parse_config(json.dumps({"num_qubits": 2, "configuration": "C2",
                                      "copy_budgets": [40, 80], "repetitions": 2}))
-    assert pools_of(lambda: run_figure(small, threads=2)) == ([2], [True])
+    assert leaves_no_process(lambda: run_figure(small, threads=2))
 
     # sigma 0.4 draws a 1 + kappa <= 0 detector bias at grid point 1
     failing = parse_config(json.dumps({"configuration": "C1", "sigma_sweep": [0.0, 0.4],
@@ -473,7 +462,7 @@ def test_pool_shut_down_once_with_cancel(monkeypatch):
         with pytest.raises(FigureRunError, match="grid point 1 failed"):
             run_figure(failing, threads=2)
 
-    assert pools_of(fail) == ([2], [True])
+    assert leaves_no_process(fail)
 
     points = [montecarlo.ExperimentPoint(mode="pure", config="C2", state=small.build_state(),
                                          num_copies=40, repetitions=2, seed_entropy=(index,))
@@ -484,15 +473,15 @@ def test_pool_shut_down_once_with_cancel(monkeypatch):
         next(results)
         results.close()
 
-    assert pools_of(close_early) == ([2], [True])
+    assert leaves_no_process(close_early)
     five = dataclasses.replace(points[0], repetitions=5)
-    assert pools_of(lambda: montecarlo.run_repetitions(five, threads=5000)) == ([3], [True])
+    assert leaves_no_process(lambda: montecarlo.run_repetitions(five, threads=5000))
 
 
 def test_one_worker_builds_no_pool(monkeypatch):
     """A sweep that comes down to one worker runs its batches in this
-    process: asked for one, capped at one usable CPU or at one repetition,
-    or given no points."""
+    process and starts no helper: asked for one, capped at one usable CPU
+    or at one repetition, or given no points."""
     config = parse_config(json.dumps({"num_qubits": 2, "configuration": "C2",
                                       "copy_budgets": [40, 80], "repetitions": 2}))
     point = montecarlo.ExperimentPoint(mode="pure", config="C2", state=config.build_state(),
@@ -501,10 +490,10 @@ def test_one_worker_builds_no_pool(monkeypatch):
                             lambda: montecarlo.run_repetitions(point, threads=4),
                             lambda: list(montecarlo.run_points([], 4))]),
                        (1, [lambda: run_figure(config, threads=4)])]:
-        _record_pools(monkeypatch, cpus=cpus)
+        started, _ = _record_helpers(monkeypatch, cpus=cpus)
         for run in runs:
             run()
-        assert RecordingPool.sizes == [] and RecordingPool.tasks == []
+        assert started == []
 
 
 def test_usable_cpus_without_affinity(monkeypatch):

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -675,88 +676,152 @@ print(json.dumps([name in sys.modules for name in ("multiprocessing", "concurren
 """
 
 
+def _src_env() -> dict:
+    """This environment with the tested package's source on PYTHONPATH."""
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("threads,loaded", [(1, False), (2, True)])
 def test_pool_modules_load_only_for_a_pool(threads, loaded):
-    """A one-worker sweep in a fresh interpreter imports neither the
-    executor nor multiprocessing; a two-worker sweep imports both."""
-    src = str(Path(montecarlo.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    """A one-worker sweep in a fresh interpreter imports no multiprocessing;
+    a two-worker sweep imports it, and neither loads concurrent.futures."""
     out = subprocess.run([sys.executable, "-c", _IMPORTS_AFTER_SWEEP, str(threads)],
-                         env=env, capture_output=True, text=True, check=True).stdout
-    assert json.loads(out) == [loaded, loaded]
-
-
-_BARRIER = None   # set before a pool forks, so every forked worker shares it
-
-
-def _worker_blas_threads(_):
-    """A pool task: wait until every worker holds one, then read its count."""
-    _BARRIER.wait(timeout=60)
-    return montecarlo._blas_thread_count().value
+                         env=_src_env(), capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [loaded, False]
 
 
 def test_pool_workers_run_one_blas_thread(monkeypatch):
+    """The helper and the calling process each run a batch on one BLAS
+    thread, and the caller gets its own count back afterwards."""
     count = montecarlo._blas_thread_count()
     if count is None:
         pytest.skip("this process has no OpenBLAS thread counter")
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("only forked workers share the parent's counter address")
     before = count.value
-    monkeypatch.setattr(sys.modules[__name__], "_BARRIER", multiprocessing.Barrier(2))
-    pool = montecarlo._pool(2)
-    try:
-        assert list(pool.map(_worker_blas_threads, range(2), timeout=120)) == [1, 1]
-    finally:
-        pool.shutdown()
+    # helpers are forked wherever the counter is found
+    barrier = multiprocessing.get_context("fork").Barrier(2)
+
+    def probe(batch):
+        # each process waits until the other runs a batch too, then reports
+        # its BLAS thread count as each repetition's distance
+        barrier.wait(timeout=60)
+        reps = sum(stop - start for _, start, stop in batch)
+        return [float(montecarlo._blas_thread_count().value)] * reps, None
+
+    monkeypatch.setattr(montecarlo, "_distances", probe)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    # 2 repetitions on 2 workers make one batch each
+    point = ExperimentPoint(mode="pure", config="C1", state=standard_state("ghz", 2),
+                            num_copies=100, repetitions=2, seed_entropy=(0,))
+    assert [result.distances.tolist() for result in run_points([point], 2)] == [[1, 1]]
     assert montecarlo._blas_thread_count().value == before
+    assert multiprocessing.active_children() == []
 
-
-_WORKER_PROBE = """
-from dsmsim import montecarlo
-
-BARRIER = None   # set before the pool forks; a spawned worker has none
-
-
-def blas_threads(_):
-    if BARRIER is not None:
-        BARRIER.wait(timeout=60)
-    return montecarlo._blas_thread_count().value
-"""
 
 _COUNTS_UNDER_START_METHOD = """
 import json, multiprocessing, sys
-import probe
 from dsmsim import montecarlo
+from dsmsim.montecarlo import ExperimentPoint
+from dsmsim.states import standard_state
 multiprocessing.set_start_method(sys.argv[1], force=True)
 before = montecarlo._blas_thread_count().value
-probe.BARRIER = multiprocessing.get_context("fork").Barrier(2)
-pool = montecarlo._pool(2)
-try:
-    counts = list(pool.map(probe.blas_threads, range(2), timeout=120))
-finally:
-    pool.shutdown()
+barrier = multiprocessing.get_context("fork").Barrier(2)
+
+
+def probe(batch):
+    barrier.wait(timeout=60)
+    reps = sum(stop - start for _, start, stop in batch)
+    return [float(montecarlo._blas_thread_count().value)] * reps, None
+
+
+montecarlo._distances = probe
+montecarlo._usable_cpus = lambda: 2
+point = ExperimentPoint(mode="pure", config="C1", state=standard_state("ghz", 2),
+                        num_copies=100, repetitions=2, seed_entropy=(0,))
+counts = [result.distances.tolist() for result in montecarlo.run_points([point], 2)]
 print(json.dumps([before, counts, montecarlo._blas_thread_count().value]))
 """
 
 
 @pytest.mark.parametrize("method", ["forkserver", "spawn"])
-def test_pool_workers_run_one_blas_thread_under_any_start_method(method, tmp_path):
-    """Under a default start method that pickles the pool's initializer
-    arguments (forkserver, Linux's default from Python 3.14, and spawn),
-    every worker still runs one BLAS thread and the parent keeps its own."""
+def test_pool_workers_run_one_blas_thread_under_any_start_method(method):
+    """Under a default start method that pickles a helper's arguments
+    (forkserver, Linux's default from Python 3.14, and spawn), the helper
+    and the calling process still run their batches on one BLAS thread,
+    and the caller keeps its own count."""
     if montecarlo._blas_thread_count() is None:
         pytest.skip("this process has no OpenBLAS thread counter")
-    (tmp_path / "probe.py").write_text(_WORKER_PROBE)
-    src = str(Path(montecarlo.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(tmp_path), src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", _COUNTS_UNDER_START_METHOD, method],
-                         env=env, capture_output=True, text=True, check=True,
+                         env=_src_env(), capture_output=True, text=True, check=True,
                          timeout=300).stdout
     before, counts, after = json.loads(out)
-    assert counts == [1, 1]
+    assert counts == [[1, 1]]
     assert after == before
+
+
+_DEFAULT_CONTEXT_SWEEP = """
+import json, multiprocessing
+from dsmsim import montecarlo
+from dsmsim.montecarlo import ExperimentPoint
+from dsmsim.states import standard_state
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn", force=True)
+    montecarlo._blas_thread_count = lambda: None
+    montecarlo._usable_cpus = lambda: 2
+    points = [ExperimentPoint(mode=mode, config=config, state=standard_state("ghz", 2),
+                              num_copies=200, repetitions=5, seed_entropy=(index,),
+                              sigma_post=0.02)
+              for index, (mode, config) in enumerate([("pure", "C1"), ("pure", "C2"),
+                                                      ("mixed", "C1"), ("mixed", "C2")])]
+    print(json.dumps([[result.distances.tolist() for result in montecarlo.run_points(points, n)]
+                      for n in (1, 2)] + [multiprocessing.active_children() == []]))
+"""
+
+
+def test_helpers_started_without_fork_give_the_same_distances(tmp_path):
+    """Where no OpenBLAS counter is found, helpers start by the default
+    context; under spawn they and their arguments are pickled, and a
+    two-worker sweep of pure and mixed points gives the one-worker
+    distances."""
+    script = tmp_path / "sweep.py"
+    script.write_text(_DEFAULT_CONTEXT_SWEEP)
+    out = subprocess.run([sys.executable, str(script)], env=_src_env(),
+                         capture_output=True, text=True, check=True, timeout=300).stdout
+    one, two, reaped = json.loads(out)
+    assert two == one and len(one) == 4
+    assert reaped
+
+
+def test_dying_helper_raises_instead_of_hanging(monkeypatch):
+    """A helper that exits in the middle of its batch makes the sweep raise
+    an error naming its exit code within seconds, and leaves no process."""
+    if montecarlo._blas_thread_count() is None and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the dying stand-in reaches only forked helpers")
+    caller = os.getpid()
+    real = montecarlo._distances
+    claimed = multiprocessing.get_context("fork").Event()
+
+    def dying(batch):
+        # the caller waits until the helper has claimed a batch of its own
+        if os.getpid() != caller:
+            claimed.set()
+            os._exit(3)
+        claimed.wait(timeout=60)
+        return real(batch)
+
+    monkeypatch.setattr(montecarlo, "_distances", dying)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    points = [ExperimentPoint(mode="pure", config="C2", state=standard_state("ghz", 2),
+                              num_copies=100, repetitions=20, seed_entropy=(index,))
+              for index in range(4)]
+    began = time.monotonic()
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        for _ in run_points(points, 2):
+            pass
+    assert time.monotonic() - began < 30
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("maps", [
