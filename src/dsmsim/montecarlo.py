@@ -39,9 +39,11 @@ never imported. On more, this process is one of the workers: it and
 workers - 1 helper processes each claim the next batch from one shared
 counter, and the helpers send their distances back over pipes (_shared).
 Every worker, this process included, runs OpenBLAS on one thread while it
-runs batches: the workers already share out the CPUs, and at d >= 48
-two-threaded BLAS in each of two workers made the sweep several times
-slower than one worker.
+runs batches, on one worker too: the workers already share out the CPUs,
+at d >= 48 two-threaded BLAS in each of two workers made the sweep several
+times slower than one worker, and a multi-threaded BLAS rounds large
+products differently. Every worker also keeps the heap memory a batch
+frees for the next one (_keep_freed_memory).
 """
 
 from __future__ import annotations
@@ -72,9 +74,13 @@ MODES = ("pure", "mixed")
 # A batch of repetitions holds at most this many outcome probabilities (and
 # as many entries of each per-cell table), whatever the dimension: 80
 # repetitions at d = 8. A batch keeps about four such tables alive at once,
-# 1 MB at this size; twice the size ran the fig4 sweep no faster and took
-# 5% more peak memory than batches of one grid point.
+# 1 MB at this size. On the fig4 sweep at 4 repetitions (2-vCPU host, freed
+# heap pages kept, 12 alternated pairs), this size took 117 ms (quartiles
+# 108-121); twice the size took 112 ms, faster in 9 of 12 pairs but inside
+# that spread, at 0.6 MB more peak memory; half the size took 124 ms.
 BATCH_CELLS = 1 << 15
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 def _split_copies(total, parts: int) -> np.ndarray:
@@ -426,6 +432,9 @@ def run_points(points, threads: int = 1):
     sweep of few batches still spreads over the workers. On one worker the
     batches run in this process, one after another; on more, this process
     and helper processes claim them from one shared counter (_shared).
+    Either way each batch runs on one BLAS thread (_distances_here), and
+    the process keeps freed heap memory for the next batch
+    (_keep_freed_memory).
     Each point is yielded once its own repetitions are back, and a failing
     repetition raises when its point is reached. Distances are reassembled
     in repetition order, so neither the worker count nor the batching
@@ -441,7 +450,10 @@ def run_points(points, threads: int = 1):
     batches = _batches(points, -(-total // max(workers, 1)))
     # shares round up, so a sweep may cut into fewer batches than workers
     workers = min(workers, len(batches))
-    done = _shared(batches, workers) if workers > 1 else map(_distances, batches)
+    _keep_freed_memory()
+    count = _blas_thread_count()
+    done = (_shared(batches, workers, count) if workers > 1
+            else (_distances_here(batch, count) for batch in batches))
     try:
         distances = []                      # of the point being assembled
         for batch, (values, error) in zip(batches, done):
@@ -460,9 +472,18 @@ def run_points(points, threads: int = 1):
             done.close()
 
 
-def _shared(batches, workers: int):
+def _distances_here(batch, count) -> tuple:
+    """_distances of a batch run in this process, on one BLAS thread:
+    multi-threaded BLAS rounds large products differently (d = 256), so
+    one worker would not give the bytes of several."""
+    with _one_blas_thread(count):
+        return _distances(batch)
+
+
+def _shared(batches, workers: int, count):
     """Yield _distances of every batch, in batch order, run by this process
-    and ``workers - 1`` helper processes.
+    and ``workers - 1`` helper processes; ``count`` is this process's
+    OpenBLAS thread counter, or None.
 
     Each process claims the next batch from one shared counter, so whoever
     is free takes it, and a helper sends (index, distances) over its own
@@ -482,7 +503,6 @@ def _shared(batches, workers: int):
     import multiprocessing
     from multiprocessing.connection import wait
 
-    count = _blas_thread_count()
     context = multiprocessing.get_context(None if count is None else "fork")
     claims = context.Value("q", 0)          # the next batch to claim
     total = len(batches)
@@ -490,7 +510,8 @@ def _shared(batches, workers: int):
     results = {}                            # batch index -> _distances
     failed = 0                              # exit code of a helper that failed
     try:
-        _start_helpers(helpers, workers - 1, context, (batches, claims, count))
+        _start_helpers(helpers, workers - 1, context,
+                       (batches, claims, count, context.get_start_method() != "fork"))
         for index in range(total):
             while index not in results:
                 own = _claim(claims, total)
@@ -500,8 +521,7 @@ def _shared(batches, workers: int):
                                        f"before returning its batch")
                 arrived = []
                 if own is not None:
-                    with _one_blas_thread(count):
-                        arrived.append((own, _distances(batches[own])))
+                    arrived.append((own, _distances_here(batches[own], count)))
                 for pipe in wait(list(helpers), timeout=None if own is None else 0):
                     try:
                         arrived.append(pipe.recv())
@@ -540,9 +560,17 @@ def _start_helpers(helpers: dict, number: int, context, args: tuple) -> None:
         writer.close()
 
 
-def _helper(batches, claims, count, pipe) -> None:
+def _helper(batches, claims, count, fresh, pipe) -> None:
     """A helper process: on one BLAS thread, claim batches from the shared
-    counter and send each one's (index, _distances) until none is left."""
+    counter and send each one's (index, _distances) until none is left.
+
+    A helper started by spawn or forkserver (``fresh``) keeps freed heap
+    memory as the caller does. A forked one inherits the setting, and
+    setting it again there rearranged the heap it shares with the caller:
+    0.2 MB more peak memory on the fig4 sweep.
+    """
+    if fresh:
+        _keep_freed_memory()
     with _one_blas_thread(count):
         while (index := _claim(claims, len(batches))) is not None:
             pipe.send((index, _distances(batches[index])))
@@ -592,6 +620,28 @@ def _one_blas_thread(count):
         yield
     finally:
         count.value = old
+
+
+def _keep_freed_memory() -> None:
+    """Make glibc keep freed heap memory for reuse, for the life of the process.
+
+    By default glibc raises its mmap threshold as large blocks are freed
+    and trims the heap's free top once it exceeds twice that threshold, so
+    each batch of a sweep would fault in again the pages the previous batch
+    freed (about 300 faults per fig4 batch). Setting either threshold turns
+    the dynamic one off, and the trim threshold alone would leave blocks
+    over 128 KiB to mmap, so both are fixed: blocks below 4 MiB come from
+    the heap, and up to 64 MiB of free heap is kept. Where libc is not
+    glibc (no libc.so.6, or no mallopt in it) nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _usable_cpus() -> int:

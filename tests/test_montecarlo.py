@@ -1,3 +1,4 @@
+import ctypes
 import io
 import json
 import multiprocessing
@@ -846,3 +847,129 @@ def test_pool_without_blas_counter_runs_as_before(monkeypatch, maps):
               for index, mode in enumerate(MODES)]
     assert ([result.distances.tolist() for result in run_points(points, 2)]
             == [result.distances.tolist() for result in run_points(points)])
+
+
+def _has_mallopt() -> bool:
+    """Whether glibc's mallopt is found as _keep_freed_memory looks it up."""
+    try:
+        ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    return True
+
+
+_FAULTS_OF_REPEAT_SWEEP = """
+import dataclasses, resource
+from dsmsim.cli import load_preset
+from dsmsim.experiments import run_figure
+config = dataclasses.replace(load_preset("fig4"), repetitions=2)
+run_figure(config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_figure(config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_repeat_sweep_reuses_freed_heap_pages():
+    """After one fig4 sweep, a second in the same process faults in almost
+    no page: the batches reuse the heap memory earlier batches freed rather
+    than glibc trimming it and each batch faulting it in again (about 2,000
+    faults a sweep when it does)."""
+    if not _has_mallopt():
+        pytest.skip("this libc is not glibc")
+    out = subprocess.run([sys.executable, "-c", _FAULTS_OF_REPEAT_SWEEP], env=_src_env(),
+                         capture_output=True, text=True, check=True, timeout=300).stdout
+    assert int(out) < 200
+
+
+@pytest.mark.parametrize("libc", ["missing", "without mallopt"])
+def test_sweep_without_mallopt_runs_as_before(monkeypatch, libc):
+    """A libc that cannot be loaded, or that has no mallopt, leaves the heap
+    setting alone, and sweeps on 1 and 2 workers give the usual distances."""
+    points = [ExperimentPoint(mode=mode, config="C1", state=standard_state("ghz", 2),
+                              num_copies=200, repetitions=3, seed_entropy=(index,))
+              for index, mode in enumerate(MODES)]
+    expected = [result.distances.tolist() for result in run_points(points)]
+    real = ctypes.CDLL
+
+    def fake_cdll(name, *args, **kwargs):
+        if name != "libc.so.6":
+            return real(name, *args, **kwargs)
+        if libc == "missing":
+            raise OSError(name)
+        return object()
+
+    monkeypatch.setattr(montecarlo.ctypes, "CDLL", fake_cdll)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    montecarlo._keep_freed_memory()
+    for threads in (1, 2):
+        assert [result.distances.tolist() for result in run_points(points, threads)] == expected
+    assert multiprocessing.active_children() == []
+
+
+def _recording_libc(monkeypatch) -> list:
+    """Replace glibc by a stand-in whose mallopt records its calls."""
+    calls = []
+
+    class Libc:
+        @staticmethod
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+    real = ctypes.CDLL
+    monkeypatch.setattr(montecarlo.ctypes, "CDLL",
+                        lambda name, *a, **k: Libc() if name == "libc.so.6" else real(name, *a, **k))
+    return calls
+
+
+# glibc's M_MMAP_THRESHOLD is -3, its M_TRIM_THRESHOLD -1 (malloc.h)
+_THRESHOLDS = [(-3, 4 << 20), (-1, 64 << 20)]
+
+
+def test_keeping_freed_memory_sets_both_thresholds_and_may_repeat(monkeypatch):
+    """Both of glibc's thresholds are set, as the trim threshold alone would
+    keep the mmap threshold at its 128 KiB default; a second call sets the
+    same values, and a sweep afterwards gives the usual distances."""
+    point = ExperimentPoint(mode="mixed", config="C2", state=standard_state("ghz", 2),
+                            num_copies=200, repetitions=3, seed_entropy=(1,), epsilon=0.3)
+    expected = run_repetitions(point).distances.tolist()
+    calls = _recording_libc(monkeypatch)
+    montecarlo._keep_freed_memory()
+    montecarlo._keep_freed_memory()
+    assert calls == _THRESHOLDS * 2
+    monkeypatch.undo()
+    if _has_mallopt():
+        montecarlo._keep_freed_memory()
+        montecarlo._keep_freed_memory()
+    assert run_repetitions(point).distances.tolist() == expected
+
+
+def test_only_helpers_not_forked_set_the_heap_thresholds(monkeypatch):
+    """A helper started by spawn or forkserver sets the thresholds itself;
+    a forked one inherits the caller's and leaves its heap alone."""
+    calls = _recording_libc(monkeypatch)
+    claims = multiprocessing.Value("q", 0)
+    # no batches: each helper returns once it has set up
+    montecarlo._helper([], claims, None, False, None)
+    assert calls == []
+    montecarlo._helper([], claims, None, True, None)
+    assert calls == _THRESHOLDS
+
+
+def test_large_mixed_run_gives_the_same_distances_on_one_and_two_workers(monkeypatch):
+    """At d = 256 a multi-threaded BLAS rounds the mixed tables' products
+    differently from a one-threaded one; one worker runs its batches on
+    one BLAS thread, as every worker of several does, so both give the
+    same bytes, and the caller gets its own thread count back."""
+    count = montecarlo._blas_thread_count()
+    before = None if count is None else count.value
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    points = [ExperimentPoint(mode="mixed", config=config, state=standard_state("ghz", 8),
+                              num_copies=20000, repetitions=2, seed_entropy=(0, index),
+                              epsilon=0.3)
+              for index, config in enumerate(("C1", "C2"))]
+    one, two = ([result.distances.tolist() for result in run_points(points, threads)]
+                for threads in (1, 2))
+    assert one == two
+    assert count is None or count.value == before
