@@ -46,10 +46,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "further worker, each claiming the next batch of "
                             "Monte Carlo repetitions, which span consecutive "
                             "grid points with the same mode, configuration "
-                            "and dimension. 1 runs in this process alone; on "
-                            "more, every worker, this process included, runs "
-                            "BLAS on one thread, so they do not "
-                            "oversubscribe the CPUs")
+                            "and dimension. 1 runs in this process alone. "
+                            "Every worker runs BLAS on one thread, on 1 "
+                            "worker too, so workers do not oversubscribe the "
+                            "CPUs and any worker count writes the same bytes")
         p.add_argument("--out", type=str, default=None,
                        help="output path (.csv or .json); overrides the "
                             "configuration's output_path")

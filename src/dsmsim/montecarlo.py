@@ -38,12 +38,13 @@ On one worker the batches run in this process, and multiprocessing is
 never imported. On more, this process is one of the workers: it and
 workers - 1 helper processes each claim the next batch from one shared
 counter, and the helpers send their distances back over pipes (_shared).
-Every worker, this process included, runs OpenBLAS on one thread while it
-runs batches, on one worker too: the workers already share out the CPUs,
-at d >= 48 two-threaded BLAS in each of two workers made the sweep several
-times slower than one worker, and a multi-threaded BLAS rounds large
-products differently. Every worker also keeps the heap memory a batch
-frees for the next one (_keep_freed_memory).
+run_points sets every OpenBLAS this process has loaded, SciPy's as well as
+NumPy's, to one thread for the whole sweep, before any helper is forked,
+so every worker runs BLAS on one thread, on one worker too: the workers
+already share out the CPUs, at d >= 48 two-threaded BLAS in each of two
+workers made the sweep several times slower than one worker, and a
+multi-threaded BLAS rounds large products differently. Every worker also
+keeps the heap memory a batch frees for the next one (_keep_freed_memory).
 """
 
 from __future__ import annotations
@@ -432,9 +433,10 @@ def run_points(points, threads: int = 1):
     sweep of few batches still spreads over the workers. On one worker the
     batches run in this process, one after another; on more, this process
     and helper processes claim them from one shared counter (_shared).
-    Either way each batch runs on one BLAS thread (_distances_here), and
-    the process keeps freed heap memory for the next batch
-    (_keep_freed_memory).
+    Either way the process keeps freed heap memory for the next batch
+    (_keep_freed_memory), and every OpenBLAS it has loaded runs on one
+    thread from before any helper starts until the sweep ends, raises or
+    is closed (_one_blas_thread); forked helpers inherit that setting.
     Each point is yielded once its own repetitions are back, and a failing
     repetition raises when its point is reached. Distances are reassembled
     in repetition order, so neither the worker count nor the batching
@@ -451,10 +453,10 @@ def run_points(points, threads: int = 1):
     # shares round up, so a sweep may cut into fewer batches than workers
     workers = min(workers, len(batches))
     _keep_freed_memory()
-    count = _blas_thread_count()
-    done = (_shared(batches, workers, count) if workers > 1
-            else (_distances_here(batch, count) for batch in batches))
-    try:
+    counts = _blas_thread_counts()
+    done = (_shared(batches, workers, fork=bool(counts)) if workers > 1
+            else (_distances(batch) for batch in batches))
+    with _one_blas_thread(counts), contextlib.closing(done):
         distances = []                      # of the point being assembled
         for batch, (values, error) in zip(batches, done):
             position = 0
@@ -467,43 +469,28 @@ def run_points(points, threads: int = 1):
                 if stop == point.repetitions:
                     yield RunResult(distances=np.array(distances))
                     distances = []
-    finally:
-        if workers > 1:
-            done.close()
 
 
-def _distances_here(batch, count) -> tuple:
-    """_distances of a batch run in this process, on one BLAS thread:
-    multi-threaded BLAS rounds large products differently (d = 256), so
-    one worker would not give the bytes of several."""
-    with _one_blas_thread(count):
-        return _distances(batch)
-
-
-def _shared(batches, workers: int, count):
+def _shared(batches, workers: int, fork: bool):
     """Yield _distances of every batch, in batch order, run by this process
-    and ``workers - 1`` helper processes; ``count`` is this process's
-    OpenBLAS thread counter, or None.
+    and ``workers - 1`` helper processes, forked if ``fork``.
 
     Each process claims the next batch from one shared counter, so whoever
     is free takes it, and a helper sends (index, distances) over its own
     pipe. A failed batch, or a helper that exits with an error, moves the
     counter past the last batch, so nothing more is claimed; a batch that a
     helper took with it raises when it is reached, naming the helper's exit
-    code. Every process runs BLAS on one thread while it runs batches: the
-    workers already share out the CPUs, and at d >= 48 two-threaded BLAS in
-    each of two workers made the sweep several times slower than one.
-    Helpers are forked where an OpenBLAS counter is found, whatever the
-    default start method, as only a forked helper shares its address;
-    elsewhere the default context starts them. multiprocessing is imported
-    here, so a sweep on one worker never loads it. When the generator ends,
-    raises or is closed, helpers still alive are terminated and every
-    helper is joined.
+    code. run_points has them forked wherever it has set an OpenBLAS thread
+    counter, whatever the default start method, as only a forked helper
+    inherits the one-thread setting; elsewhere the default context starts
+    them. multiprocessing is imported here, so a sweep on one worker never
+    loads it. When the generator ends, raises or is closed, helpers still
+    alive are terminated and every helper is joined.
     """
     import multiprocessing
     from multiprocessing.connection import wait
 
-    context = multiprocessing.get_context(None if count is None else "fork")
+    context = multiprocessing.get_context("fork" if fork else None)
     claims = context.Value("q", 0)          # the next batch to claim
     total = len(batches)
     helpers = {}                            # result pipe -> helper process
@@ -511,7 +498,7 @@ def _shared(batches, workers: int, count):
     failed = 0                              # exit code of a helper that failed
     try:
         _start_helpers(helpers, workers - 1, context,
-                       (batches, claims, count, context.get_start_method() != "fork"))
+                       (batches, claims, context.get_start_method() != "fork"))
         for index in range(total):
             while index not in results:
                 own = _claim(claims, total)
@@ -521,7 +508,7 @@ def _shared(batches, workers: int, count):
                                        f"before returning its batch")
                 arrived = []
                 if own is not None:
-                    arrived.append((own, _distances_here(batches[own], count)))
+                    arrived.append((own, _distances(batches[own])))
                 for pipe in wait(list(helpers), timeout=None if own is None else 0):
                     try:
                         arrived.append(pipe.recv())
@@ -560,20 +547,20 @@ def _start_helpers(helpers: dict, number: int, context, args: tuple) -> None:
         writer.close()
 
 
-def _helper(batches, claims, count, fresh, pipe) -> None:
-    """A helper process: on one BLAS thread, claim batches from the shared
-    counter and send each one's (index, _distances) until none is left.
+def _helper(batches, claims, fresh, pipe) -> None:
+    """A helper process: claim batches from the shared counter and send
+    each one's (index, _distances) until none is left.
 
     A helper started by spawn or forkserver (``fresh``) keeps freed heap
     memory as the caller does. A forked one inherits the setting, and
     setting it again there rearranged the heap it shares with the caller:
-    0.2 MB more peak memory on the fig4 sweep.
+    0.2 MB more peak memory on the fig4 sweep. A forked helper inherits
+    the caller's one-thread BLAS counters too.
     """
     if fresh:
         _keep_freed_memory()
-    with _one_blas_thread(count):
-        while (index := _claim(claims, len(batches))) is not None:
-            pipe.send((index, _distances(batches[index])))
+    while (index := _claim(claims, len(batches))) is not None:
+        pipe.send((index, _distances(batches[index])))
 
 
 def _claim(claims, total: int, last: bool = False):
@@ -586,40 +573,44 @@ def _claim(claims, total: int, last: bool = False):
     return index if index < total else None
 
 
-def _blas_thread_count():
-    """OpenBLAS's thread count of this process as a ctypes int, or None.
+def _blas_thread_counts() -> list:
+    """The thread count of each OpenBLAS library this process has loaded,
+    as ctypes ints: NumPy's, and SciPy's own once SciPy is imported.
 
-    The counter is found in the OpenBLAS library this process has loaded,
-    read from /proc/self/maps; None where there is no /proc, no OpenBLAS
-    or no such counter (other BLAS builds).
+    The libraries are read from /proc/self/maps; [] where there is no
+    /proc, and a library that cannot be loaded or has no such counter
+    (other BLAS builds) is left out.
     """
     try:
         with open("/proc/self/maps") as maps:
-            path = next(line.split(maxsplit=5)[5].strip() for line in maps
-                        if "openblas" in line.rpartition("/")[2].lower())
-        return ctypes.c_int.in_dll(ctypes.CDLL(path), "blas_cpu_number")
-    except (OSError, ValueError, StopIteration):
-        return None
+            paths = dict.fromkeys(line.split(maxsplit=5)[5].strip() for line in maps
+                                  if "openblas" in line.rpartition("/")[2].lower())
+    except OSError:
+        return []
+    counts = []
+    for path in paths:
+        with contextlib.suppress(OSError, ValueError):
+            counts.append(ctypes.c_int.in_dll(ctypes.CDLL(path), "blas_cpu_number"))
+    return counts
 
 
 @contextlib.contextmanager
-def _one_blas_thread(count):
-    """OpenBLAS runs on one thread inside the block, and on its old count after.
+def _one_blas_thread(counts):
+    """Every OpenBLAS counter in ``counts`` reads 1 inside the block, and
+    its old value after.
 
-    ``count`` is resolved in the calling process, and _shared forks its
-    helpers wherever it is found: a forked helper shares its address, so
-    the write reaches the helper's BLAS and the caller keeps its own count.
-    Calling OpenBLAS's set_num_threads instead would restart its thread
-    pool after the fork, whose new thread spins for about 0.1 s.
+    A process forked inside the block inherits the 1s. NumPy's and SciPy's
+    wheels both name the counter blas_cpu_number, whereas they export
+    set_num_threads under different prefixes.
     """
-    if count is None:
-        yield
-        return
-    old, count.value = count.value, 1
+    olds = [count.value for count in counts]
+    for count in counts:
+        count.value = 1
     try:
         yield
     finally:
-        count.value = old
+        for count, old in zip(counts, olds):
+            count.value = old
 
 
 def _keep_freed_memory() -> None:

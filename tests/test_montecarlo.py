@@ -1,4 +1,5 @@
 import ctypes
+import importlib.util
 import io
 import json
 import multiprocessing
@@ -25,6 +26,7 @@ from oracles import (
 
 from dsmsim import montecarlo
 from dsmsim.errors import DegenerateDataError, DegenerateNoiseError, ParameterError
+from dsmsim.experiments import _points, parse_config
 from dsmsim.metrics import trace_distance_mixed, trace_distance_pure, trace_distances
 from dsmsim.mixed_protocol import conditional_tables, pauli_from_conditionals
 from dsmsim.noise import perturb_amplitudes, sample_kappas, white_noise_channel
@@ -693,13 +695,17 @@ def test_pool_modules_load_only_for_a_pool(threads, loaded):
     assert json.loads(out) == [loaded, False]
 
 
+def _blas_counts() -> list:
+    """The values of this process's OpenBLAS thread counters."""
+    return [count.value for count in montecarlo._blas_thread_counts()]
+
+
 def test_pool_workers_run_one_blas_thread(monkeypatch):
     """The helper and the calling process each run a batch on one BLAS
-    thread, and the caller gets its own count back afterwards."""
-    count = montecarlo._blas_thread_count()
-    if count is None:
+    thread, and the caller gets its own counts back afterwards."""
+    before = _blas_counts()
+    if not before:
         pytest.skip("this process has no OpenBLAS thread counter")
-    before = count.value
     # helpers are forked wherever the counter is found
     barrier = multiprocessing.get_context("fork").Barrier(2)
 
@@ -708,7 +714,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
         # its BLAS thread count as each repetition's distance
         barrier.wait(timeout=60)
         reps = sum(stop - start for _, start, stop in batch)
-        return [float(montecarlo._blas_thread_count().value)] * reps, None
+        return [float(max(_blas_counts()))] * reps, None
 
     monkeypatch.setattr(montecarlo, "_distances", probe)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
@@ -716,7 +722,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     point = ExperimentPoint(mode="pure", config="C1", state=standard_state("ghz", 2),
                             num_copies=100, repetitions=2, seed_entropy=(0,))
     assert [result.distances.tolist() for result in run_points([point], 2)] == [[1, 1]]
-    assert montecarlo._blas_thread_count().value == before
+    assert _blas_counts() == before
     assert multiprocessing.active_children() == []
 
 
@@ -726,22 +732,28 @@ from dsmsim import montecarlo
 from dsmsim.montecarlo import ExperimentPoint
 from dsmsim.states import standard_state
 multiprocessing.set_start_method(sys.argv[1], force=True)
-before = montecarlo._blas_thread_count().value
+
+
+def counts():
+    return [count.value for count in montecarlo._blas_thread_counts()]
+
+
+before = counts()
 barrier = multiprocessing.get_context("fork").Barrier(2)
 
 
 def probe(batch):
     barrier.wait(timeout=60)
     reps = sum(stop - start for _, start, stop in batch)
-    return [float(montecarlo._blas_thread_count().value)] * reps, None
+    return [float(max(counts()))] * reps, None
 
 
 montecarlo._distances = probe
 montecarlo._usable_cpus = lambda: 2
 point = ExperimentPoint(mode="pure", config="C1", state=standard_state("ghz", 2),
                         num_copies=100, repetitions=2, seed_entropy=(0,))
-counts = [result.distances.tolist() for result in montecarlo.run_points([point], 2)]
-print(json.dumps([before, counts, montecarlo._blas_thread_count().value]))
+during = [result.distances.tolist() for result in montecarlo.run_points([point], 2)]
+print(json.dumps([before, during, counts()]))
 """
 
 
@@ -751,7 +763,7 @@ def test_pool_workers_run_one_blas_thread_under_any_start_method(method):
     (forkserver, Linux's default from Python 3.14, and spawn), the helper
     and the calling process still run their batches on one BLAS thread,
     and the caller keeps its own count."""
-    if montecarlo._blas_thread_count() is None:
+    if not _blas_counts():
         pytest.skip("this process has no OpenBLAS thread counter")
     out = subprocess.run([sys.executable, "-c", _COUNTS_UNDER_START_METHOD, method],
                          env=_src_env(), capture_output=True, text=True, check=True,
@@ -769,7 +781,7 @@ from dsmsim.states import standard_state
 
 if __name__ == "__main__":
     multiprocessing.set_start_method("spawn", force=True)
-    montecarlo._blas_thread_count = lambda: None
+    montecarlo._blas_thread_counts = lambda: []
     montecarlo._usable_cpus = lambda: 2
     points = [ExperimentPoint(mode=mode, config=config, state=standard_state("ghz", 2),
                               num_copies=200, repetitions=5, seed_entropy=(index,),
@@ -798,7 +810,7 @@ def test_helpers_started_without_fork_give_the_same_distances(tmp_path):
 def test_dying_helper_raises_instead_of_hanging(monkeypatch):
     """A helper that exits in the middle of its batch makes the sweep raise
     an error naming its exit code within seconds, and leaves no process."""
-    if montecarlo._blas_thread_count() is None and multiprocessing.get_start_method() != "fork":
+    if not _blas_counts() and multiprocessing.get_start_method() != "fork":
         pytest.skip("the dying stand-in reaches only forked helpers")
     caller = os.getpid()
     real = montecarlo._distances
@@ -841,7 +853,7 @@ def test_pool_without_blas_counter_runs_as_before(monkeypatch, maps):
 
     monkeypatch.setattr(montecarlo, "open", fake_open, raising=False)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-    assert montecarlo._blas_thread_count() is None
+    assert montecarlo._blas_thread_counts() == []
     points = [ExperimentPoint(mode=mode, config="C1", state=standard_state("ghz", 2),
                               num_copies=200, repetitions=3, seed_entropy=(index,))
               for index, mode in enumerate(MODES)]
@@ -951,9 +963,9 @@ def test_only_helpers_not_forked_set_the_heap_thresholds(monkeypatch):
     calls = _recording_libc(monkeypatch)
     claims = multiprocessing.Value("q", 0)
     # no batches: each helper returns once it has set up
-    montecarlo._helper([], claims, None, False, None)
+    montecarlo._helper([], claims, False, None)
     assert calls == []
-    montecarlo._helper([], claims, None, True, None)
+    montecarlo._helper([], claims, True, None)
     assert calls == _THRESHOLDS
 
 
@@ -961,9 +973,8 @@ def test_large_mixed_run_gives_the_same_distances_on_one_and_two_workers(monkeyp
     """At d = 256 a multi-threaded BLAS rounds the mixed tables' products
     differently from a one-threaded one; one worker runs its batches on
     one BLAS thread, as every worker of several does, so both give the
-    same bytes, and the caller gets its own thread count back."""
-    count = montecarlo._blas_thread_count()
-    before = None if count is None else count.value
+    same bytes, and the caller gets its own thread counts back."""
+    before = _blas_counts()
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     points = [ExperimentPoint(mode="mixed", config=config, state=standard_state("ghz", 8),
                               num_copies=20000, repetitions=2, seed_entropy=(0, index),
@@ -972,4 +983,97 @@ def test_large_mixed_run_gives_the_same_distances_on_one_and_two_workers(monkeyp
     one, two = ([result.distances.tolist() for result in run_points(points, threads)]
                 for threads in (1, 2))
     assert one == two
-    assert count is None or count.value == before
+    assert _blas_counts() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blas_counts_come_back_however_a_sweep_ends(monkeypatch, threads):
+    """The caller's OpenBLAS counters read 1 from before a sweep's first
+    result until it ends, and their old values come back both when the
+    sweep fails at a grid point (sigma 0.4 draws a 1 + kappa <= 0 detector
+    bias at point 1) and when it is closed after its first result."""
+    before = _blas_counts()
+    if not before:
+        pytest.skip("this process has no OpenBLAS thread counter")
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    points = _points(parse_config(
+        '{"configuration": "C1", "sigma_sweep": [0.0, 0.4], "repetitions": 20}'))
+    sweep = run_points(points, threads)
+    next(sweep)
+    assert set(_blas_counts()) == {1}
+    with pytest.raises(DegenerateNoiseError):
+        next(sweep)
+    assert _blas_counts() == before
+    sweep = run_points(points, threads)
+    next(sweep)
+    assert set(_blas_counts()) == {1}
+    sweep.close()
+    assert _blas_counts() == before
+    assert multiprocessing.active_children() == []
+
+
+_COUNTS_WITH_SCIPY = """
+import json, multiprocessing, sys
+if sys.argv[1] == "scipy":
+    import scipy.linalg
+from dsmsim import montecarlo
+from dsmsim.montecarlo import ExperimentPoint
+from dsmsim.states import standard_state
+montecarlo._usable_cpus = lambda: 2
+
+
+def counts():
+    return [count.value for count in montecarlo._blas_thread_counts()]
+
+
+with open("/proc/self/maps") as maps:
+    libraries = {line.split(maxsplit=5)[5].strip() for line in maps
+                 if "openblas" in line.rpartition("/")[2].lower()}
+before = counts()
+barrier = multiprocessing.get_context("fork").Barrier(2)
+real = montecarlo._distances
+
+
+def probe(batch):
+    barrier.wait(timeout=60)
+    reps = sum(stop - start for _, start, stop in batch)
+    return [float(max(counts()))] * reps, None
+
+
+montecarlo._distances = probe
+point = ExperimentPoint(mode="pure", config="C1", state=standard_state("ghz", 2),
+                        num_copies=100, repetitions=2, seed_entropy=(0,))
+during = [result.distances.tolist() for result in montecarlo.run_points([point], 2)]
+after = counts()
+montecarlo._distances = real
+points = [ExperimentPoint(mode="mixed", config=config, state=standard_state("ghz", 8),
+                          num_copies=20000, repetitions=2, seed_entropy=(0, index),
+                          epsilon=0.3)
+          for index, config in enumerate(("C1", "C2"))]
+large = [[result.distances.tolist() for result in montecarlo.run_points(points, threads)]
+         for threads in (1, 2)]
+print(json.dumps([len(libraries), before, during, after, large]))
+"""
+
+
+def test_every_loaded_openblas_runs_one_thread():
+    """With SciPy imported first, its own OpenBLAS sorts before NumPy's in
+    the process's maps. Every OpenBLAS counter still reads 1 in the caller
+    and in a helper during a batch, the old values come back afterwards,
+    and the d = 256 mixed distances, on 1 and 2 workers, are those of a
+    process without SciPy: a two-threaded NumPy BLAS rounds them
+    otherwise."""
+    if importlib.util.find_spec("scipy") is None:
+        pytest.skip("SciPy is not installed")
+    with_scipy, without = (
+        json.loads(subprocess.run([sys.executable, "-c", _COUNTS_WITH_SCIPY, which],
+                                  env=_src_env(), capture_output=True, text=True,
+                                  check=True, timeout=300).stdout)
+        for which in ("scipy", "none"))
+    libraries, before, during, after, large = with_scipy
+    if libraries < 2:
+        pytest.skip("SciPy loads no OpenBLAS of its own")
+    assert len(before) == libraries
+    assert during == [[1, 1]]
+    assert after == before
+    assert large[0] == large[1] == without[4][0]
