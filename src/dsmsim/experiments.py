@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, DegenerateDataError, ParameterError
 from .metrics import norm_const_samples, qfi_pure
 from .montecarlo import MODES, ExperimentPoint, _is_count, run_points
 from .pure_protocol import CONFIGURATIONS
@@ -372,6 +372,9 @@ def _run_qfi(config: ExperimentConfig) -> dict:
     ]
     rng = np.random.default_rng(np.random.SeedSequence((config.master_seed,)))
     samples = norm_const_samples(state, config.sigma_prep, config.norm_samples, rng)
+    if not np.any((low <= samples) & (samples <= high)):    # else every density is 0 / 0
+        raise DegenerateDataError(f"no sampled normalization constant lies in norm_grid "
+                                  f"[{low}, {high}]; they span [{samples.min()}, {samples.max()}]")
     density, edges = np.histogram(samples, bins=config.histogram_bins,
                                   range=(low, high), density=True)
     histogram = [

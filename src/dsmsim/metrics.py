@@ -76,8 +76,8 @@ class QfiReport:
         per = np.asarray(self.per_component, dtype=np.float64)
         per.setflags(write=False)
         object.__setattr__(self, "per_component", per)
-        if self.total <= 0.0:
-            raise ParameterError("total Fisher information must be positive")
+        if not 0.0 < self.total < np.inf:
+            raise ParameterError("total Fisher information must be finite and positive")
 
     @property
     def variance(self) -> float:
@@ -103,8 +103,8 @@ def qfi_noisy(psi: PureState, deltas) -> QfiReport:
     """Information for (psi + delta) / N with real psi and real delta."""
     amps = _require_real(psi.amps, "state amplitudes")
     deltas = _require_real(deltas, "perturbations")
-    if deltas.shape != amps.shape:
-        raise ParameterError("need one perturbation per amplitude")
+    if deltas.shape != amps.shape or not np.all(np.isfinite(deltas)):
+        raise ParameterError("need one finite perturbation per amplitude")
     shifted = amps + deltas
     norm_sq = float(np.sum(shifted**2))
     if norm_sq <= 0.0:
@@ -118,7 +118,7 @@ def norm_const_samples(psi: PureState, sigma: float, reps: int, rng) -> np.ndarr
     """Realized normalization constants under real per-amplitude noise."""
     if not 0.0 <= sigma < np.inf:
         raise ParameterError("sigma must be finite and nonnegative")
-    if reps < 1:
-        raise ParameterError("need at least one draw")
+    if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
+        raise ParameterError("reps must be a positive integer")
     deltas = sigma * rng.standard_normal((reps, psi.dim))
     return np.sqrt(np.sum(np.abs(psi.amps[None, :] + deltas) ** 2, axis=1))

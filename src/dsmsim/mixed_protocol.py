@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateDataError, ParameterError
 from .pure_protocol import _check_config, _check_nominal
-from .states import _conjugate_rows, _fourier_differences
+from .states import _conjugate_rows, _fourier_differences, check_density_matrices
 
 
 def pauli_from_conditionals(m00, m01, m11, out=None) -> np.ndarray:
@@ -123,12 +123,13 @@ def physicalize_tables(raw) -> np.ndarray:
     Returns rho~ = raw^dag raw / Tr(raw^dag raw) per table: Hermitian, PSD
     and trace-one by construction, but note the eigenvalue squaring: a raw
     table proportional to a non-projector state does not map back to that
-    state. Not validated; the caller checks the result with
-    check_density_matrices.
+    state. The result passes check_density_matrices, or it raises.
     """
     gram = np.swapaxes(raw.conj(), -1, -2) @ raw
     traces = np.trace(gram, axis1=-2, axis2=-1).real
     if not np.all(np.isfinite(traces)) or np.any(traces <= 0.0):
         raise DegenerateDataError("raw reconstruction is zero; nothing to normalize")
-    return gram / traces[..., None, None]
+    rhos = gram / traces[..., None, None]
+    check_density_matrices(rhos)
+    return rhos
 

@@ -24,15 +24,16 @@ Repetitions run in batches. Consecutive grid points that share mode,
 configuration and dimension pool their repetitions, in order, and the pool
 is cut into batches of a bounded size and of at most each worker's share
 of the sweep's repetitions, so a sweep of many points with few repetitions
-each runs as a few large batches; workers take whole batches.
-Each repetition draws its noise and its uniforms from its own stream, in
-the order of a lone repetition, and takes its noise levels, states and
-copy budget from its own point; every other stage runs once per batch on
-arrays with a leading repetition axis, in forms that round each
-repetition exactly as a lone one does, so no distance depends on how
-repetitions are batched. A batch that raises is replayed one repetition at
-a time, so the error is the one a lone repetition loop meets first, and
-the points before it keep their results.
+each runs as a few large batches; workers take whole batches. A batch is
+one pass over its stages (_batch), and the stages where the modes differ
+come from one table, _PROTOCOLS, one entry per mode. Each repetition draws
+its noise and its uniforms from its own stream, in the order of a lone
+repetition, and takes its noise levels, states and copy budget from its
+own point; every other stage runs once per batch on arrays with a leading
+repetition axis, in forms that round each repetition exactly as a lone
+one does, so no distance depends on how repetitions are batched. A batch
+that raises is replayed one repetition at a time, so the error is the one
+a lone repetition loop meets first, and the points before it keep theirs.
 
 On one worker the batches run in this process, and multiprocessing is
 never imported. On more, this process is one of the workers: it and
@@ -52,6 +53,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -69,9 +71,46 @@ from .mixed_protocol import (
 from .noise import perturb_amplitudes, sample_kappas, white_noise_matrices
 from .pure_protocol import _check_config, lambda_tables, pauli_table, reconstruct_amplitudes
 from .sampling import outcome_table, sample_count_tables
-from .states import PureState, check_density_matrices, port_weights
+from .states import PureState, port_weights
 
-MODES = ("pure", "mixed")
+# The stages where the modes differ, in the order _batch runs them, each
+# once per batch on arrays with a leading repetition axis:
+#   targets   stacked amplitudes [rep, d] -> each repetition's target
+#   prepare   (owners, rngs, targets) -> the prepared states, drawn from each
+#             repetition's stream at its point's field named by prep_noise
+#   branches  d -> k, the conjugate indices of the Pauli cells
+#   cells     (prepared, port weights, config, out) writes the Pauli cells
+#             [rep, n, k, basis, eigenvalue] into out, a view (_cells)
+#   estimate  (lambda_tables' probe entries [rep, n, k], config) -> states
+#   distance  (targets, estimates) -> trace distances
+_Protocol = namedtuple("_Protocol", "targets prepare prep_noise branches cells estimate distance")
+_PROTOCOLS = {
+    # amplitude vectors; pauli_table is the k = 0 column of the mixed cells
+    "pure": _Protocol(
+        targets=lambda amps: amps,
+        prepare=lambda owners, rngs, targets: np.array([
+            perturb_amplitudes(target, point.sigma_prep, rng)[0]
+            for point, rng, target in zip(owners, rngs, targets)]),
+        prep_noise="sigma_prep", branches=lambda d: 1,
+        cells=lambda prepared, weights, config, out: np.copyto(
+            out[:, :, 0], pauli_table(prepared, weights, config)),
+        estimate=lambda off_diag, diag11, config: reconstruct_amplitudes(
+            off_diag[..., 0], diag11[..., 0]),
+        distance=trace_distances_pure),
+    # density matrices: |psi><psi|, and rho' at each point's epsilon, with
+    # the arithmetic of white_noise_channel
+    "mixed": _Protocol(
+        targets=lambda amps: amps[:, :, None] * amps.conj()[:, None, :],
+        prepare=lambda owners, rngs, targets: white_noise_matrices(
+            targets, np.array([point.epsilon for point in owners])),
+        prep_noise="epsilon", branches=lambda d: d,
+        cells=lambda prepared, weights, config, out: pauli_from_conditionals(
+            *conditional_tables(prepared, weights, config), out=out),
+        estimate=lambda off_diag, diag11, config: physicalize_tables(
+            raw_reconstruction(off_diag, diag11, config)),
+        distance=trace_distances),
+}
+MODES = tuple(_PROTOCOLS)
 # A batch of repetitions holds at most this many outcome probabilities (and
 # as many entries of each per-cell table), whatever the dimension: 80
 # repetitions at d = 8. A batch keeps about four such tables alive at once,
@@ -100,28 +139,16 @@ def _split_copies(total, parts: int) -> np.ndarray:
 # setting, outcome]: settings by the index they fix (n in C1, k in C2), then
 # probe basis Z, X, Y; outcomes (branch, probe eigenvalue) over the other
 # index, then the failed postselection. The probabilities are written and
-# the estimates read through a view of it as Pauli cells (_cells).
+# the estimates read through a view of it as Pauli cells (_cells). Entry:
+# the axes of n and k in [rep, setting index, basis, outcome index, eigenvalue].
+_CELL_AXES = {"C1": (1, 3), "C2": (3, 1)}
 
 
 def _cells(table: np.ndarray, config: str) -> np.ndarray:
     """The Pauli cells [rep, n, k, basis, eigenvalue] of outcome tables, a view."""
     reps, settings, outcomes = table.shape
     cells = table[..., :-1].reshape(reps, settings // 3, 3, outcomes // 2, 2)
-    return cells.transpose((0, 1, 3, 2, 4) if config == "C1" else (0, 3, 1, 2, 4))
-
-
-def _outcome_tables(tables, config: str) -> np.ndarray:
-    """Validated outcome tables [rep, setting, outcome] of Pauli cells [rep,
-    n, 3, 2] (pure, k = 0) or of conditional tables (m00, m01, m11) [rep, n, k]."""
-    pure = isinstance(tables, np.ndarray)
-    reps, d, k = (*tables.shape[:2], 1) if pure else tables[0].shape
-    fixed, branches = (d, k) if config == "C1" else (k, d)
-    table = np.empty((reps, 3 * fixed, 2 * branches + 1))
-    if pure:
-        _cells(table, config)[:, :, 0] = tables
-    else:
-        pauli_from_conditionals(*tables, out=_cells(table, config))
-    return outcome_table(table)
+    return cells.transpose(0, *_CELL_AXES[config], 2, 4)
 
 
 def _frequencies(counts: np.ndarray, copies: np.ndarray, config: str) -> np.ndarray:
@@ -138,12 +165,7 @@ def _is_count(value) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentPoint:
-    """One grid point of a sweep: fixed state, noise, budget, and seed.
-
-    Mixed mode derives its matrices per batch from ``state`` and
-    ``epsilon``: the target |psi><psi| and the state it measures,
-    rho' = (1 - epsilon) |psi><psi| + epsilon I / d.
-    """
+    """One grid point of a sweep: fixed state, noise, budget, and seed."""
 
     mode: str
     config: str
@@ -179,12 +201,10 @@ class ExperimentPoint:
             raise ParameterError("sigma must be finite and nonnegative")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ParameterError("epsilon must lie in [0, 1]")
-        # each mode has one preparation noise; the other one would be ignored
-        if self.mode == "mixed" and self.sigma_prep != 0.0:
-            raise ParameterError("mixed-mode preparation noise is epsilon; "
-                                 "sigma_prep applies to pure mode only")
-        if self.mode == "pure" and self.epsilon != 0.0:
-            raise ParameterError("epsilon applies to mixed mode only")
+        # each mode has one preparation noise; another one would be ignored
+        for level in ("sigma_prep", "epsilon"):
+            if level != _PROTOCOLS[self.mode].prep_noise and getattr(self, level) != 0.0:
+                raise ParameterError(f"{level} does not apply to {self.mode} mode")
 
 
 @dataclass(frozen=True)
@@ -315,61 +335,39 @@ def _batch_key(point: ExperimentPoint) -> tuple:
     return point.mode, point.config, point.state.dim
 
 
-def _prepared_and_weights(owners, rngs, targets):
-    """The noisy inputs of a batch's table builder: (prepared, weights).
-
-    ``owners`` holds each repetition's point, ``targets`` its amplitudes
-    (pure) or |psi><psi| (mixed). Each draws from its own stream in ``rngs``,
-    at its point's noise levels, the perturbation of its target (pure), then
-    its detector bias. ``prepared`` stacks the perturbed amplitudes [rep, d]
-    or rho' [rep, d, d] at each point's epsilon, ``weights`` the port weights.
-    """
-    mode, _, d = _batch_key(owners[0])
-    perturbed, kappas = [], []
-    for point, rng, target in zip(owners, rngs, targets):
-        if mode == "pure":
-            perturbed.append(perturb_amplitudes(target, point.sigma_prep, rng)[0])
-        kappas.append(sample_kappas(d, point.sigma_post, rng))
-    weights = port_weights(d, np.array(kappas))
-    if mode == "pure":
-        return np.array(perturbed), weights
-    return white_noise_matrices(targets, np.array([point.epsilon for point in owners])), weights
-
-
 def _batch(batch):
     """The repetitions of a batch together: (distances, reconstructions).
 
     ``batch`` lists (point, start, stop) slices, repetitions start..stop-1
-    of each point, all points sharing one _batch_key. Each stage runs once
-    on the batch's stacked tables, each repetition with the state, noise
-    levels and copy budget of its own point. The targets are derived per
-    batch: the stacked amplitudes (pure) or their outer products (mixed),
-    which a validated state keeps Hermitian, rank one and of unit trace.
-    Reconstructions come back as amplitude vectors (pure) or validated
-    density matrices (mixed).
+    of each point, all points sharing one _batch_key. One pass runs every
+    stage once on the batch's stacked arrays, those of its mode from
+    _PROTOCOLS, each repetition with the state, noise levels and copy
+    budget of its own point: targets, prepared states, detector biases
+    (drawn after the preparation noise), outcome table, counts, probe
+    entries of the frequencies, reconstructions (amplitude vectors, or
+    validated density matrices) and distances.
     """
     owners = [point for point, start, stop in batch for _ in range(start, stop)]
-    mode, config, _ = _batch_key(owners[0])
+    mode, config, d = _batch_key(owners[0])
+    protocol = _PROTOCOLS[mode]
     rngs = _streams(batch)
-    amps = np.array([point.state.amps for point in owners])
-    targets = amps if mode == "pure" else amps[:, :, None] * amps.conj()[:, None, :]
-    # Each stage's stacked tables are dropped once the next stage has read
+    targets = protocol.targets(np.array([point.state.amps for point in owners]))
+    prepared = protocol.prepare(owners, rngs, targets)
+    weights = port_weights(d, np.array([sample_kappas(d, point.sigma_post, rng)
+                                        for point, rng in zip(owners, rngs)]))
+    size = dict(zip(_CELL_AXES[config], (d, protocol.branches(d))))    # by table axis
+    probs = np.empty((len(owners), 3 * size[1], 2 * size[3] + 1))
+    protocol.cells(prepared, weights, config, _cells(probs, config))
+    # Each stage's stacked arrays are dropped once the next stage has read
     # them, which bounds the memory a batch holds at once.
-    build = pauli_table if mode == "pure" else conditional_tables
-    probs = _outcome_tables(build(*_prepared_and_weights(owners, rngs, targets), config), config)
+    del prepared
     copies = _split_copies(np.array([point.num_copies for point in owners]), probs.shape[1])
-    counts = sample_count_tables(probs, copies, rngs)
+    counts = sample_count_tables(outcome_table(probs), copies, rngs)
     del probs
     estimates = _frequencies(counts, copies, config)
     del counts
-    # the probe entries [rep, n, k] of the frequency cells, read in place
-    off_diag, diag11 = lambda_tables(estimates, config)
-    if mode == "pure":
-        recons = reconstruct_amplitudes(off_diag[..., 0], diag11[..., 0])
-        return trace_distances_pure(targets, recons), recons
-    recons = physicalize_tables(raw_reconstruction(off_diag, diag11, config))
-    check_density_matrices(recons)
-    return trace_distances(targets, recons), recons
+    recons = protocol.estimate(*lambda_tables(estimates, config), config)
+    return protocol.distance(targets, recons), recons
 
 
 def _distances(batch) -> tuple:
@@ -643,12 +641,9 @@ def _usable_cpus() -> int:
 
 
 def run_repetitions(point: ExperimentPoint, threads: int = 1) -> RunResult:
-    """All repetitions of one grid point, reduced in repetition order.
-
-    A one-point run_points on up to ``threads`` workers: this process and
+    """All repetitions of one grid point, reduced in repetition order: a
+    one-point run_points on up to ``threads`` workers, this process and
     helper processes (the repetition loop is Python-bound, so threads would
-    serialize on the interpreter lock), each claiming contiguous batches of
-    the repetitions and running BLAS on one thread; every repetition owns
-    its seed-derived stream, so the worker count never changes the result.
-    """
+    serialize on the interpreter lock); the worker count never changes the
+    result, as every repetition owns its seed-derived stream."""
     return next(run_points([point], threads))

@@ -182,3 +182,20 @@ def test_qfi_preset_runs_small(tmp_path):
     assert curves[0] == "norm_const,variance_noiseless,variance_noisy"
     assert len(curves) == 7
     assert (tmp_path / "qfi_histogram.csv").exists()
+
+
+@pytest.mark.parametrize("sampled", [
+    {"sigma_prep": 0.0, "norm_samples": 1000, "norm_grid": [1.5, 2.0, 11]},
+    {"sigma_prep": 5.0},
+])
+def test_qfi_samples_outside_norm_grid_fail_without_a_table(tmp_path, capsys, sampled):
+    """With no sampled constant inside norm_grid the histogram would hold 0 / 0
+    densities: the run exits 2 with one error line naming norm_grid and the
+    samples' range, and writes no table."""
+    config_path = tmp_path / "qfi.json"
+    config_path.write_text(json.dumps({"task": "qfi", **sampled}))
+    assert main(["run", str(config_path), "--out", str(tmp_path / "qfi.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "norm_grid" in err[0] and "span [" in err[0]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["qfi.json"]

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from dsmsim.errors import DegenerateNoiseError, ParameterError
 from dsmsim.metrics import (
+    QfiReport,
     norm_const_samples,
     qfi_noisy,
     qfi_pure,
@@ -177,6 +178,27 @@ def test_qfi_noisy_matches_finite_differences(rng):
 def test_norm_const_samples_rejects_bad_sigma(sigma):
     with pytest.raises(ParameterError, match="finite and nonnegative"):
         norm_const_samples(GHZ, sigma, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("reps", [2.5, 0, True, "3"])
+def test_norm_const_samples_rejects_bad_reps(reps):
+    with pytest.raises(ParameterError, match="reps must be a positive integer"):
+        norm_const_samples(GHZ, 0.1, reps, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_qfi_noisy_rejects_non_finite_perturbations(rng, bad):
+    """A NaN perturbation used to give a report of NaN entries and total."""
+    psi = real_unit_vector(rng, 4)
+    for deltas in ([bad] * 4, [0.0, bad, 0.0, 0.0]):
+        with pytest.raises(ParameterError, match="finite perturbation"):
+            qfi_noisy(psi, deltas)
+
+
+@pytest.mark.parametrize("total", [np.nan, np.inf, 0.0, -1.0])
+def test_qfi_report_needs_finite_positive_total(total):
+    with pytest.raises(ParameterError, match="finite and positive"):
+        QfiReport(per_component=np.ones(2), total=total, norm_const=1.0)
 
 
 def test_norm_const_samples_zero_sigma_and_reproducibility():

@@ -27,7 +27,7 @@ from oracles import (
 from dsmsim import montecarlo
 from dsmsim.errors import DegenerateDataError, DegenerateNoiseError, ParameterError
 from dsmsim.experiments import _points, parse_config
-from dsmsim.metrics import trace_distance_mixed, trace_distance_pure, trace_distances
+from dsmsim.metrics import trace_distance_mixed, trace_distance_pure
 from dsmsim.mixed_protocol import conditional_tables, pauli_from_conditionals
 from dsmsim.noise import perturb_amplitudes, sample_kappas, white_noise_channel
 from dsmsim.montecarlo import (
@@ -41,7 +41,7 @@ from dsmsim.montecarlo import (
     run_repetitions,
 )
 from dsmsim.pure_protocol import lambda_tables, pauli_table, reconstruct_pure
-from dsmsim.sampling import sample_count_tables
+from dsmsim.sampling import outcome_table, sample_count_tables
 from dsmsim.states import (
     DensityMatrix,
     PureState,
@@ -201,9 +201,15 @@ def test_one_layout_matches_two_layout_reference(mode, config, d, reps):
     source = _synthetic_sources(mode, d, reps, np.random.default_rng([d, reps]))
     pauli = reference_pauli_from_conditionals(*source)
     expected = reference_outcome_table(reference_setting_rows(pauli, config))
-    # pure batches come as Pauli cells [rep, n, 3, 2], mixed ones as conditionals
-    probs = montecarlo._outcome_tables(
-        pauli[:, :, 0].reshape(reps, d, 3, 2) if mode == "pure" else source, config)
+    # the mode's cell stage, fed the synthetic tables in place of its closed
+    # form: Pauli cells [rep, n, 3, 2] (pure), conditionals (mixed)
+    probs = np.empty(expected.shape)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "pauli_table",
+                      lambda *args: pauli[:, :, 0].reshape(reps, d, 3, 2))
+        patch.setattr(montecarlo, "conditional_tables", lambda *args: source)
+        montecarlo._PROTOCOLS[mode].cells(None, None, config, montecarlo._cells(probs, config))
+    probs = outcome_table(probs)
     assert np.array_equal(probs, expected)
     assert probs[-1].min() == 0.0
     settings = probs.shape[1]
@@ -239,6 +245,37 @@ def lone_draws(point, rep, d):
     return prepared, port_weights(d, sample_kappas(d, point.sigma_post, rng))
 
 
+class CellsSeen(Exception):
+    """Ends a batch once its cell stage has seen its inputs."""
+
+
+def batch_stages(batch, mode, whole=True):
+    """(_batch of ``batch``, what its mode's stages received): the targets,
+    and the prepared states and port weights its cell stage takes. Unless
+    ``whole``, the batch ends after the cell stage's inputs are seen, so no
+    copy is sampled, and the result is None."""
+    seen = {}
+    protocol = montecarlo._PROTOCOLS[mode]
+
+    def cells(prepared, weights, config, out):
+        seen.update(prepared=prepared, weights=weights)
+        if not whole:
+            raise CellsSeen
+        protocol.cells(prepared, weights, config, out)
+
+    def distance(targets, recons):
+        seen["targets"] = targets
+        return protocol.distance(targets, recons)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(montecarlo._PROTOCOLS, mode,
+                      protocol._replace(cells=cells, distance=distance))
+        try:
+            return _batch(batch), seen
+        except CellsSeen:
+            return None, seen
+
+
 @pytest.mark.parametrize("config", ["C1", "C2"])
 @pytest.mark.parametrize("num_qubits", [3, 10])
 def test_pure_tables_are_lone_pauli_tables(config, num_qubits):
@@ -252,9 +289,8 @@ def test_pure_tables_are_lone_pauli_tables(config, num_qubits):
               for index, state in enumerate([standard_state("ghz", num_qubits),
                                              standard_state("haar", num_qubits, seed=5)])]
     batch = [(points[0], 0, 3), (points[1], 1, 3)]
-    owners = [point for point, start, stop in batch for _ in range(start, stop)]
-    prepared, weights = montecarlo._prepared_and_weights(
-        owners, montecarlo._streams(batch), np.array([point.state.amps for point in owners]))
+    seen = batch_stages(batch, "pure", whole=False)[1]
+    prepared, weights = seen["prepared"], seen["weights"]
     assert prepared.shape == weights.shape == (5, d)
     lone_amps, lone_weights = zip(*(lone_draws(point, rep, d) for point, start, stop in batch
                                     for rep in range(start, stop)))
@@ -274,11 +310,8 @@ def test_mixed_inputs_are_lone_draws():
               for index, state in enumerate([standard_state("ghz", 3),
                                              standard_state("haar", 3, seed=5)])]
     batch = [(points[0], 0, 3), (points[1], 1, 3)]
-    owners = [point for point, start, stop in batch for _ in range(start, stop)]
-    amps = np.array([point.state.amps for point in owners])
-    targets = amps[:, :, None] * amps.conj()[:, None, :]
-    prepared, weights = montecarlo._prepared_and_weights(
-        owners, montecarlo._streams(batch), targets)
+    seen = batch_stages(batch, "mixed", whole=False)[1]
+    prepared, weights = seen["prepared"], seen["weights"]
     assert prepared.shape == (5, 8, 8) and weights.shape == (5, 8)
     lone_rhos, lone_weights = zip(*(lone_draws(point, rep, 8) for point, start, stop in batch
                                     for rep in range(start, stop)))
@@ -370,28 +403,18 @@ def test_uneven_slices_keep_repetition_order():
     assert run_repetitions(point, threads=1).distances.tolist() == serial
 
 
-def test_mixed_batch_derives_each_repetitions_matrices(monkeypatch):
+def test_mixed_batch_derives_each_repetitions_matrices():
     """A mixed batch builds every repetition's target and prepared state from
     its own point, bit for bit as the point's projector and the white-noise
     channel build them one at a time; epsilon -0.0 keeps its bytes too."""
     cases = [(standard_state("ghz", 3), 0.0), (standard_state("w", 3), 0.4),
              (standard_state("haar", 3, seed=4), 1.0), (standard_state("ghz", 3), -0.0)]
-    seen = {}
-
-    def spy(name, fn):
-        def capture(matrices, *args):
-            seen[name] = matrices
-            return fn(matrices, *args)
-        return capture
-
-    monkeypatch.setattr(montecarlo, "conditional_tables", spy("prepared", conditional_tables))
-    monkeypatch.setattr(montecarlo, "trace_distances", spy("targets", trace_distances))
     for config in ("C1", "C2"):
         points = [ExperimentPoint(mode="mixed", config=config, state=state, num_copies=400,
                                   repetitions=2, seed_entropy=(9, index), epsilon=epsilon)
                   for index, (state, epsilon) in enumerate(cases)]
         assert len(_batches(points, sum(p.repetitions for p in points))) == 1
-        distances, recons = _batch([(point, 0, 2) for point in points])
+        (distances, recons), seen = batch_stages([(point, 0, 2) for point in points], "mixed")
         owners = [point for point in points for _ in range(2)]
         assert len(seen["targets"]) == len(seen["prepared"]) == len(owners)
         for rep, point in enumerate(owners):
