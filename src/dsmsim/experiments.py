@@ -5,12 +5,15 @@ configuration(s), noise grids, copy budgets, repetition count, and master
 seed. ``ExperimentConfig`` holds every default and every value rule, so a
 config built in Python or by ``dataclasses.replace`` is held to the same
 rules as a parsed one; ``parse_config`` adds only the rules that need the
-document itself (unknown, null and conflicting keys). ``_points`` forms
-the sweep's grid points once; ``run_figure`` runs them deterministically
-(one Monte Carlo run per point) and returns named tables of rows;
-``export_csv``/``export_json`` write them byte-stably. The "qfi" task
-produces the variance-versus-normalization curves and the histogram of
-realized normalization constants instead of tomography sweeps.
+document itself (unknown, null and conflicting keys). Both reject each
+noise key the mode does not take; the engine's ``noise_keys`` and the
+sweeps that replace them decide which it takes, for grid points and rows
+too. ``_points`` forms the sweep's grid points once; ``run_figure`` runs
+them deterministically (one Monte Carlo run per point) and returns named
+tables of rows; ``export_csv``/``export_json`` write them byte-stably.
+The "qfi" task produces the variance-versus-normalization curves and the
+histogram of realized normalization constants instead of tomography
+sweeps.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, ParameterError
 from .metrics import norm_const_samples, qfi_pure
-from .montecarlo import MODES, ExperimentPoint, _is_count, run_points
+from .montecarlo import MODES, ExperimentPoint, _is_count, noise_keys, run_points
 from .pure_protocol import CONFIGURATIONS
 from .states import PureState, standard_state
 
@@ -57,8 +60,6 @@ QFI_SIGMA_PREP = 0.1
 # scalar noise key -> the sweep key that replaces it on every grid point
 _SWEPT = {"sigma_prep": "sigma_sweep", "sigma_post": "sigma_sweep",
           "epsilon": "epsilon_sweep"}
-# noise keys of the other mode, which that mode's engine would ignore
-_FOREIGN = {"pure": ("epsilon", "epsilon_sweep"), "mixed": ("sigma_prep",)}
 
 
 def _custom_state(pairs) -> PureState:
@@ -70,11 +71,6 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass; JSON true/false must not pass as counts
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     # JSON admits Infinity, NaN and integers beyond the float range, which
     # no sweep parameter can take
@@ -84,6 +80,13 @@ def _is_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _foreign(mode: str) -> list:
+    """The noise keys, then sweeps, that ``mode`` does not take: all but
+    its noise_keys and the sweeps that replace them."""
+    taken = noise_keys(mode) + tuple(_SWEPT[key] for key in noise_keys(mode))
+    return [key for key in (*_SWEPT, *dict.fromkeys(_SWEPT.values())) if key not in taken]
 
 
 def _number(value, key: str, maximum=None) -> float:
@@ -119,7 +122,7 @@ class ExperimentConfig:
 
     Construction applies every value rule, however the config is built
     (parsed, in Python, or by ``dataclasses.replace``), and stores lists as
-    tuples and noise levels as floats. Raises ``ConfigError``.
+    tuples, noise levels as floats, counts as Python ints. Raises ``ConfigError``.
     """
 
     task: str = "tomography"
@@ -160,8 +163,9 @@ class ExperimentConfig:
                              ("master_seed", 0), ("repetitions", 1),
                              ("norm_samples", 1), ("histogram_bins", 1)):
             value = getattr(self, key)
-            _require(_is_int(value) and value >= minimum,
+            _require(_is_count(value) and value >= minimum,
                      f"{key} must be an integer >= {minimum}")
+            store(key, int(value))
         # the state's 2**n complex128 amplitudes need a byte count NumPy can
         # index: n <= 58 where np.intp has 64 bits
         most = (np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize).bit_length() - 1
@@ -171,8 +175,9 @@ class ExperimentConfig:
 
         if self.state_kind == "dicke":
             count = self.dicke_excitations
-            _require(_is_int(count) and 0 < count < self.num_qubits,
+            _require(_is_count(count) and 0 < count < self.num_qubits,
                      "dicke_excitations must lie strictly between 0 and num_qubits")
+            store("dicke_excitations", int(count))
         else:
             _require(self.dicke_excitations is None,
                      "dicke_excitations applies to the dicke state only")
@@ -192,25 +197,26 @@ class ExperimentConfig:
             if getattr(self, key) is not None:
                 store(key, tuple(_number(value, f"{key} entries", maximum)
                                  for value in _nonempty(getattr(self, key), key)))
+        for key in _foreign(self.mode):
+            _require(getattr(self, key) == defaults[key],
+                     f"{key} does not apply to {self.mode} mode")
+        # the keys the mode does not take hold their defaults, 0 in tomography
         for scalar, sweep in _SWEPT.items():
             _require(getattr(self, sweep) is None or getattr(self, scalar) == 0.0,
                      f"{sweep} replaces {scalar}; leave {scalar} at 0")
-        for key in _FOREIGN[self.mode]:
-            _require(getattr(self, key) == defaults[key],
-                     f"{key} does not apply to {self.mode} mode")
 
         budgets = _nonempty(self.copy_budgets, "copy_budgets")
-        _require(all(_is_int(n) and 1 <= n <= np.iinfo(np.int64).max for n in budgets),
+        _require(all(_is_count(n) and 1 <= int(n) <= np.iinfo(np.int64).max for n in budgets),
                  "copy_budgets entries must be positive integers below 2**63")
-        store("copy_budgets", budgets)
+        store("copy_budgets", tuple(map(int, budgets)))
         _require(isinstance(self.norm_grid, (list, tuple)) and len(self.norm_grid) == 3,
                  "norm_grid must be [low, high, points]")
         low, high, points = self.norm_grid
-        _require(_is_int(points) and points >= 2,
+        _require(_is_count(points) and points >= 2,
                  "norm_grid points must be an integer >= 2")
         _require(_is_number(low) and _is_number(high) and 0 < low < high,
                  "norm_grid needs finite 0 < low < high")
-        store("norm_grid", (float(low), float(high), points))
+        store("norm_grid", (float(low), float(high), int(points)))
 
         # to_dict drops the keys of the other task, so they keep their defaults
         stray = [key for key, default in defaults.items()
@@ -261,9 +267,9 @@ def parse_config(text: str) -> ExperimentConfig:
     """Strict parse of a flat JSON key-value document; unknown keys fail.
 
     Value rules belong to ``ExperimentConfig``; this adds the rules that
-    need the document: no repeated, unknown or null key, no noise key of
-    the other mode and no scalar beside the sweep that replaces it, even
-    at 0.
+    need the document: no repeated, unknown or null key, no noise key the
+    mode does not take and no scalar beside the sweep that replaces it,
+    even at 0.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
@@ -279,7 +285,7 @@ def parse_config(text: str) -> ExperimentConfig:
     _require(not nulls, f"keys must not be null: {nulls}")
 
     config = ExperimentConfig(**doc)
-    for key in _FOREIGN[config.mode]:
+    for key in _foreign(config.mode):
         _require(key not in doc, f"{key} does not apply to {config.mode} mode")
     for scalar, sweep in _SWEPT.items():
         _require(scalar not in doc or sweep not in doc,
@@ -309,27 +315,20 @@ def _points(config: ExperimentConfig) -> list:
     copies. Point ``index`` draws from the entropy (master_seed, index)."""
     configurations = (("C1", "C2") if config.configuration == "both"
                       else (config.configuration,))
-    if config.sigma_sweep is None:
-        sigmas = [(config.sigma_prep, config.sigma_post)]
-    elif config.mode == "pure":
-        # pure-state sweeps drive preparation and postselection with one
-        # shared noise level; set sigma_prep/sigma_post, with no sweep,
-        # for asymmetry
-        sigmas = [(value, value) for value in config.sigma_sweep]
-    else:
-        sigmas = [(0.0, value) for value in config.sigma_sweep]
-    # a pure config holds epsilon 0 and no epsilon_sweep
-    grid = itertools.product(configurations, sigmas,
-                             config.epsilon_sweep or (config.epsilon,),
-                             config.copy_budgets)
+    # A sweep value sets the noise keys it replaces that the mode takes, so
+    # pure sigma sweeps drive preparation and postselection alike (give the
+    # scalars for asymmetry); every other noise key keeps its scalar.
+    scalars = {key: getattr(config, key) for key in _SWEPT}
+    sweeps = [[{key: value for key in noise_keys(config.mode) if _SWEPT[key] == sweep}
+               for value in getattr(config, sweep) or ()] or [{}]
+              for sweep in dict.fromkeys(_SWEPT.values())]
+    grid = itertools.product(configurations, *sweeps, config.copy_budgets)
     state = config.build_state()
     return [ExperimentPoint(mode=config.mode, config=configuration, state=state,
                             num_copies=copies, repetitions=config.repetitions,
                             seed_entropy=(config.master_seed, index),
-                            sigma_prep=sigma_prep, sigma_post=sigma_post,
-                            epsilon=epsilon)
-            for index, (configuration, (sigma_prep, sigma_post), epsilon, copies)
-            in enumerate(grid)]
+                            **(scalars | sigma | epsilon))
+            for index, (configuration, sigma, epsilon, copies) in enumerate(grid)]
 
 
 def run_figure(config: ExperimentConfig, threads: int = 1) -> dict:
@@ -346,7 +345,7 @@ def run_figure(config: ExperimentConfig, threads: int = 1) -> dict:
         for index, point in enumerate(points):
             base = dict(state=label, mode=point.mode, config=point.config,
                         sigma_prep=point.sigma_prep, sigma_post=point.sigma_post,
-                        epsilon=None if point.mode == "pure" else point.epsilon,
+                        epsilon=point.epsilon if "epsilon" in noise_keys(point.mode) else None,
                         num_copies=point.num_copies, repetitions=point.repetitions,
                         seed=config.master_seed)
             try:
@@ -393,19 +392,13 @@ def table_fieldnames(name: str) -> tuple:
     return RESULT_FIELDS
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    return str(value)
-
-
 def export_csv(rows, fieldnames, path):
-    """Header plus one line per row; '.' decimal separator, LF terminator."""
+    """Header plus one line per row; '.' decimal separator, LF terminator.
+    A missing or None cell is written empty, a float by its repr."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(name)) for name in fieldnames])
+        writer.writerows([row.get(name) for name in fieldnames] for row in rows)
 
 
 def export_json(rows, fieldnames, path):

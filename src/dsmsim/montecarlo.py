@@ -201,10 +201,16 @@ class ExperimentPoint:
             raise ParameterError("sigma must be finite and nonnegative")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ParameterError("epsilon must lie in [0, 1]")
-        # each mode has one preparation noise; another one would be ignored
-        for level in ("sigma_prep", "epsilon"):
-            if level != _PROTOCOLS[self.mode].prep_noise and getattr(self, level) != 0.0:
-                raise ParameterError(f"{level} does not apply to {self.mode} mode")
+        # a batch reads only the mode's noise_keys and would ignore another level
+        for key in ("sigma_prep", "sigma_post", "epsilon"):
+            if key not in noise_keys(self.mode) and getattr(self, key) != 0.0:
+                raise ParameterError(f"{key} does not apply to {self.mode} mode")
+
+
+def noise_keys(mode: str) -> tuple:
+    """The noise levels a mode's batches read: its protocol's preparation
+    noise, and sigma_post, at which every batch draws its detector biases."""
+    return _PROTOCOLS[mode].prep_noise, "sigma_post"
 
 
 @dataclass(frozen=True)

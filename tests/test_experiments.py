@@ -69,6 +69,64 @@ def test_sigma_prep_rejected_in_mixed_mode():
     assert config.epsilon == 0.3
 
 
+# each scalar noise key -> the sweep that replaces it
+NOISE_SWEEPS = {"sigma_prep": "sigma_sweep", "sigma_post": "sigma_sweep",
+                "epsilon": "epsilon_sweep"}
+
+
+@pytest.mark.parametrize("key", [*NOISE_SWEEPS, "sigma_sweep", "epsilon_sweep"])
+@pytest.mark.parametrize("mode", montecarlo.MODES)
+def test_noise_keys_follow_the_protocol_table(mode, key):
+    """A mode takes sigma_post (every batch draws its detector biases at
+    it), its protocol's preparation noise, and the sweeps that replace
+    them. Every other noise key is rejected by name, also beside its sweep,
+    by the config, the document and (scalars) the grid point alike."""
+    taken = {"sigma_post", montecarlo._PROTOCOLS[mode].prep_noise}
+    taken |= {NOISE_SWEEPS[scalar] for scalar in taken}
+    scalar = key in NOISE_SWEEPS
+    value = 0.2 if scalar else (0.2,)
+
+    def point(**levels):
+        return montecarlo.ExperimentPoint(
+            mode=mode, config="C1", state=ExperimentConfig().build_state(),
+            num_copies=10, repetitions=1, seed_entropy=(0,), **levels)
+
+    if key in taken:
+        config = ExperimentConfig(mode=mode, **{key: value})
+        assert parse_config(json.dumps({"mode": mode, key: value})) == config
+        if scalar:
+            assert getattr(point(**{key: value}), key) == value
+        return
+    message = f"^{key} does not apply to {mode} mode$"
+    given = [{key: value}] + ([{key: value, NOISE_SWEEPS[key]: (0.1,)}] if scalar else [])
+    for fields in given:
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(mode=mode, **fields)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps({"mode": mode, **fields}))
+    with pytest.raises(ConfigError, match=message):
+        parse_config(json.dumps({"mode": mode, key: 0 if scalar else [0.0]}))
+    if scalar:
+        with pytest.raises(ParameterError, match=message):
+            point(**{key: value})
+
+
+@pytest.mark.parametrize("fields", [
+    dict(state_kind="dicke", num_qubits=3, dicke_excitations=1, state_seed=2,
+         master_seed=7, repetitions=5, copy_budgets=(10, 20)),
+    dict(task="qfi", norm_samples=100, norm_grid=(0.5, 2.0, 11), histogram_bins=8),
+], ids=["tomography", "qfi"])
+def test_numpy_integers_stored_as_python_ints(fields):
+    def numpy(value):
+        if isinstance(value, tuple):
+            return tuple(map(numpy, value))
+        return np.int64(value) if isinstance(value, int) else value
+
+    config = ExperimentConfig(**{key: numpy(value) for key, value in fields.items()})
+    assert config == ExperimentConfig(**fields)
+    assert parse_config(json.dumps(config.to_dict())) == config
+
+
 @pytest.mark.parametrize("doc", [
     '{"mode": "thermal"}',
     '{"configuration": "C3"}',
@@ -118,8 +176,12 @@ def test_invalid_documents_rejected(doc):
     lambda: ExperimentConfig(task="qfi", copy_budgets=(10,)),
     lambda: ExperimentConfig(copy_budgets=(2**63,)),
     lambda: ExperimentConfig(num_qubits=59),
+    lambda: ExperimentConfig(repetitions=True),
+    lambda: ExperimentConfig(repetitions=np.bool_(True)),
+    lambda: ExperimentConfig(copy_budgets=(np.bool_(True),)),
 ], ids=["scalar-beside-sweep", "replace-repetitions", "mixed-sigma-prep",
-        "other-task-key", "copy-budget-beyond-int64", "state-beyond-intp"])
+        "other-task-key", "copy-budget-beyond-int64", "state-beyond-intp",
+        "bool-repetitions", "numpy-bool-repetitions", "numpy-bool-copy-budget"])
 def test_direct_construction_held_to_document_rules(build):
     with pytest.raises(ConfigError):
         build()
