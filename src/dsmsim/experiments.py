@@ -5,15 +5,15 @@ configuration(s), noise grids, copy budgets, repetition count, and master
 seed. ``ExperimentConfig`` holds every default and every value rule, so a
 config built in Python or by ``dataclasses.replace`` is held to the same
 rules as a parsed one; ``parse_config`` adds only the rules that need the
-document itself (unknown, null and conflicting keys). Both reject each
-noise key the mode does not take; the engine's ``noise_keys`` and the
-sweeps that replace them decide which it takes, for grid points and rows
-too. ``_points`` forms the sweep's grid points once; ``run_figure`` runs
-them deterministically (one Monte Carlo run per point) and returns named
-tables of rows; ``export_csv``/``export_json`` write them byte-stably.
-The "qfi" task produces the variance-versus-normalization curves and the
-histogram of realized normalization constants instead of tomography
-sweeps.
+document itself (unknown, null and conflicting keys). Both reject each noise
+key the mode does not take; the engine's ``noise_keys`` and the sweeps that
+replace them decide which it takes, for grid points and rows too. A qfi
+config takes no mode: it is held to its task's keys first. ``_points`` forms
+the sweep's grid points once; ``run_figure`` runs them deterministically
+(one Monte Carlo run per point) and returns named tables of rows;
+``export_csv``/``export_json`` write them byte-stably. The "qfi" task
+produces the variance-versus-normalization curves and the histogram of
+realized normalization constants instead of tomography sweeps.
 """
 
 from __future__ import annotations
@@ -197,14 +197,6 @@ class ExperimentConfig:
             if getattr(self, key) is not None:
                 store(key, tuple(_number(value, f"{key} entries", maximum)
                                  for value in _nonempty(getattr(self, key), key)))
-        for key in _foreign(self.mode):
-            _require(getattr(self, key) == defaults[key],
-                     f"{key} does not apply to {self.mode} mode")
-        # the keys the mode does not take hold their defaults, 0 in tomography
-        for scalar, sweep in _SWEPT.items():
-            _require(getattr(self, sweep) is None or getattr(self, scalar) == 0.0,
-                     f"{sweep} replaces {scalar}; leave {scalar} at 0")
-
         budgets = _nonempty(self.copy_budgets, "copy_budgets")
         _require(all(_is_count(n) and 1 <= int(n) <= np.iinfo(np.int64).max for n in budgets),
                  "copy_budgets entries must be positive integers below 2**63")
@@ -218,10 +210,18 @@ class ExperimentConfig:
                  "norm_grid needs finite 0 < low < high")
         store("norm_grid", (float(low), float(high), int(points)))
 
-        # to_dict drops the keys of the other task, so they keep their defaults
+        # to_dict drops the keys of the other task, so they keep their
+        # defaults: a qfi config meets the mode rules at the default mode
         stray = [key for key, default in defaults.items()
                  if key not in _TASK_KEYS[self.task] and getattr(self, key) != default]
         _require(not stray, f"{stray} do not apply to task {self.task!r}")
+        for key in _foreign(self.mode):
+            _require(getattr(self, key) == defaults[key],
+                     f"{key} does not apply to {self.mode} mode")
+        # the keys the mode does not take hold their defaults, 0 in tomography
+        for scalar, sweep in _SWEPT.items():
+            _require(getattr(self, sweep) is None or getattr(self, scalar) == 0.0,
+                     f"{sweep} replaces {scalar}; leave {scalar} at 0")
 
     def state_label(self) -> str:
         if self.state_kind == "dicke":

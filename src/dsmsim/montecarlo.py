@@ -22,18 +22,18 @@ independent of worker count, and reductions happen in repetition order.
 
 Repetitions run in batches. Consecutive grid points that share mode,
 configuration and dimension pool their repetitions, in order, and the pool
-is cut into batches of a bounded size and of at most each worker's share
-of the sweep's repetitions, so a sweep of many points with few repetitions
-each runs as a few large batches; workers take whole batches. A batch is
-one pass over its stages (_batch), and the stages where the modes differ
-come from one table, _PROTOCOLS, one entry per mode. Each repetition draws
-its noise and its uniforms from its own stream, in the order of a lone
-repetition, and takes its noise levels, states and copy budget from its
-own point; every other stage runs once per batch on arrays with a leading
-repetition axis, in forms that round each repetition exactly as a lone
-one does, so no distance depends on how repetitions are batched. A batch
-that raises is replayed one repetition at a time, so the error is the one
-a lone repetition loop meets first, and the points before it keep theirs.
+is cut into batches of a bounded size and of at most each worker's share of
+the sweep's repetitions, so a sweep of many points with few repetitions each
+runs as a few large batches; workers take whole batches. A batch is one pass
+over its stages (_batch), and the stages where the modes differ come from
+one table, _PROTOCOLS, one entry per mode. Each repetition draws its noise
+and its uniforms from its own stream, in the order of a lone repetition, and
+takes its state, copy budget and noise levels from its own point, read once
+by _batch; every other stage runs once per batch on arrays with a leading
+repetition axis, in forms that round each repetition exactly as a lone one
+does, so no distance depends on how repetitions are batched. A batch that
+raises is replayed one repetition at a time, so the error is the one a lone
+repetition loop meets first, and the points before it keep theirs.
 
 On one worker the batches run in this process, and multiprocessing is
 never imported. On more, this process is one of the workers: it and
@@ -76,8 +76,8 @@ from .states import PureState, port_weights
 # The stages where the modes differ, in the order _batch runs them, each
 # once per batch on arrays with a leading repetition axis:
 #   targets   stacked amplitudes [rep, d] -> each repetition's target
-#   prepare   (owners, rngs, targets) -> the prepared states, drawn from each
-#             repetition's stream at its point's field named by prep_noise
+#   prepare   (targets, levels [rep] of the noise named by prep_noise, rngs)
+#             -> the prepared states, each drawn from its repetition's stream
 #   branches  d -> k, the conjugate indices of the Pauli cells
 #   cells     (prepared, port weights, config, out) writes the Pauli cells
 #             [rep, n, k, basis, eigenvalue] into out, a view (_cells)
@@ -88,21 +88,19 @@ _PROTOCOLS = {
     # amplitude vectors; pauli_table is the k = 0 column of the mixed cells
     "pure": _Protocol(
         targets=lambda amps: amps,
-        prepare=lambda owners, rngs, targets: np.array([
-            perturb_amplitudes(target, point.sigma_prep, rng)[0]
-            for point, rng, target in zip(owners, rngs, targets)]),
+        prepare=lambda targets, levels, rngs: np.array(
+            [perturb_amplitudes(*args)[0] for args in zip(targets, levels, rngs)]),
         prep_noise="sigma_prep", branches=lambda d: 1,
         cells=lambda prepared, weights, config, out: np.copyto(
             out[:, :, 0], pauli_table(prepared, weights, config)),
         estimate=lambda off_diag, diag11, config: reconstruct_amplitudes(
             off_diag[..., 0], diag11[..., 0]),
         distance=trace_distances_pure),
-    # density matrices: |psi><psi|, and rho' at each point's epsilon, with
-    # the arithmetic of white_noise_channel
+    # density matrices: |psi><psi|, and rho' at each repetition's epsilon,
+    # with the arithmetic of white_noise_channel
     "mixed": _Protocol(
         targets=lambda amps: amps[:, :, None] * amps.conj()[:, None, :],
-        prepare=lambda owners, rngs, targets: white_noise_matrices(
-            targets, np.array([point.epsilon for point in owners])),
+        prepare=lambda targets, levels, rngs: white_noise_matrices(targets, levels),
         prep_noise="epsilon", branches=lambda d: d,
         cells=lambda prepared, weights, config, out: pauli_from_conditionals(
             *conditional_tables(prepared, weights, config), out=out),
@@ -347,20 +345,21 @@ def _batch(batch):
     ``batch`` lists (point, start, stop) slices, repetitions start..stop-1
     of each point, all points sharing one _batch_key. One pass runs every
     stage once on the batch's stacked arrays, those of its mode from
-    _PROTOCOLS, each repetition with the state, noise levels and copy
-    budget of its own point: targets, prepared states, detector biases
-    (drawn after the preparation noise), outcome table, counts, probe
-    entries of the frequencies, reconstructions (amplitude vectors, or
-    validated density matrices) and distances.
+    _PROTOCOLS, each repetition with the state, noise levels (the mode's
+    noise_keys) and copy budget of its own point: targets, prepared states,
+    detector biases (drawn after the preparation noise), outcome table,
+    counts, probe entries of the frequencies, reconstructions (amplitude
+    vectors, or validated density matrices) and distances.
     """
     owners = [point for point, start, stop in batch for _ in range(start, stop)]
     mode, config, d = _batch_key(owners[0])
     protocol = _PROTOCOLS[mode]
     rngs = _streams(batch)
+    prep, post = ([getattr(point, key) for point in owners] for key in noise_keys(mode))
     targets = protocol.targets(np.array([point.state.amps for point in owners]))
-    prepared = protocol.prepare(owners, rngs, targets)
-    weights = port_weights(d, np.array([sample_kappas(d, point.sigma_post, rng)
-                                        for point, rng in zip(owners, rngs)]))
+    prepared = protocol.prepare(targets, prep, rngs)
+    weights = port_weights(d, np.array([sample_kappas(d, level, rng)
+                                        for level, rng in zip(post, rngs)]))
     size = dict(zip(_CELL_AXES[config], (d, protocol.branches(d))))    # by table axis
     probs = np.empty((len(owners), 3 * size[1], 2 * size[3] + 1))
     protocol.cells(prepared, weights, config, _cells(probs, config))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dsmsim.cli import load_preset, main, output_paths
+from dsmsim.errors import ConfigError
 
 TINY = {
     "state_kind": "ghz",
@@ -199,3 +200,28 @@ def test_qfi_samples_outside_norm_grid_fail_without_a_table(tmp_path, capsys, sa
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "norm_grid" in err[0] and "span [" in err[0]
     assert sorted(path.name for path in tmp_path.iterdir()) == ["qfi.json"]
+
+
+def test_failing_sweep_writes_partial_rows_and_exits_2(tmp_path, capsys):
+    """sigma 0.4 draws a 1 + kappa <= 0 detector bias at grid point 1: the
+    run writes point 0's row and the error row, and names the point on one
+    stderr line."""
+    config_path = tmp_path / "failing.json"
+    config_path.write_text(json.dumps(
+        {"configuration": "C1", "sigma_sweep": [0.0, 0.4], "repetitions": 20}))
+    out = tmp_path / "failing.csv"
+    assert main(["run", str(config_path), "--out", str(out)]) == 2
+    header, *rows = out.read_text().splitlines()
+    fields = header.split(",")
+    rows = [dict(zip(fields, row.split(","))) for row in rows]
+    assert [row["sigma_prep"] for row in rows] == ["0.0", "0.4"]
+    assert rows[0]["error"] == "" and rows[0]["mean_distance"] != ""
+    assert rows[1]["error"].startswith("DegenerateNoiseError: ")
+    assert rows[1]["mean_distance"] == ""
+    assert capsys.readouterr().err == (
+        "error: grid point 1 failed: postselection noise produced 1 + kappa <= 0\n")
+
+
+def test_unknown_preset_name_rejected():
+    with pytest.raises(ConfigError, match="^unknown preset 'fig9'"):
+        load_preset("fig9")

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,25 @@ def test_invalid_documents_rejected(doc):
 def test_direct_construction_held_to_document_rules(build):
     with pytest.raises(ConfigError):
         build()
+
+
+@pytest.mark.parametrize("fields,stray", [
+    (dict(mode="mixed", sigma_prep=0.3), "mode"),
+    (dict(sigma_sweep=(0.1,), sigma_prep=0.3), "sigma_sweep"),
+], ids=["mixed-sigma-prep", "sweep-beside-sigma-prep"])
+def test_qfi_config_meets_no_mode_rule(fields, stray):
+    """qfi takes no mode and no sweep, so a qfi config that gives one is
+    told so, not that the sigma_prep qfi reads breaks a mode rule."""
+    message = re.escape(f"[{stray!r}] do not apply to task 'qfi'")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ExperimentConfig(task="qfi", **fields)
+
+
+def test_dicke_rows_carry_the_state_label():
+    config = ExperimentConfig(state_kind="dicke", num_qubits=3, dicke_excitations=1,
+                              configuration="C2", copy_budgets=(100,), repetitions=2)
+    assert config.state_label() == "dicke3e1"
+    assert [row["state"] for row in run_figure(config)["results"]] == ["dicke3e1"]
 
 
 def test_round_trip_identity():

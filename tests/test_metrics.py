@@ -80,6 +80,8 @@ def test_distance_symmetry_and_range(rng):
         assert abs(m_ab - trace_distance_mixed(rb, ra)) < 1e-12
     with pytest.raises(ParameterError):
         trace_distance_pure(GHZ, PureState(np.array([1.0, 0.0])))
+    with pytest.raises(ParameterError, match="^states must share a dimension$"):
+        trace_distance_mixed(random_density_matrix(2, rng), random_density_matrix(4, rng))
 
 
 def test_qfi_pure_basis_state():

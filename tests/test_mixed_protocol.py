@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dsmsim.errors import DegenerateDataError
+from dsmsim.errors import DegenerateDataError, ParameterError
 from dsmsim.metrics import trace_distance_mixed
 from dsmsim.mixed_protocol import (
     conditional_tables,
@@ -225,3 +225,18 @@ def test_physicalize_output_is_valid_for_arbitrary_raw(rng):
 def test_physicalize_rejects_zero_matrix():
     with pytest.raises(DegenerateDataError):
         physicalize_tables(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("config", ["C1", "C2"])
+def test_raw_reconstruction_rejects_malformed_tables(config):
+    with pytest.raises(ParameterError, match="^lambda tables must both be d x d"):
+        raw_reconstruction(np.zeros((2, 3)), np.zeros((2, 3)), config)
+    with pytest.raises(ParameterError, match="^lambda tables must both be d x d"):
+        raw_reconstruction(np.zeros((2, 2)), np.zeros((1, 2, 2)), config)
+    for bad in (np.inf, np.nan):
+        off_diag = np.zeros((2, 2), dtype=np.complex128)
+        off_diag[0, 1] = bad
+        # inf times a zero phase part is NaN, which NumPy warns of
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ParameterError, match="^raw reconstruction has non-finite entries$"):
+            raw_reconstruction(off_diag, np.zeros((2, 2)), config)

@@ -95,6 +95,8 @@ def test_copy_allocation_rules():
     assert _split_copies(10**5, 3).tolist() == [33334, 33333, 33333]
     with pytest.raises(ParameterError):
         _split_copies(0, 3)
+    with pytest.raises(ParameterError, match="^no settings to allocate to$"):
+        _split_copies(5, 0)
 
 
 def test_pure_c1_hand_distribution():
@@ -317,6 +319,33 @@ def test_mixed_inputs_are_lone_draws():
                                     for rep in range(start, stop)))
     assert prepared.tobytes() == np.array(lone_rhos).tobytes()
     assert weights.tobytes() == np.array(lone_weights).tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_prepare_receives_each_repetitions_level(mode):
+    """A batch spanning two points hands its entry's prepare the targets,
+    every repetition's level of the noise the entry's prep_noise names, in
+    repetition order, and the repetitions' streams."""
+    protocol = montecarlo._PROTOCOLS[mode]
+    points = [ExperimentPoint(mode=mode, config="C1", state=GHZ, num_copies=100,
+                              repetitions=3, seed_entropy=(47, index), sigma_post=0.02,
+                              **{protocol.prep_noise: 0.1 * (index + 1)})
+              for index in range(2)]
+    batch = [(points[0], 1, 3), (points[1], 0, 3)]
+    seen = []
+
+    def prepare(targets, levels, rngs):
+        seen.append((list(levels), len(targets), len(rngs)))
+        return protocol.prepare(targets, levels, rngs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(montecarlo._PROTOCOLS, mode, protocol._replace(prepare=prepare))
+        spied = _batch(batch)[0]
+    levels = [getattr(point, protocol.prep_noise)
+              for point, start, stop in batch for _ in range(start, stop)]
+    assert levels == [0.1, 0.1, 0.2, 0.2, 0.2]
+    assert seen == [(levels, 5, 5)]
+    assert spied.tolist() == _batch(batch)[0].tolist()
 
 
 @pytest.mark.parametrize("config", ["C1", "C2"])
@@ -689,6 +718,35 @@ def test_batch_raises_first_error_of_repetition_loop(mode, num_copies):
             _run_slice(point, 0, point.repetitions)
         assert (excinfo.type, str(excinfo.value)) == expected
     assert kinds == {DegenerateDataError, DegenerateNoiseError}
+
+
+def test_failing_batch_of_succeeding_repetitions_keeps_every_distance(monkeypatch):
+    """A batch that raises although each of its repetitions succeeds alone
+    is replayed one repetition at a time: _distances returns every lone
+    distance and no error, and a sweep yields them on 1 worker (one batch of
+    6 repetitions) and on 2 (a batch of 3 each)."""
+    points = [ExperimentPoint(mode="pure", config="C2", state=standard_state("ghz", 2),
+                              num_copies=200, repetitions=3, seed_entropy=(53, index),
+                              sigma_prep=0.05, sigma_post=0.05)
+              for index in range(2)]
+    lone = [[lone_repetition(point, rep)[0] for rep in range(3)] for point in points]
+    real = montecarlo._batch
+    failed = []
+
+    def lone_only(batch):
+        if sum(stop - start for _, start, stop in batch) >= 2:
+            failed.append(batch)
+            raise RuntimeError("a batch of several repetitions")
+        return real(batch)
+
+    monkeypatch.setattr(montecarlo, "_batch", lone_only)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    assert _distances([(points[0], 1, 3), (points[1], 0, 2)]) == (
+        lone[0][1:] + lone[1][:2], None)
+    assert len(failed) == 1
+    for threads in (1, 2):
+        results = [result.distances.tolist() for result in run_points(points, threads)]
+        assert results == lone
 
 
 _IMPORTS_AFTER_SWEEP = """

@@ -207,6 +207,8 @@ def test_tables_with_their_own_copies_match_lone_tables():
     assert [stream.random() for stream in together] == [stream.random() for stream in alone]
     with pytest.raises(ParameterError):
         sample_count_tables(probs, copies[:-1], together)
+    with pytest.raises(ParameterError, match="^need one random stream per table$"):
+        sample_count_tables(probs, copies, together[:-1])
     # copy counts that are not integers: a cast would count 2.5 as 2 and
     # True as 1, and NaN would raise a bare ValueError
     for bad in (copies + 0.5, copies > 0, np.full(copies.shape, np.nan),

@@ -34,6 +34,8 @@ def test_pure_state_rejects_scalars_and_short_vectors():
         PureState(np.array([1.0]))
     with pytest.raises(ParameterError):
         PureState(np.eye(2))
+    with pytest.raises(ParameterError, match="^amplitudes must be finite$"):
+        PureState(np.array([1.0, np.nan]))
 
 
 def test_density_matrix_invariants():
@@ -43,6 +45,14 @@ def test_density_matrix_invariants():
         DensityMatrix(np.eye(2))  # trace 2
     with pytest.raises(ParameterError):
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+    with pytest.raises(ParameterError, match="^density matrix must be square$"):
+        DensityMatrix(np.stack([np.eye(2) / 2] * 2))
+    with pytest.raises(ParameterError, match="^density matrix must be square$"):
+        check_density_matrices(np.ones(3))
+    with pytest.raises(ParameterError, match="^dimension must be at least 2$"):
+        check_density_matrices(np.ones((1, 1)))
+    with pytest.raises(ParameterError, match="^dimension must be at least 2$"):
+        random_density_matrix(1, np.random.default_rng(0))
     rho = DensityMatrix(np.diag([0.25, 0.75]))
     assert rho.dim == 2
 
@@ -173,6 +183,8 @@ def test_standard_state_rejects_bad_input():
         standard_state("dicke", 3)
     with pytest.raises(ParameterError):
         standard_state("ghz", 0)
+    with pytest.raises(ParameterError, match="^W state needs at least two qubits$"):
+        standard_state("w", 1)
 
 
 def test_haar_states_reproducible_and_distinct():
