@@ -4,16 +4,16 @@ A flat JSON document describes one sweep: the prepared state, protocol
 configuration(s), noise grids, copy budgets, repetition count, and master
 seed. ``ExperimentConfig`` holds every default and every value rule, so a
 config built in Python or by ``dataclasses.replace`` is held to the same
-rules as a parsed one; ``parse_config`` adds only the rules that need the
-document itself (unknown, null and conflicting keys). Both reject each noise
-key the mode does not take; the engine's ``noise_keys`` and the sweeps that
-replace them decide which it takes, for grid points and rows too. A qfi
-config takes no mode: it is held to its task's keys first. ``_points`` forms
-the sweep's grid points once; ``run_figure`` runs them deterministically
-(one Monte Carlo run per point) and returns named tables of rows;
-``export_csv``/``export_json`` write them byte-stably. The "qfi" task
-produces the variance-versus-normalization curves and the histogram of
-realized normalization constants instead of tomography sweeps.
+rules as a parsed one. One rule, ``_unread``, lists the keys a config does
+not read: the other task's, the other state kinds', in tomography the noise
+keys and sweeps the mode does not take (the engine's ``noise_keys`` decide,
+for grid points and rows too), and each scalar a given sweep replaces. A
+config holds each at its default; a document does not give it.
+``_points`` forms the sweep's grid points once; ``run_figure`` runs them
+deterministically (one Monte Carlo run per point) and returns named tables
+of rows; ``export_csv``/``export_json`` write them byte-stably. The "qfi"
+task produces the variance-versus-normalization curves and the histogram
+of realized normalization constants instead of tomography sweeps.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ RESULT_FIELDS = ("state", "mode", "config", "sigma_prep", "sigma_post",
 CURVE_FIELDS = ("norm_const", "variance_noiseless", "variance_noisy")
 HIST_FIELDS = ("bin_left", "bin_right", "density")
 
-# Keys accepted per task; anything else is rejected outright.
+# Keys each task reads; _unread rejects the other task's keys.
 _COMMON_KEYS = {"task", "state_kind", "num_qubits", "dicke_excitations",
                 "state_seed", "custom_amplitudes", "master_seed", "output_path"}
 _TASK_KEYS = {
@@ -60,6 +60,9 @@ QFI_SIGMA_PREP = 0.1
 # scalar noise key -> the sweep key that replaces it on every grid point
 _SWEPT = {"sigma_prep": "sigma_sweep", "sigma_post": "sigma_sweep",
           "epsilon": "epsilon_sweep"}
+# state kind -> the key only that kind reads
+_KIND_KEYS = {"dicke": "dicke_excitations", "haar": "state_seed",
+              "custom": "custom_amplitudes"}
 
 
 def _custom_state(pairs) -> PureState:
@@ -80,13 +83,6 @@ def _is_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
-
-
-def _foreign(mode: str) -> list:
-    """The noise keys, then sweeps, that ``mode`` does not take: all but
-    its noise_keys and the sweeps that replace them."""
-    taken = noise_keys(mode) + tuple(_SWEPT[key] for key in noise_keys(mode))
-    return [key for key in (*_SWEPT, *dict.fromkeys(_SWEPT.values())) if key not in taken]
 
 
 def _number(value, key: str, maximum=None) -> float:
@@ -122,7 +118,9 @@ class ExperimentConfig:
 
     Construction applies every value rule, however the config is built
     (parsed, in Python, or by ``dataclasses.replace``), and stores lists as
-    tuples, noise levels as floats, counts as Python ints. Raises ``ConfigError``.
+    tuples, noise levels as floats, counts as Python ints. Each key of
+    ``_unread`` (other task, other state kind, mode, sweep) must then hold
+    its default. Raises ``ConfigError``.
     """
 
     task: str = "tomography"
@@ -178,17 +176,11 @@ class ExperimentConfig:
             _require(_is_count(count) and 0 < count < self.num_qubits,
                      "dicke_excitations must lie strictly between 0 and num_qubits")
             store("dicke_excitations", int(count))
-        else:
-            _require(self.dicke_excitations is None,
-                     "dicke_excitations applies to the dicke state only")
         _require(self.state_kind != "w" or self.num_qubits >= 2,
                  "the w state needs num_qubits >= 2")
         if self.state_kind == "custom":
             store("custom_amplitudes",
                   _amplitudes(self.custom_amplitudes, self.num_qubits))
-        else:
-            _require(self.custom_amplitudes is None,
-                     "custom_amplitudes applies to the custom state only")
 
         for key, maximum in (("sigma_prep", None), ("sigma_post", None),
                              ("epsilon", 1.0)):
@@ -209,19 +201,8 @@ class ExperimentConfig:
         _require(_is_number(low) and _is_number(high) and 0 < low < high,
                  "norm_grid needs finite 0 < low < high")
         store("norm_grid", (float(low), float(high), int(points)))
-
-        # to_dict drops the keys of the other task, so they keep their
-        # defaults: a qfi config meets the mode rules at the default mode
-        stray = [key for key, default in defaults.items()
-                 if key not in _TASK_KEYS[self.task] and getattr(self, key) != default]
-        _require(not stray, f"{stray} do not apply to task {self.task!r}")
-        for key in _foreign(self.mode):
-            _require(getattr(self, key) == defaults[key],
-                     f"{key} does not apply to {self.mode} mode")
-        # the keys the mode does not take hold their defaults, 0 in tomography
-        for scalar, sweep in _SWEPT.items():
-            _require(getattr(self, sweep) is None or getattr(self, scalar) == 0.0,
-                     f"{sweep} replaces {scalar}; leave {scalar} at 0")
+        for key, message in _unread(self).items():
+            _require(getattr(self, key) == defaults[key], message)
 
     def state_label(self) -> str:
         if self.state_kind == "dicke":
@@ -241,7 +222,7 @@ class ExperimentConfig:
         doc = {}
         for key, default in _DEFAULTS[self.task].items():
             value = getattr(self, key)
-            if key in _TASK_KEYS[self.task] and value != default:
+            if value != default:
                 doc[key] = list(value) if isinstance(value, tuple) else value
         return doc
 
@@ -252,6 +233,26 @@ _DEFAULTS = {
     | {"sigma_prep": QFI_SIGMA_PREP if task == "qfi" else 0.0}
     for task in TASKS
 }
+
+
+def _unread(config: ExperimentConfig) -> dict:
+    """Each key ``config`` does not read -> why, in rule order: the other
+    task's keys, the other state kinds' keys, then in tomography the noise
+    keys and sweeps the mode does not take and each taken scalar that a
+    given sweep replaces. So a qfi config meets no mode rule."""
+    task, kind, mode = config.task, config.state_kind, config.mode
+    unread = {key: f"{key} does not apply to task {task!r}"
+              for key in _DEFAULTS[task] if key not in _TASK_KEYS[task]}
+    unread |= {key: f"{key} does not apply to the {kind} state"
+               for owner, key in _KIND_KEYS.items() if owner != kind}
+    if task == "tomography":
+        taken = noise_keys(mode) + tuple(_SWEPT[key] for key in noise_keys(mode))
+        unread |= {key: f"{key} does not apply to {mode} mode"
+                   for key in (*_SWEPT, *_SWEPT.values()) if key not in taken}
+        unread |= {key: f"{sweep} replaces {key}; give one of them"
+                   for key, sweep in _SWEPT.items()
+                   if key in taken and getattr(config, sweep) is not None}
+    return unread
 
 
 def _unique_keys(pairs) -> dict:
@@ -267,9 +268,9 @@ def parse_config(text: str) -> ExperimentConfig:
     """Strict parse of a flat JSON key-value document; unknown keys fail.
 
     Value rules belong to ``ExperimentConfig``; this adds the rules that
-    need the document: no repeated, unknown or null key, no noise key the
-    mode does not take and no scalar beside the sweep that replaces it,
-    even at 0.
+    need the document: no repeated, unknown or null key, and no key of
+    ``_unread`` (other task, other state kind, mode, sweep), even at its
+    default.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
@@ -279,17 +280,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
     task = doc.get("task", ExperimentConfig.task)
     _require(task in TASKS, f"task must be one of {TASKS}")
-    unknown = doc.keys() - _TASK_KEYS[task]
+    unknown = doc.keys() - _DEFAULTS[task]
     _require(not unknown, f"unknown keys for task {task!r}: {sorted(unknown)}")
     nulls = sorted(key for key, value in doc.items() if value is None)
     _require(not nulls, f"keys must not be null: {nulls}")
 
     config = ExperimentConfig(**doc)
-    for key in _foreign(config.mode):
-        _require(key not in doc, f"{key} does not apply to {config.mode} mode")
-    for scalar, sweep in _SWEPT.items():
-        _require(scalar not in doc or sweep not in doc,
-                 f"{sweep} replaces {scalar}; give one of them")
+    for key, message in _unread(config).items():
+        _require(key not in doc, message)
     return config
 
 

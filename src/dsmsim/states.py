@@ -80,13 +80,12 @@ def check_density_matrices(elems) -> None:
         raise ParameterError("dimension must be at least 2")
     if not np.all(np.isfinite(elems)):
         raise ParameterError("density matrix entries must be finite")
-    if np.max(np.abs(elems - np.swapaxes(elems.conj(), -1, -2))) > ATOL:
+    if np.abs(elems - np.swapaxes(elems.conj(), -1, -2)).max(initial=0.0) > ATOL:
         raise ParameterError("density matrix is not Hermitian")
     traces = np.trace(elems, axis1=-2, axis2=-1)
-    worst = np.unravel_index(np.argmax(np.abs(traces - 1.0)), traces.shape)
-    trace = complex(traces[worst])
-    if abs(trace - 1.0) > ATOL:
-        raise ParameterError(f"trace must be 1, got {trace!r}")
+    gaps = np.abs(traces - 1.0)
+    if gaps.max(initial=0.0) > ATOL:
+        raise ParameterError(f"trace must be 1, got {complex(traces.flat[gaps.argmax()])!r}")
     # Cholesky reads only the lower triangle, so it runs after the
     # Hermitian check. It succeeds only when the shifted matrix is positive
     # definite, which differs from "no eigenvalue below -PSD_ATOL" only at

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import multiprocessing
 import os
@@ -14,6 +15,7 @@ from dsmsim.experiments import (
     CURVE_FIELDS,
     QFI_SIGMA_PREP,
     RESULT_FIELDS,
+    STATE_KINDS,
     ExperimentConfig,
     FigureRunError,
     _points,
@@ -113,10 +115,11 @@ def test_noise_keys_follow_the_protocol_table(mode, key):
 
 
 @pytest.mark.parametrize("fields", [
-    dict(state_kind="dicke", num_qubits=3, dicke_excitations=1, state_seed=2,
+    dict(state_kind="dicke", num_qubits=3, dicke_excitations=1,
          master_seed=7, repetitions=5, copy_budgets=(10, 20)),
+    dict(state_kind="haar", num_qubits=2, state_seed=2),
     dict(task="qfi", norm_samples=100, norm_grid=(0.5, 2.0, 11), histogram_bins=8),
-], ids=["tomography", "qfi"])
+], ids=["tomography", "haar", "qfi"])
 def test_numpy_integers_stored_as_python_ints(fields):
     def numpy(value):
         if isinstance(value, tuple):
@@ -195,9 +198,69 @@ def test_direct_construction_held_to_document_rules(build):
 def test_qfi_config_meets_no_mode_rule(fields, stray):
     """qfi takes no mode and no sweep, so a qfi config that gives one is
     told so, not that the sigma_prep qfi reads breaks a mode rule."""
-    message = re.escape(f"[{stray!r}] do not apply to task 'qfi'")
+    message = re.escape(f"{stray} does not apply to task 'qfi'")
     with pytest.raises(ConfigError, match=f"^{message}$"):
         ExperimentConfig(task="qfi", **fields)
+
+
+CUSTOM3 = ((1.0, 0.0),) + ((0.0, 0.0),) * 7
+# each state kind's own key -> (the kind, a value it accepts)
+KIND_KEYS = {"dicke_excitations": ("dicke", 1), "state_seed": ("haar", 2),
+             "custom_amplitudes": ("custom", CUSTOM3)}
+# the keys a state kind needs
+KIND_FIELDS = {"dicke": {"dicke_excitations": 1}, "custom": {"custom_amplitudes": CUSTOM3}}
+
+
+@pytest.mark.parametrize("kind", STATE_KINDS)
+@pytest.mark.parametrize("key", KIND_KEYS)
+def test_kind_keys_apply_to_their_kind_only(key, kind):
+    owner, value = KIND_KEYS[key]
+    fields = KIND_FIELDS.get(kind, {}) | {"state_kind": kind, key: value}
+    if kind == owner:
+        config = ExperimentConfig(**fields)
+        assert getattr(config, key) == value
+        assert parse_config(json.dumps(fields)) == config
+        return
+    message = f"^{key} does not apply to the {kind} state$"
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**fields)
+    for given in [value] + ([0] if key == "state_seed" else []):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps(fields | {key: given}))
+
+
+def _error(build):
+    try:
+        build()
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+def test_unread_keys_meet_one_rule_built_and_parsed():
+    """In every tomography mode and state kind, for each kind key, noise key
+    and sweep, alone or (a noise key) beside its sweep: construction raises
+    iff a given key is unread and off its default, the document iff a given
+    key is unread, and when both raise they say the same."""
+    defaults = ExperimentConfig()
+    for mode, kind in itertools.product(montecarlo.MODES, STATE_KINDS):
+        taken = {"sigma_post", montecarlo._PROTOCOLS[mode].prep_noise}
+        unread = {key for key, (owner, _) in KIND_KEYS.items() if owner != kind}
+        unread |= {*NOISE_SWEEPS, *NOISE_SWEEPS.values()}
+        unread -= taken | {NOISE_SWEEPS[key] for key in taken}
+        givens = [{key: value} for key, (_, value) in KIND_KEYS.items()] + [{"state_seed": 0}]
+        givens += [{sweep: (0.2,)} for sweep in ("sigma_sweep", "epsilon_sweep")]
+        for key, level in itertools.product(NOISE_SWEEPS, (0.2, 0)):
+            givens += [{key: level}, {key: level, NOISE_SWEEPS[key]: (0.1,)}]
+        for given in givens:
+            fields = KIND_FIELDS.get(kind, {}) | {"state_kind": kind, "mode": mode} | given
+            replaced = {key for key in taken if NOISE_SWEEPS[key] in given}
+            off_default = {key for key, value in given.items() if value != getattr(defaults, key)}
+            built = _error(lambda: ExperimentConfig(**fields))
+            parsed = _error(lambda: parse_config(json.dumps(fields)))
+            assert (built is not None) == bool(off_default & (unread | replaced)), (fields, built)
+            assert (parsed is not None) == bool(given.keys() & (unread | replaced)), (fields, parsed)
+            assert built is None or parsed is None or built == parsed, fields
 
 
 def test_dicke_rows_carry_the_state_label():

@@ -57,6 +57,16 @@ def test_density_matrix_invariants():
     assert rho.dim == 2
 
 
+def test_density_matrix_stacks_empty_and_worst_trace():
+    """An empty stack passes, as in every other stacked stage; a failing
+    stack names its worst trace."""
+    assert check_density_matrices(np.zeros((0, 2, 2))) is None
+    assert physicalize_tables(np.zeros((0, 2, 2), complex)).shape == (0, 2, 2)
+    stack = np.stack([np.eye(2) / 2, np.eye(2) * 0.75, np.eye(2)])
+    with pytest.raises(ParameterError, match=r"^trace must be 1, got \(2\+0j\)$"):
+        check_density_matrices(stack)
+
+
 NAN, INF = np.nan, np.inf
 NON_FINITE = {
     "nan-diagonal": [[NAN, 0.0], [0.0, 0.5]],
