@@ -8,9 +8,10 @@ onto |c'_k> and the detector resolves |n>. Both configurations keep every
 postselection outcome (scan-free), so the full (n, k) table is available
 and an inverse Fourier sum over k recovers rho'_{nm} up to one overall
 constant, which the final physicalization step removes. The tables take
-port weights, as the pure ones do, and pure_protocol.lambda_tables reads
-the probe matrix back. The sum reads its phases from states' difference
-table, in O(d^2) memory per repetition.
+port weights, as the pure ones do; pure_protocol writes the probe matrix
+as Pauli cells and reads it back (pauli_from_conditionals, lambda_tables).
+The sum reads its phases from states' difference table, in O(d^2) memory
+per repetition.
 """
 
 from __future__ import annotations
@@ -23,61 +24,36 @@ from .pure_protocol import _check_config, _check_nominal
 from .states import _conjugate_rows, _fourier_differences, check_density_matrices
 
 
-def pauli_from_conditionals(m00, m01, m11, out=None) -> np.ndarray:
-    """P_j = Tr(|j><j| Lambda'') for the six Pauli eigenstates, elementwise.
-
-    Takes the entries of one probe matrix or whole tables of them and
-    returns (p0, p1, p+, p-, pL, pR) along new last axes [..., basis Z/X/Y,
-    eigenvalue], written into ``out`` (of any strides) if it is given.
-    """
-    m01 = np.asarray(m01)
-    half_trace = 0.5 * (m00 + m11)
-    cells = np.empty(np.shape(half_trace) + (3, 2)) if out is None else out
-    cells[..., 0, 0] = m00
-    cells[..., 0, 1] = m11
-    cells[..., 1, 0] = half_trace + m01.real
-    cells[..., 1, 1] = half_trace - m01.real
-    cells[..., 2, 0] = half_trace - m01.imag
-    cells[..., 2, 1] = half_trace + m01.imag
-    return cells
-
-
 def conditional_tables(rho, weights, config: str):
     """All probe-conditional entries over (n, k) in one vectorized pass.
 
-    ``rho`` holds density-matrix entries and ``weights`` port weights c
-    [..., d], as pauli_table takes them; either may stack along leading
-    axes. Returns (m00, m01, m11) arrays indexed [..., n, k]: the
-    unnormalized 2 x 2 probe matrix Lambda''(n, k), whose trace is the
+    ``rho`` holds square Hermitian density-matrix entries and ``weights``
+    port weights c [..., d], as pauli_table takes them; either may stack
+    along leading axes. Returns (m00, m01, m11) arrays indexed [..., n, k]:
+    the unnormalized 2 x 2 probe matrix Lambda''(n, k), whose trace is the
     postselection weight, for interaction index n postselected onto |c'_k>
     (C1) or interaction |c'_k> postselected onto |n> (C2). Pure batches use
     pauli_table, this k = 0 column in O(d).
     """
     _check_config(config)
     rho, weights = np.asarray(rho), np.asarray(weights, dtype=float)
-    d = rho.shape[-1]
+    d = rho.shape[-1] if rho.ndim else 0
+    if rho.shape[-2:] != (d, d):
+        raise ParameterError("density matrix must be square")
     if weights.shape[-1:] != (d,):
         raise ParameterError("need one port weight per basis index")
     coeff_rows = _conjugate_rows(weights)                          # row k: |c'_k>
     coeff_cols = np.swapaxes(coeff_rows, -1, -2)                   # [..., n, k]
     rho_v = rho @ coeff_cols                                       # (rho v_k)[n]
+    cross = rho_v * coeff_cols.conj()                              # <n|rho|c'_k><c'_k|n>
     overlaps = np.einsum("...kn,...nk->...k", coeff_rows.conj(), rho_v).real
     diag = np.diagonal(rho, axis1=-2, axis2=-1).real
-    if config == "C1":
-        v_rho = coeff_rows.conj() @ rho                            # (v_k^dag rho)[n]
-        diag_weights = (diag * weights ** 2)[..., :, None]  # |v_k[n]|^2 is k-free
-        m11 = 0.5 * (diag_weights * np.ones(d))
-        m01 = 0.5 * (np.swapaxes(v_rho, -1, -2) * coeff_cols - 2.0 * m11)
-        m00 = 0.5 * (overlaps[..., None, :]
-                     - 2.0 * (coeff_cols.conj() * rho_v).real
-                     + diag_weights)
-    else:
-        cross = rho_v * coeff_cols.conj()
-        mixer = (weights ** 2)[..., :, None] * overlaps[..., None, :]
-        m11 = 0.5 * mixer
-        m01 = 0.5 * (cross - mixer)
-        m00 = 0.5 * (diag[..., :, None] - 2.0 * cross.real + mixer)
-    return m00.real, m01, m11.real
+    # E|x|^2, E[x conj(a1)] and E|a1|^2 over rho of the probe a0|0> + a1|1>, a0 = x - a1
+    if config == "C1":  # x = <c'_k|psi>, a1 = <c'_k|n> psi_n
+        xx, xa, aa = overlaps[..., None, :], cross.conj(), (diag * weights ** 2)[..., None]
+    else:               # x = psi_n, a1 = <n|c'_k><c'_k|psi>
+        xx, xa, aa = diag[..., None], cross, weights[..., None] ** 2 * overlaps[..., None, :]
+    return 0.5 * (xx - 2.0 * xa.real + aa), 0.5 * (xa - aa), 0.5 * np.broadcast_to(aa, xa.shape)
 
 
 def _inverse_fourier_sum(table: np.ndarray, d: int) -> np.ndarray:

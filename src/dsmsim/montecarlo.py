@@ -62,14 +62,15 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ParameterError
 from .metrics import trace_distances, trace_distances_pure
-from .mixed_protocol import (
-    conditional_tables,
-    pauli_from_conditionals,
-    physicalize_tables,
-    raw_reconstruction,
-)
+from .mixed_protocol import conditional_tables, physicalize_tables, raw_reconstruction
 from .noise import perturb_amplitudes, sample_kappas, white_noise_matrices
-from .pure_protocol import _check_config, lambda_tables, pauli_table, reconstruct_amplitudes
+from .pure_protocol import (
+    _check_config,
+    lambda_tables,
+    pauli_from_conditionals,
+    pauli_table,
+    reconstruct_amplitudes,
+)
 from .sampling import outcome_table, sample_count_tables
 from .states import PureState, port_weights
 
@@ -111,11 +112,13 @@ _PROTOCOLS = {
 MODES = tuple(_PROTOCOLS)
 # A batch of repetitions holds at most this many outcome probabilities (and
 # as many entries of each per-cell table), whatever the dimension: 80
-# repetitions at d = 8. A batch keeps about four such tables alive at once,
-# 1 MB at this size. On the fig4 sweep at 4 repetitions (2-vCPU host, freed
-# heap pages kept, 12 alternated pairs), this size took 117 ms (quartiles
-# 108-121); twice the size took 112 ms, faster in 9 of 12 pairs but inside
-# that spread, at 0.6 MB more peak memory; half the size took 124 ms.
+# repetitions at d = 8. A batch keeps about four such tables alive, 1 MB.
+# On fig4 at 4 repetitions (2-vCPU host, freed heap pages kept, 12 alternated
+# pairs) this size took 117 ms (quartiles 108-121); twice it 112 ms, faster
+# in 9 of 12 pairs but inside that spread, at 0.6 MB more peak; half 124 ms.
+# A batch of two or more repetitions holds at most 5,120 entries per stacked
+# [rep, d, d] mixed-table product; NumPy 2.4.6 rounds such stacks as lone
+# products up to 12,800 entries, not from 16,384 on: 2^16 keeps below, 2^17 not.
 BATCH_CELLS = 1 << 15
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3

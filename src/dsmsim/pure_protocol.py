@@ -10,10 +10,10 @@ onto |n>. Either way the probe ends in an unnormalized two-component state
     C2:  ((psi'_n - c_n Gamma)|0> + c_n Gamma|1>) / sqrt(2)
 
 with Gamma = sum_m c_m psi'_m, and Pauli-basis probe probabilities expose
-the real and imaginary parts of psi'_n. pauli_table evaluates them, O(d)
-per table, as Pauli cells: the k = 0 column of the mixed protocol's cells
-on |psi'><psi'|. lambda_tables reads the probe entries back from both, and
-reconstruct_amplitudes takes them as raw_reconstruction does.
+the real and imaginary parts of psi'_n. pauli_table forms the probe matrix
+in O(d) per table, the k = 0 column of the mixed one on |psi'><psi'|, and
+pauli_from_conditionals writes both as Pauli cells, which lambda_tables
+reads back for reconstruct_amplitudes and raw_reconstruction alike.
 """
 
 from __future__ import annotations
@@ -40,20 +40,22 @@ def pauli_table(amps, weights, config: str) -> np.ndarray:
 
     Cell n holds P_j = |<j|eta_n>|^2 for the unnormalized probe state eta_n
     of index n; each basis pair sums to the postselection success
-    probability |eta_n|^2. It squares the probe amplitudes, where
-    conditional_tables expands |eta_n|^2: a vanishing branch (C2's zero
-    branch for the uniform state) is 0 here and a rounding residue there.
+    probability |eta_n|^2. Both this and conditional_tables expand the X and
+    Y pairs from the probe matrix, so an exact 0 there may read a residue
+    down to about -6e-17, which outcome_table clamps. The Z pair squares the
+    probe amplitudes: a vanishing branch (C2's zero branch for the uniform
+    state) is 0 here and a rounding residue in conditional_tables.
     """
     _check_config(config)
     amps, weights = np.asarray(amps, dtype=complex), np.asarray(weights, dtype=float)
     if weights.shape[-1:] != amps.shape[-1:]:
         raise ParameterError("need one port weight per basis index")
     gamma = (weights[..., None, :] @ amps[..., :, None])[..., 0]    # sum_m c_m psi'_m
-    # sqrt(2) eta_n = a0|0> + a1|1>, projected onto |0>, |1>, |+>, |->, |L>, |R>
+    # sqrt(2) eta_n = a0|0> + a1|1>, whose probe matrix is |eta_n><eta_n|
     a1 = weights * (amps if config == "C1" else gamma)
     a0 = (gamma if config == "C1" else amps) - a1
-    probes = np.stack([a0, a1, a0 + a1, a0 - a1, a0 - 1j * a1, a0 + 1j * a1], axis=-1)
-    return (np.abs(probes) ** 2 * [0.5, 0.5, 0.25, 0.25, 0.25, 0.25]).reshape(*a0.shape, 3, 2)
+    return pauli_from_conditionals(0.5 * np.abs(a0) ** 2, 0.5 * a0 * a1.conj(),
+                                   0.5 * np.abs(a1) ** 2)
 
 
 def _check_nominal(nominal, d: int) -> np.ndarray:
@@ -62,6 +64,24 @@ def _check_nominal(nominal, d: int) -> np.ndarray:
     if nominal.shape != (d,) or not np.all((nominal > 0.0) & (nominal < np.inf)):
         raise ParameterError("nominal coefficients must be finite and positive, one per index")
     return nominal
+
+
+def pauli_from_conditionals(m00, m01, m11, out=None) -> np.ndarray:
+    """P_j = Tr(|j><j| Lambda'') for the six Pauli eigenstates, elementwise.
+
+    Takes the entries of one probe matrix or whole tables of them and
+    returns (p0, p1, p+, p-, pL, pR) along new last axes [..., basis Z/X/Y,
+    eigenvalue], written into ``out`` (of any strides) if it is given.
+    """
+    half_trace = 0.5 * (m00 + m11)
+    cells = np.empty(np.shape(half_trace) + (3, 2)) if out is None else out
+    cells[..., 0, 0] = m00
+    cells[..., 0, 1] = m11
+    cells[..., 1, 0] = half_trace + m01.real
+    cells[..., 1, 1] = half_trace - m01.real
+    cells[..., 2, 0] = half_trace - m01.imag
+    cells[..., 2, 1] = half_trace + m01.imag
+    return cells
 
 
 def lambda_tables(pauli, config: str):

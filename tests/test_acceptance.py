@@ -20,15 +20,15 @@ from dsmsim.metrics import (
     trace_distance_mixed,
     trace_distance_pure,
 )
-from dsmsim.mixed_protocol import (
-    conditional_tables,
-    pauli_from_conditionals,
-    physicalize_tables,
-    raw_reconstruction,
-)
+from dsmsim.mixed_protocol import conditional_tables, physicalize_tables, raw_reconstruction
 from dsmsim.montecarlo import ExperimentPoint, run_repetitions
 from dsmsim.noise import noisy_ghz_circuit, sample_kappas
-from dsmsim.pure_protocol import lambda_tables, pauli_table, reconstruct_pure
+from dsmsim.pure_protocol import (
+    lambda_tables,
+    pauli_from_conditionals,
+    pauli_table,
+    reconstruct_pure,
+)
 from dsmsim.states import (
     DensityMatrix,
     PureState,

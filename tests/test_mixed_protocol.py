@@ -4,14 +4,10 @@ from numpy.testing import assert_allclose
 
 from dsmsim.errors import DegenerateDataError, ParameterError
 from dsmsim.metrics import trace_distance_mixed
-from dsmsim.mixed_protocol import (
-    conditional_tables,
-    pauli_from_conditionals,
-    physicalize_tables,
-    raw_reconstruction,
-)
+from dsmsim.mixed_protocol import conditional_tables, physicalize_tables, raw_reconstruction
+from dsmsim.montecarlo import BATCH_CELLS
 from dsmsim.noise import sample_kappas, white_noise_channel
-from dsmsim.pure_protocol import lambda_tables, pauli_table
+from dsmsim.pure_protocol import lambda_tables, pauli_from_conditionals, pauli_table
 from dsmsim.states import (
     DensityMatrix,
     PureState,
@@ -97,6 +93,23 @@ def test_vectorized_tables_match_per_cell_entries(config, d, rng):
             for k in range(d):
                 ref = JOINT[config](rhos[rep], coeffs[rep, k], n)
                 assert np.max(np.abs(got[rep, n, k] - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("config", ["C1", "C2"])
+def test_stacked_conditional_tables_round_as_lone_tables(config, rng):
+    """A stack of the engine's largest batch at each dimension up to d = 64
+    gives, bit for bit, the tables of each lone state. Stacked products
+    round as lone ones only up to a size (see BATCH_CELLS), so this fails
+    if the cap lets a batch grow past it."""
+    for num_qubits in range(1, 7):
+        d = 2**num_qubits
+        reps = max(1, BATCH_CELLS // (3 * d * (2 * d + 1)))
+        rhos = np.array([random_density_matrix(d, rng).elems for _ in range(reps)])
+        weights = port_weights(d, 0.05 * rng.standard_normal((reps, d)))
+        stacked = conditional_tables(rhos, weights, config)
+        for rep in range(reps):
+            lone = conditional_tables(rhos[rep], weights[rep], config)
+            assert all(np.array_equal(got[rep], want) for got, want in zip(stacked, lone))
 
 
 def test_pure_projector_conditional_equals_probe_outer_product(rng):

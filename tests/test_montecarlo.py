@@ -28,7 +28,7 @@ from dsmsim import montecarlo
 from dsmsim.errors import DegenerateDataError, DegenerateNoiseError, ParameterError
 from dsmsim.experiments import _points, parse_config
 from dsmsim.metrics import trace_distance_mixed, trace_distance_pure
-from dsmsim.mixed_protocol import conditional_tables, pauli_from_conditionals
+from dsmsim.mixed_protocol import conditional_tables
 from dsmsim.noise import perturb_amplitudes, sample_kappas, white_noise_channel
 from dsmsim.montecarlo import (
     MODES,
@@ -40,7 +40,12 @@ from dsmsim.montecarlo import (
     run_points,
     run_repetitions,
 )
-from dsmsim.pure_protocol import lambda_tables, pauli_table, reconstruct_pure
+from dsmsim.pure_protocol import (
+    lambda_tables,
+    pauli_from_conditionals,
+    pauli_table,
+    reconstruct_pure,
+)
 from dsmsim.sampling import outcome_table, sample_count_tables
 from dsmsim.states import (
     DensityMatrix,

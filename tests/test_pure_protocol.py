@@ -74,6 +74,11 @@ def test_probe_index_validation():
         for config in ("C1", "C2"):
             with pytest.raises(ParameterError):
                 conditional_tables(psi.projector().elems, weights, config)
+    # density matrices that are not square: one row, a vector, three rows
+    for rho in (np.array([[0.5, 0.5]]), np.array([0.5, 0.5]), np.full((3, 2), 0.5)):
+        for config in ("C1", "C2"):
+            with pytest.raises(ParameterError, match="^density matrix must be square$"):
+                conditional_tables(rho, port_weights(2), config)
     with pytest.raises(ParameterError):
         pauli_table(psi.amps, port_weights(2), "C3")
 
